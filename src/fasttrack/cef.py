@@ -110,6 +110,16 @@ def atilde_z(z1, level: float, i1: float, i2c: float):
     return 1.0 - std_normal_cdf((z_alpha - w1 * np.asarray(z1, dtype=float)) / w2)
 
 
+def _z_c(cef: CalibratedCef) -> float:
+    """Phi^{-1}(1 - c) of the inverse normal family.
+
+    c is clamped so the bracket endpoints c = 0, 1 used during calibration
+    evaluate to the A == 0 and A == 0.5 extremes instead of failing.
+    """
+    c = min(max(cef.c, 1e-16), 1.0 - 1e-16)
+    return std_normal_quantile(1.0 - c)
+
+
 def eval_cef(cef: CalibratedCef, z1):
     """Evaluate the calibrated conditional error function, vectorized.
 
@@ -121,12 +131,7 @@ def eval_cef(cef: CalibratedCef, z1):
     if isinstance(spec, ConstantCef):
         out = np.full_like(z, min(spec.level, _CAP))
     elif isinstance(spec, InverseNormalCef):
-        # Clamp so the bracket endpoints c = 0, 1 used during calibration
-        # evaluate to the A == 0 and A == 0.5 extremes instead of failing.
-        c = min(max(cef.c, 1e-16), 1.0 - 1e-16)
-        raw = 1.0 - std_normal_cdf(
-            (std_normal_quantile(1.0 - c) - spec.w1 * z) / spec.w2
-        )
+        raw = 1.0 - std_normal_cdf((_z_c(cef) - spec.w1 * z) / spec.w2)
         out = np.minimum(raw, _CAP)
         if math.isfinite(spec.z0):
             out = np.where(z >= spec.z0, out, 0.0)
@@ -152,8 +157,7 @@ def cap_kink(cef: CalibratedCef) -> float:
     if isinstance(spec, ConstantCef):
         return math.inf
     if isinstance(spec, InverseNormalCef):
-        c = min(max(cef.c, 1e-16), 1.0 - 1e-16)
-        return std_normal_quantile(1.0 - c) / spec.w1
+        return _z_c(cef) / spec.w1
     if isinstance(spec, FisherProductCef):
         if 2.0 * cef.c >= 1.0:
             return -math.inf
@@ -164,6 +168,29 @@ def cap_kink(cef: CalibratedCef) -> float:
         w1 = math.sqrt(spec.i1 / (spec.i1 + spec.i2_const))
         return std_normal_quantile(1.0 - cef.alpha_prime) / w1
     raise TypeError(f"unknown CEF spec {spec!r}")  # pragma: no cover
+
+
+def quantile_pieces(cef: CalibratedCef) -> list[tuple[float, float, float]] | None:
+    """Phi^{-1}(1 - A(z)) in closed form, as max(a - b*z, 0) on pieces.
+
+    Returns ``[(start, a, b), ...]`` with increasing starts, each piece
+    running up to the next start; below the first start A is 0 and the
+    quantile is infinite.  The 0.5 cap is the max with 0.  Returns None for
+    the Fisher family, whose quantile is not of this form.
+    """
+    spec = cef.spec
+    if isinstance(spec, ConstantCef):
+        return [(-math.inf, std_normal_quantile(1.0 - min(spec.level, _CAP)), 0.0)]
+    if isinstance(spec, InverseNormalCef):
+        return [(spec.z0, _z_c(cef) / spec.w2, spec.w1 / spec.w2)]
+    if isinstance(spec, ZCombinationCef):
+        w1 = math.sqrt(spec.i1 / (spec.i1 + spec.i2_const))
+        w2 = math.sqrt(spec.i2_const / (spec.i1 + spec.i2_const))
+        return [
+            (-math.inf, std_normal_quantile(1.0 - spec.base_level) / w2, w1 / w2),
+            (spec.z_split, std_normal_quantile(1.0 - cef.alpha_prime) / w2, w1 / w2),
+        ]
+    return None
 
 
 def _split_points(cef: CalibratedCef) -> list[float]:
@@ -209,32 +236,31 @@ def calibrate(
     The level integral is strictly increasing in the constant (in alpha_prime
     for the z-combination family), so a bracketed root search suffices.  When
     even the family extreme cannot reach ``alpha`` the calibration saturates
-    and records the achieved ``level_used`` instead of failing.
+    and records the achieved ``level_used`` instead of failing.  The level
+    integral is computed once per distinct constant.
     """
     if isinstance(spec, ConstantCef):
         cef = CalibratedCef(spec=spec)
         return replace(cef, level_used=level_integral(cef, lower, quad))
 
     if isinstance(spec, ZCombinationCef):
-        def level_at(a_prime: float) -> float:
-            cef = CalibratedCef(spec=spec, alpha_prime=a_prime)
-            return level_integral(cef, lower, quad)
+        key, lo, hi = "alpha_prime", alpha, 1.0 - 1e-12
+    else:
+        key, lo, hi = "c", 0.0, 1.0
+    levels: dict[float, float] = {}
 
-        hi = 1.0 - 1e-12
-        if level_at(hi) <= alpha:
-            return CalibratedCef(
-                spec=spec, alpha_prime=hi, level_used=level_at(hi)
-            )
-        a_prime = find_root(lambda a: level_at(a) - alpha, alpha, hi, root)
-        return CalibratedCef(
-            spec=spec, alpha_prime=a_prime, level_used=level_at(a_prime)
+    def level_at(x: float) -> float:
+        if x not in levels:
+            cef = CalibratedCef(spec=spec, **{key: x})
+            levels[x] = level_integral(cef, lower, quad)
+        return levels[x]
+
+    # At the upper end the function is everywhere as large as the family
+    # allows; if that still stays below the target, the calibration saturates.
+    if level_at(hi) <= alpha:
+        x = hi
+    else:
+        x = find_root(
+            lambda t: level_at(t) - alpha, lo, hi, root, f_hi=levels[hi] - alpha
         )
-
-    def level_at_c(c: float) -> float:
-        cef = CalibratedCef(spec=spec, c=c)
-        return level_integral(cef, lower, quad)
-
-    if level_at_c(1.0) <= alpha:  # everywhere-0.5 function still below target
-        return CalibratedCef(spec=spec, c=1.0, level_used=level_at_c(1.0))
-    c = find_root(lambda x: level_at_c(x) - alpha, 0.0, 1.0, root)
-    return CalibratedCef(spec=spec, c=c, level_used=level_at_c(c))
+    return CalibratedCef(spec=spec, **{key: x}, level_used=level_at(x))

@@ -1,8 +1,9 @@
 """Low-level numerics: normal distribution, adaptive quadrature, root finding.
 
-Every routine here is a pure function.  All integrands passed to
-:func:`integrate` must be vectorized (accept and return numpy arrays); the
-quadrature evaluates whole Gauss panels in single calls.
+Every routine here is a pure function.  Integrands passed to
+:func:`integrate` must be elementwise: they take a 1-D array of abscissas and
+return the integrand at each of them, with no dependence of one value on the
+others.  The quadrature evaluates the nodes of several panels in one call.
 """
 
 from __future__ import annotations
@@ -69,14 +70,19 @@ DEFAULT_QUAD = QuadratureSettings()
 DEFAULT_ROOT = RootSettings()
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# The canonical float64 dtype: arrays of it skip the input checks below.
+_F64 = np.dtype(np.float64)
 
 
 def std_normal_cdf(x):
     """Standard normal distribution function Phi, vectorized.
 
-    Raises ValueError on non-finite scalar input.
+    Raises ValueError on non-finite scalar input.  Float arrays go straight
+    to ``ndtr``.
     """
-    if np.isscalar(x) or isinstance(x, float):
+    if type(x) is np.ndarray and x.dtype is _F64:
+        return ndtr(x)
+    if isinstance(x, float) or np.isscalar(x):
         if not math.isfinite(x):
             raise ValueError(f"std_normal_cdf requires finite input, got {x}")
         return float(ndtr(x))
@@ -86,9 +92,12 @@ def std_normal_cdf(x):
 def std_normal_quantile(p):
     """Inverse of the standard normal distribution function, vectorized.
 
-    Scalar input must lie strictly inside (0, 1).
+    Scalar input must lie strictly inside (0, 1).  Float arrays go straight
+    to ``ndtri``.
     """
-    if np.isscalar(p) or isinstance(p, float):
+    if type(p) is np.ndarray and p.dtype is _F64:
+        return ndtri(p)
+    if isinstance(p, float) or np.isscalar(p):
         if not (0.0 < p < 1.0):
             raise ValueError(f"std_normal_quantile requires p in (0, 1), got {p}")
         return float(ndtri(p))
@@ -96,25 +105,33 @@ def std_normal_quantile(p):
 
 
 def std_normal_pdf(x):
-    """Standard normal density, vectorized."""
-    x = np.asarray(x, dtype=float)
+    """Standard normal density, vectorized; 0-d input gives a float."""
+    if type(x) is not np.ndarray or x.dtype is not _F64:
+        x = np.asarray(x, dtype=float)
     out = np.exp(-0.5 * x * x) / _SQRT_2PI
     return float(out) if out.ndim == 0 else out
 
 
 _G7_X, _G7_W = leggauss(7)
 _G15_X, _G15_W = leggauss(15)
+# Abscissas of one panel on [-1, 1]: the G15 nodes, then the G7 nodes.
+_NODES = np.concatenate((_G15_X, _G7_X))
 
 
-def _panel(f: Callable, a: float, b: float) -> tuple[float, float]:
-    """G15 estimate over [a, b] with |G15 - G7| as the error estimate."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x = np.concatenate((mid + half * _G15_X, mid + half * _G7_X))
-    y = np.asarray(f(x), dtype=float)
-    i15 = half * float(np.dot(_G15_W, y[:15]))
-    i7 = half * float(np.dot(_G7_W, y[15:]))
-    return i15, abs(i15 - i7)
+def _panels(f: Callable, cuts: np.ndarray) -> list[tuple[float, float]]:
+    """G15 estimates, each with |G15 - G7| as its error estimate, over the
+    consecutive panels between ``cuts``, from one call of ``f`` on the nodes
+    of all of them."""
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    half = 0.5 * (cuts[1:] - cuts[:-1])
+    x = mid[:, None] + half[:, None] * _NODES
+    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    out = []
+    for h, row in zip(half.tolist(), y):
+        i15 = h * float(np.dot(_G15_W, row[:15]))
+        i7 = h * float(np.dot(_G7_W, row[15:]))
+        out.append((i15, abs(i15 - i7)))
+    return out
 
 
 def integrate(
@@ -124,7 +141,11 @@ def integrate(
     settings: QuadratureSettings = DEFAULT_QUAD,
     split_points: Sequence[float] = (),
 ) -> float:
-    """Adaptive panel quadrature of a vectorized integrand on [lo, hi].
+    """Adaptive panel quadrature of an elementwise integrand on [lo, hi].
+
+    ``f`` is called on a 1-D array holding the nodes of several panels at
+    once (all initial panels, then both halves of each bisected panel) and
+    must return the integrand at each node.
 
     Infinite endpoints are truncated at +-tail_halfwidth standard normal
     deviations; this is only adequate for integrands dominated by a standard
@@ -142,8 +163,7 @@ def integrate(
     cuts = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
     heap: list[tuple[float, float, float, float]] = []
     total, total_err = 0.0, 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        est, err = _panel(f, a, b)
+    for a, b, (est, err) in zip(cuts[:-1], cuts[1:], _panels(f, np.array(cuts))):
         heapq.heappush(heap, (-err, a, b, est))
         total += est
         total_err += err
@@ -161,8 +181,8 @@ def integrate(
         total -= est
         total_err += neg_err  # neg_err == -err
         mid = 0.5 * (a + b)
-        for aa, bb in ((a, mid), (mid, b)):
-            e, r = _panel(f, aa, bb)
+        halves = _panels(f, np.array((a, mid, b)))
+        for aa, bb, (e, r) in zip((a, mid), (mid, b), halves):
             heapq.heappush(heap, (-r, aa, bb, e))
             total += e
             total_err += r
@@ -175,9 +195,19 @@ def find_root(
     lo: float,
     hi: float,
     settings: RootSettings = DEFAULT_ROOT,
+    f_lo: float | None = None,
+    f_hi: float | None = None,
 ) -> float:
-    """Root of a continuous scalar function on a sign-changing bracket."""
-    f_lo, f_hi = f(lo), f(hi)
+    """Root of a continuous scalar function on a sign-changing bracket.
+
+    ``f_lo`` and ``f_hi``, when given, are the already known values f(lo)
+    and f(hi); ``f`` is then not called at that end.  Either way ``f`` is
+    called at most once at each end.
+    """
+    if f_lo is None:
+        f_lo = f(lo)
+    if f_hi is None:
+        f_hi = f(hi)
     if abs(f_lo) <= settings.f_tol:
         return lo
     if abs(f_hi) <= settings.f_tol:
@@ -186,8 +216,17 @@ def find_root(
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={f_lo!r}, f(hi)={f_hi!r}"
         )
+
+    def f_known_ends(x: float) -> float:
+        # brentq starts by evaluating both ends, which are known here.
+        if x == lo:
+            return f_lo
+        if x == hi:
+            return f_hi
+        return f(x)
+
     return float(
-        brentq(f, lo, hi, xtol=settings.x_tol, maxiter=settings.max_iter)
+        brentq(f_known_ends, lo, hi, xtol=settings.x_tol, maxiter=settings.max_iter)
     )
 
 
@@ -201,7 +240,7 @@ def solve_monotone(
 
     Returns ``(x, already_satisfied)``: if g(lo_guess) already meets the
     target, ``lo_guess`` is returned with the flag set.  The upper bracket is
-    found by geometric expansion.
+    found by geometric expansion.  ``g`` is called at most once at any x.
     """
     g_lo = g(lo_guess)
     if g_lo >= target - settings.f_tol:
@@ -210,16 +249,20 @@ def solve_monotone(
     step = max(abs(lo_guess), 1.0)
     lo, hi = lo_guess, lo_guess + step
     for _ in range(settings.max_iter):
-        if g(hi) >= target:
+        g_hi = g(hi)
+        if g_hi >= target:
             break
-        lo = hi
+        lo, g_lo = hi, g_hi
         step *= settings.bracket_growth
         hi = lo + step
     else:
         raise BracketError(
             f"bracket expansion from {lo_guess} did not reach target {target}"
         )
-    x = find_root(lambda t: g(t) - target, lo, hi, settings)
+    x = find_root(
+        lambda t: g(t) - target, lo, hi, settings,
+        f_lo=g_lo - target, f_hi=g_hi - target,
+    )
     return x, False
 
 

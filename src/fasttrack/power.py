@@ -83,11 +83,15 @@ class EvaluationResult:
     total_max: float
 
 
-def _adaptive_formula(z1, i1: float, rule: AdaptiveConditionalPower):
-    """I1 * (z_beta + Phi^{-1}(1 - A(z1)))^2 / z1^2, vectorized."""
+def _adaptive_formula(z1, i1: float, rule: AdaptiveConditionalPower, q=None):
+    """I1 * (z_beta + q)^2 / z1^2 with q = Phi^{-1}(1 - A(z1)), vectorized.
+
+    Callers that already hold q for these z1 pass it in.
+    """
     z = np.asarray(z1, dtype=float)
-    a = cef_mod.eval_cef(rule.cef, z)
-    numer = std_normal_quantile(1.0 - rule.beta) + std_normal_quantile(1.0 - a)
+    if q is None:
+        q = std_normal_quantile(1.0 - cef_mod.eval_cef(rule.cef, z))
+    numer = std_normal_quantile(1.0 - rule.beta) + q
     return i1 * numer**2 / z**2
 
 
@@ -108,15 +112,51 @@ def _floor_kink(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
     """Abscissa where the conditional-power formula crosses the floor.
 
     The formula is non-increasing in z1 (A is non-decreasing), so there is at
-    most one crossing on [z_lower, z_upper].
+    most one crossing on [z_lower, z_upper].  Where the family's quantile is
+    piecewise linear the crossing is solved in closed form; otherwise
+    (Fisher) by a root search.
     """
     if rule.i2_min <= 0:
         return None
+    pieces = cef_mod.quantile_pieces(rule.cef)
+    if pieces is not None:
+        slope = math.sqrt(rule.i2_min / i1)
+        z_beta = std_normal_quantile(1.0 - rule.beta)
+        return _linear_floor_kink(pieces, slope, z_beta, z_lower, z_upper)
     g = lambda z: _adaptive_formula(float(z), i1, rule) - rule.i2_min
     try:
         return find_root(g, z_lower, z_upper, root)
     except BracketError:
         return None
+
+
+def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
+                       z_upper: float) -> float | None:
+    """First z in [z_lower, z_upper] with slope * z >= z_beta + q(z), where
+    q = max(a - b*z, 0) on each of ``pieces`` (see cef.quantile_pieces).
+
+    For z1 > 0 this is where I1 * (z_beta + q)^2 / z1^2 falls to the floor
+    I2min = slope^2 * I1.  Each piece is linear or constant, so its crossing
+    is solved exactly; where q jumps down at a piece start the crossing is
+    that start.  Returns None when the formula stays on one side of the floor.
+    """
+    ends = [start for start, _, _ in pieces[1:]] + [math.inf]
+    for (start, a, b), end in zip(pieces, ends):
+        if end <= z_lower:
+            continue
+        lo, hi = max(start, z_lower), min(end, z_upper)
+        if lo > hi:
+            break
+        z = (z_beta + a) / (slope + b)
+        if a - b * z < 0:  # the crossing lies where A is capped and q = 0
+            z = z_beta / slope
+        if z < lo:
+            # Already below the floor at lo: the crossing is a jump at the
+            # piece start, or there is none inside the interval.
+            return lo if lo > z_lower else None
+        if z <= hi:
+            return z
+    return None
 
 
 def overall_power(
@@ -147,11 +187,9 @@ def overall_power(
         splits.append(kink)
 
     def integrand(z):
-        a = cef_mod.eval_cef(cef, z)
-        i2 = np.maximum(rule.i2_min, _adaptive_formula(z, i1, rule))
-        cond = 1.0 - std_normal_cdf(
-            std_normal_quantile(1.0 - a) - np.sqrt(i2) * delta
-        )
+        q = std_normal_quantile(1.0 - cef_mod.eval_cef(cef, z))
+        i2 = np.maximum(rule.i2_min, _adaptive_formula(z, i1, rule, q))
+        cond = 1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)
         return cond * std_normal_pdf(z - mean)
 
     return integrate(integrand, z_lower, z_hi, quad, split_points=splits)

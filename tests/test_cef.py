@@ -199,3 +199,29 @@ class TestValidation:
         w1 = math.sqrt(i1 / (i1 + i2c))
         z_star = std_normal_quantile(1.0 - ALPHA) / w1
         assert atilde_z(z_star, ALPHA, i1, i2c) == pytest.approx(0.5, abs=1e-12)
+
+
+class TestCalibrationReuse:
+    def test_level_integral_once_per_constant(self, monkeypatch):
+        import fasttrack.cef as cef_mod
+
+        p = params_at(COMBO_BASE, 0.5)
+        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        cases = [
+            (InverseNormalCef(z0=-math.inf), -math.inf, "c"),
+            (FisherProductCef(z0=z_f), z_f, "c"),
+            (InverseNormalCef(z0=3.0), 3.0, "c"),  # saturates
+            (ZCombinationCef(i1=p.i1, i2_const=2.0, z_split=z_f), -math.inf, "alpha_prime"),
+        ]
+        for spec, lower, key in cases:
+            seen = []
+
+            def counted(cef, *args, _key=key):
+                seen.append(getattr(cef, _key))
+                return level_integral(cef, *args)
+
+            monkeypatch.setattr(cef_mod, "level_integral", counted)
+            got = calibrate(spec, ALPHA, lower)
+            monkeypatch.undo()
+            assert len(seen) == len(set(seen)) > 0
+            assert got.level_used == level_integral(got, lower)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from fasttrack.numerics import (
     DEFAULT_QUAD,
@@ -49,11 +50,10 @@ class TestNormal:
         assert np.max(np.abs(back - x)) <= 2e-8
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            std_normal_cdf(math.inf)
-        with pytest.raises(ValueError):
-            std_normal_cdf(math.nan)
-        for p in (0.0, 1.0, -0.2, 1.3):
+        for x in (math.inf, -math.inf, math.nan, np.float64(math.nan), np.float64(-math.inf)):
+            with pytest.raises(ValueError):
+                std_normal_cdf(x)
+        for p in (0.0, 1.0, -0.2, 1.3, math.nan, np.float64(1.0), np.float64(0.0)):
             with pytest.raises(ValueError):
                 std_normal_quantile(p)
 
@@ -90,13 +90,19 @@ class TestIntegrate:
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_convergence_error_carries_estimate(self):
-        settings = QuadratureSettings(max_subdivisions=2)
         f = lambda x: np.cos(200.0 * x)
-        with pytest.raises(ConvergenceError) as exc_info:
-            integrate(f, 0.0, 10.0, settings)
-        err = exc_info.value
-        assert math.isfinite(err.best_estimate)
-        assert err.error_estimate > 0
+        for n in (2, 5):
+            settings = QuadratureSettings(max_subdivisions=n)
+            with pytest.raises(ConvergenceError) as exc_info:
+                integrate(f, 0.0, 10.0, settings)
+            err = exc_info.value
+            assert math.isfinite(err.best_estimate)
+            assert err.error_estimate > 0
+            # The estimates at the point of failure, as the one-panel-per-call
+            # rule reaches them.
+            _, (total, total_err) = _reference_integrate(f, 0.0, 10.0, settings)
+            assert err.best_estimate == total
+            assert err.error_estimate == total_err
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
@@ -156,3 +162,169 @@ class TestSolveMonotone:
     def test_tail_upper_limit(self):
         assert tail_upper_limit(1.5) == 1.5 + DEFAULT_QUAD.tail_halfwidth
         assert tail_upper_limit(0.0, DEFAULT_QUAD) == DEFAULT_QUAD.tail_halfwidth
+
+
+class CountingFunction:
+    """Wraps a function and records every abscissa it is called at."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.xs = []
+
+    def __call__(self, x):
+        self.xs.append(x)
+        return self.fn(x)
+
+    def repeated(self):
+        return len(self.xs) - len(set(self.xs))
+
+
+class TestEvaluationReuse:
+    def test_find_root_evaluates_each_point_once(self):
+        for fn, lo, hi in (
+            (lambda x: x - 1.0, -5.0, 5.0),
+            (lambda t: t**3 - 2.0, 0.0, 2.0),
+            (lambda z: std_normal_cdf(z) - 0.85, 0.0, 3.0),
+            (lambda x: x, 0.0, 1.0),  # endpoint root
+        ):
+            f = CountingFunction(fn)
+            find_root(f, lo, hi)
+            assert f.repeated() == 0
+            assert f.xs[:2] == [lo, hi]
+
+    def test_find_root_uses_known_endpoint_values(self):
+        f = CountingFunction(lambda t: t**3 - 2.0)
+        want = find_root(lambda t: t**3 - 2.0, 0.0, 2.0)
+        got = find_root(f, 0.0, 2.0, f_lo=-2.0, f_hi=6.0)
+        assert got == want
+        assert 0.0 not in f.xs and 2.0 not in f.xs
+        f = CountingFunction(lambda t: t**3 - 2.0)
+        assert find_root(f, 0.0, 2.0, f_hi=6.0) == want
+        assert f.xs.count(0.0) == 1 and 2.0 not in f.xs
+
+    def test_find_root_known_values_still_checked(self):
+        with pytest.raises(BracketError):
+            find_root(lambda x: x, 1.0, 2.0, f_lo=1.0, f_hi=2.0)
+        assert find_root(lambda x: x, 0.0, 1.0, f_lo=0.0) == 0.0
+
+    def test_solve_monotone_evaluates_each_point_once(self):
+        for fn, target in ((lambda t: t, 5.0), (lambda t: t**2, 40.0),
+                           (lambda t: 1.0 - math.exp(-t), 0.9)):
+            g = CountingFunction(fn)
+            x, satisfied = solve_monotone(g, target, 0.0)
+            assert not satisfied
+            assert fn(x) == pytest.approx(target, abs=1e-8)
+            assert g.repeated() == 0
+
+
+def _reference_integrate(f, lo, hi, settings=DEFAULT_QUAD, split_points=()):
+    """The adaptive rule evaluated one panel per integrand call: the panel
+    order, sums and stopping rule that the batched integrator must repeat."""
+    import heapq
+
+    g7_x, g7_w = np.polynomial.legendre.leggauss(7)
+    g15_x, g15_w = np.polynomial.legendre.leggauss(15)
+
+    def panel(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        y = np.asarray(f(np.concatenate((mid + half * g15_x, mid + half * g7_x))))
+        i15 = half * float(np.dot(g15_w, y[:15]))
+        i7 = half * float(np.dot(g7_w, y[15:]))
+        return i15, abs(i15 - i7)
+
+    lo = -settings.tail_halfwidth if math.isinf(lo) else lo
+    hi = settings.tail_halfwidth if math.isinf(hi) else hi
+    cuts = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
+    heap, total, total_err = [], 0.0, 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        est, err = panel(a, b)
+        heapq.heappush(heap, (-err, a, b, est))
+        total += est
+        total_err += err
+    n_panels = len(heap)
+    while total_err > max(settings.abs_tol, settings.rel_tol * abs(total)):
+        if n_panels >= settings.max_subdivisions:
+            return None, (total, total_err)
+        neg_err, a, b, est = heapq.heappop(heap)
+        total -= est
+        total_err += neg_err
+        mid = 0.5 * (a + b)
+        for aa, bb in ((a, mid), (mid, b)):
+            e, r = panel(aa, bb)
+            heapq.heappush(heap, (-r, aa, bb, e))
+            total += e
+            total_err += r
+        n_panels += 1
+    return total, None
+
+
+class TestBatchedPanels:
+    @staticmethod
+    def kinked(x):
+        return np.maximum(2.0, 1.0 / np.abs(x - 0.3) ** 0.5) * std_normal_pdf(x) + np.abs(
+            x - 1.7
+        )
+
+    def test_equals_per_panel_reference_bit_for_bit(self):
+        cases = [
+            (self.kinked, -math.inf, math.inf, ()),
+            (self.kinked, -1.0, 4.0, (0.3, 1.7)),
+            (self.kinked, 0.31, 2.5, (1.7, 9.0)),
+            (lambda x: np.cos(7.0 * x) * std_normal_pdf(x), -3.0, 2.0, (0.0,)),
+        ]
+        for f, lo, hi, splits in cases:
+            want, _ = _reference_integrate(f, lo, hi, split_points=splits)
+            assert want is not None
+            assert integrate(f, lo, hi, split_points=splits) == want
+
+    def test_several_panels_per_integrand_call(self):
+        f = CountingFunction(self.kinked)
+        integrate(f, -1.0, 4.0, split_points=(0.3, 1.7))
+        sizes = [np.size(x) for x in f.xs]
+        assert sizes[0] == 3 * 22  # the three kink-split panels at once
+        assert all(n == 2 * 22 for n in sizes[1:])  # both halves of a bisection
+
+
+class TestNormalInputForms:
+    # The checks and conversions the array fast paths must not change.
+    @staticmethod
+    def old_cdf(x):
+        if np.isscalar(x) or isinstance(x, float):
+            return float(ndtr(x))
+        return ndtr(np.asarray(x, dtype=float))
+
+    @staticmethod
+    def old_quantile(p):
+        if np.isscalar(p) or isinstance(p, float):
+            return float(ndtri(p))
+        return ndtri(np.asarray(p, dtype=float))
+
+    @staticmethod
+    def old_pdf(x):
+        x = np.asarray(x, dtype=float)
+        out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        return float(out) if out.ndim == 0 else out
+
+    @staticmethod
+    def same(got, want):
+        assert type(got) is type(want)
+        np.testing.assert_array_equal(got, want)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape
+
+    def test_same_values_and_types_as_before(self):
+        xs = [0.3, -1.2, 2.5]
+        ps = [0.3, 0.975, 0.5]
+        inputs = (
+            (xs, ps),
+            (np.array(0.7), np.array(0.8)),
+            (np.float64(0.7), np.float64(0.8)),
+            (0.7, 0.8),
+            (np.array(xs), np.array(ps)),
+            (np.array([1, 2]), np.array([0.25, 0.75], dtype=np.float32)),
+            (np.linspace(-3.0, 3.0, 12).reshape(3, 4), np.linspace(0.1, 0.9, 6)[::2]),
+        )
+        for x, p in inputs:
+            self.same(std_normal_cdf(x), self.old_cdf(x))
+            self.same(std_normal_quantile(p), self.old_quantile(p))
+            self.same(std_normal_pdf(x), self.old_pdf(x))

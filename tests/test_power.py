@@ -9,8 +9,17 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import ndtr, ndtri
 
 from conftest import EVAL_BASE, i_delta_of, params_at
-from fasttrack.cef import CalibratedCef, ConstantCef, eval_cef
+from fasttrack.cef import (
+    CalibratedCef,
+    ConstantCef,
+    InverseNormalCef,
+    ZCombinationCef,
+    calibrate,
+    cap_kink,
+    eval_cef,
+)
 from fasttrack.design import DesignParams, boundary_z, cond_registration_power, derive
+from fasttrack.numerics import DEFAULT_ROOT, BracketError, find_root
 from fasttrack.power import (
     AdaptiveConditionalPower,
     ConstantInfo,
@@ -24,6 +33,7 @@ from fasttrack.power import (
     solve_i2_min,
     stage2_info,
 )
+from fasttrack.power import _adaptive_formula, _floor_kink
 
 ALPHA, BETA = 0.025, 0.2
 
@@ -97,8 +107,14 @@ class TestOverallPower:
     def test_capped_by_continuation_probability(self):
         p = params_at(EVAL_BASE, 0.6)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        ceiling = cond_registration_power(p)
+        # At floor 10 the gap to the ceiling (about 5.5e-6) is representable.
+        rule = nonadaptive_rule(10.0, ALPHA, BETA)
+        assert overall_power(p.i1, rule, p.delta, z_f) < ceiling
+        # At floor 50 the conditional power is 1 - Phi(-12.2), which rounds
+        # to 1.0 in double precision, so both sides are the same double.
         rule = nonadaptive_rule(50.0, ALPHA, BETA)
-        assert overall_power(p.i1, rule, p.delta, z_f) < cond_registration_power(p)
+        assert overall_power(p.i1, rule, p.delta, z_f) <= ceiling
 
     def test_monotone_in_floor(self):
         p = params_at(EVAL_BASE, 0.6)
@@ -249,3 +265,84 @@ class TestEvaluateDesign:
         p = params_at(EVAL_BASE, 0.6)
         with pytest.raises(ValueError):
             build_fasttrack(p, "z_combination")
+
+
+class TestClosedFormFloorKink:
+    """The closed-form crossing of the formula with the floor agrees with the
+    numeric root search it replaces (Fisher keeps the root search)."""
+
+    @staticmethod
+    def numeric_kink(i1, rule, lo, hi):
+        g = lambda z: _adaptive_formula(float(z), i1, rule) - rule.i2_min
+        try:
+            return find_root(g, lo, hi)
+        except BracketError:
+            return None
+
+    def check(self, i1, cef, z_star, lo, hi=12.0):
+        """Put the floor where the formula crosses it at ``z_star``."""
+        probe = AdaptiveConditionalPower(i2_min=0.0, cef=cef, beta=BETA)
+        i2_min = float(_adaptive_formula(z_star, i1, probe))
+        rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=BETA)
+        got = _floor_kink(i1, rule, lo, hi, DEFAULT_ROOT)
+        assert got == pytest.approx(self.numeric_kink(i1, rule, lo, hi), abs=1e-9)
+        assert got == pytest.approx(z_star, abs=1e-9)
+
+    def test_constant_family(self):
+        p = params_at(EVAL_BASE, 0.6)
+        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        cef = nonadaptive_rule(0.0, ALPHA, BETA).cef
+        for z_star in (z_f + 0.1, 2.5, 6.0):
+            self.check(p.i1, cef, z_star, z_f)
+
+    def test_inverse_normal_below_and_above_cap(self):
+        p = params_at(EVAL_BASE, 0.6)
+        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        for z0 in (-math.inf, z_f):  # non-binding, binding
+            cef = calibrate(InverseNormalCef(z0=z0), ALPHA, z0)
+            cap = cap_kink(cef)
+            assert z_f < cap - 0.2
+            for z_star in (z_f + 0.05, cap - 0.1, cap + 0.1, cap + 3.0):
+                self.check(p.i1, cef, z_star, z_f)
+
+    def test_z_combination_both_sides_of_split(self):
+        p = params_at(EVAL_BASE, 0.6)
+        z_split = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        spec = ZCombinationCef(i1=p.i1, i2_const=1.5, z_split=z_split, base_level=ALPHA)
+        cef = CalibratedCef(spec=spec, alpha_prime=0.1)
+        for z_star in (0.4, z_split - 0.05, z_split + 0.05, cap_kink(cef) + 1.0):
+            self.check(p.i1, cef, z_star, 0.2)
+        # As in the combination design, which integrates from z_split up.
+        self.check(p.i1, cef, z_split + 0.05, z_split)
+
+    def test_z_combination_floor_inside_jump(self):
+        # The formula jumps down across the floor at z_split: both routes
+        # settle on the jump (the root search to within its x tolerance).
+        p = params_at(EVAL_BASE, 0.6)
+        z_split = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        spec = ZCombinationCef(i1=p.i1, i2_const=1.5, z_split=z_split, base_level=ALPHA)
+        cef = CalibratedCef(spec=spec, alpha_prime=0.1)
+        probe = AdaptiveConditionalPower(i2_min=0.0, cef=cef, beta=BETA)
+        below = float(_adaptive_formula(z_split - 1e-12, p.i1, probe))
+        above = float(_adaptive_formula(z_split, p.i1, probe))
+        rule = AdaptiveConditionalPower(i2_min=0.5 * (below + above), cef=cef, beta=BETA)
+        assert _floor_kink(p.i1, rule, 0.2, 12.0, DEFAULT_ROOT) == z_split
+        numeric = self.numeric_kink(p.i1, rule, 0.2, 12.0)
+        assert numeric == pytest.approx(z_split, abs=2 * DEFAULT_ROOT.x_tol)
+
+    def test_no_crossing_inside_interval(self):
+        p = params_at(EVAL_BASE, 0.6)
+        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        cefs = [
+            nonadaptive_rule(0.0, ALPHA, BETA).cef,
+            calibrate(InverseNormalCef(z0=z_f), ALPHA, z_f),
+            CalibratedCef(
+                spec=ZCombinationCef(i1=p.i1, i2_const=1.5, z_split=z_f),
+                alpha_prime=0.1,
+            ),
+        ]
+        for cef in cefs:
+            for i2_min, hi in ((500.0, 12.0), (1e-3, 3.0)):  # above / below
+                rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=BETA)
+                assert _floor_kink(p.i1, rule, z_f, hi, DEFAULT_ROOT) is None
+                assert self.numeric_kink(p.i1, rule, z_f, hi) is None
