@@ -31,6 +31,9 @@ from .numerics import (
     std_normal_quantile,
 )
 
+FAMILIES = ("constant", "inverse_normal", "fisher", "z_combination")
+FASTTRACK_FAMILIES = FAMILIES[:3]  # z_combination needs the waive branch
+
 _CAP = 0.5
 _SQRT_HALF = math.sqrt(0.5)
 

@@ -15,7 +15,8 @@ from dataclasses import replace
 from . import combination as comb_mod
 from . import montecarlo as mc_mod
 from . import power as power_mod
-from .design import ExampleCost, cond_registration_power, derive
+from .cef import FAMILIES, FASTTRACK_FAMILIES
+from .design import DerivedDesign, ExampleCost, cond_registration_power, derive
 from .numerics import BracketError, ConvergenceError
 from .scenario import Scenario, ScenarioError, load_scenario
 
@@ -24,22 +25,6 @@ EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
 INFEASIBLE = "infeasible"
-
-CURVE_KINDS = (
-    "alpha_rel",
-    "i1_min_trel",
-    "i1_min_txi",
-    "i2_min",
-    "i2_mean",
-    "i2_max",
-    "total_mean",
-    "total_max",
-    "i2_const",
-    "combo_panel",
-)
-
-_FASTTRACK_FAMILIES = ("constant", "inverse_normal", "fisher")
-
 
 def _fmt(x) -> str:
     if isinstance(x, str):
@@ -104,125 +89,112 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + k * step for k in range(n + 1)]
 
 
-def _fasttrack_stat(scenario: Scenario, kind: str, t_xi: float, family: str,
-                    cache: dict):
-    """One statistic at one grid abscissa; returns INFEASIBLE below the
-    feasibility bound."""
-    params = scenario.design_params(
-        i1=t_xi * cache["i_delta"]
+def _t_grid(base: DerivedDesign, step: float) -> list[float]:
+    """Pilot informations t_xi(I1) up to the feasibility bound I1_max."""
+    return _grid(step, base.i1_max / base.i_delta, step)
+
+
+def _xi_grid(base: DerivedDesign, step: float) -> list[float]:
+    return _grid(1.0 + step, 3.0, step)
+
+
+def _alpha_rel_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
+    return [t, derive(scenario.design_params(i1=t * base.i_rel)).alpha_rel]
+
+
+def _i1_bounds_row(scenario: Scenario, base: DerivedDesign, kind: str, xi: float):
+    d = derive(replace(scenario.design_params(), xi=xi))
+    scale = d.i_rel if kind == "i1_min_trel" else d.i_delta
+    return [xi, d.i1_min / scale, d.i1_max / scale]
+
+
+def _mean_i2(p, d: power_mod.Design) -> float:
+    # Futility-stopped trials count with zero stage-two information.
+    return power_mod.mean_stage2_info(
+        p.i1, d.rule, p.delta, d.branch_boundary, conditional=False
     )
-    try:
-        design = power_mod.build_fasttrack(
-            params, family, binding=scenario.mode == "fasttrack_binding"
-        )
-    except power_mod.InfeasiblePowerError:
-        return INFEASIBLE
-    res = power_mod.evaluate_design(params, design.rule)
-    i_delta = cache["i_delta"]
-    return {
-        "i2_min": res.i2_min / i_delta,
-        "i2_mean": res.i2_mean / i_delta,
-        "i2_max": res.i2_max / i_delta,
-        "total_mean": res.total_mean / i_delta,
-        "total_max": res.total_max / i_delta,
-    }[kind]
+
+
+def _max_i2(p, d: power_mod.Design) -> float:
+    return power_mod.max_stage2_info(p.i1, d.rule, d.branch_boundary)
+
+
+# Fast-track curve kind -> its statistic of a built design, in information.
+_FASTTRACK_STATS = {
+    "i2_min": lambda p, d: d.i2_min,
+    "i2_mean": _mean_i2,
+    "i2_max": _max_i2,
+    "total_mean": lambda p, d: p.i1 + _mean_i2(p, d),
+    "total_max": lambda p, d: p.i1 + _max_i2(p, d),
+}
+
+
+def _fasttrack_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
+    """One statistic per fast-track family; INFEASIBLE where no floor
+    reaches the power target."""
+    p = scenario.design_params(i1=t * base.i_delta)
+    row = [t]
+    for family in FASTTRACK_FAMILIES:
+        try:
+            d = power_mod.build_fasttrack(
+                p, family, binding=scenario.mode == "fasttrack_binding"
+            )
+        except power_mod.InfeasiblePowerError:
+            row.append(INFEASIBLE)
+        else:
+            row.append(_FASTTRACK_STATS[kind](p, d) / base.i_delta)
+    return row
+
+
+def _i2_const_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
+    p = scenario.design_params(i1=t * base.i_delta)
+    return [t] + [
+        comb_mod.build_combination(p, f).i2_const / base.i_delta for f in FAMILIES
+    ]
+
+
+def _combo_panel_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
+    p = scenario.design_params(i1=t * base.i_delta)
+    d = comb_mod.build_combination(p, scenario.family)
+    infos = (d.i2_const, d.i2_min, _max_i2(p, d))
+    return [t, *(x / base.i_delta for x in infos), cond_registration_power(p)]
+
+
+# kind -> (mode = combination required: True, False, or None for either;
+#          abscissas; CSV columns; row at one abscissa)
+_CURVES = {
+    "alpha_rel": (None, lambda base, step: _grid(step, 1.0, step),
+                  ["t_rel_i1", "alpha_rel"], _alpha_rel_row),
+    "i1_min_trel": (None, _xi_grid, ["xi", "t_i1_min", "t_i1_max"], _i1_bounds_row),
+    "i1_min_txi": (None, _xi_grid, ["xi", "t_i1_min", "t_i1_max"], _i1_bounds_row),
+    **{
+        kind: (False, _t_grid,
+               ["t_xi_i1"] + [f"t_xi_{kind}_{f}" for f in FASTTRACK_FAMILIES],
+               _fasttrack_row)
+        for kind in _FASTTRACK_STATS
+    },
+    "i2_const": (True, _t_grid,
+                 ["t_xi_i1"] + [f"t_xi_i2_const_{f}" for f in FAMILIES],
+                 _i2_const_row),
+    "combo_panel": (True, _t_grid,
+                    ["t_xi_i1", "t_xi_i2_const", "t_xi_i2_min", "t_xi_i2_max",
+                     "p_cond_reg"],
+                    _combo_panel_row),
+}
+CURVE_KINDS = tuple(_CURVES)
 
 
 def cmd_curve(kind: str, scenario: Scenario, grid_step: float, out_path: str) -> int:
     base = derive(scenario.design_params())
-    i_delta = base.i_delta
-    cache = {"i_delta": i_delta}
-
-    if kind == "alpha_rel":
-        abscissas = _grid(grid_step, 1.0, grid_step)
-        header = ["t_rel_i1", "alpha_rel"]
-        rows = []
-        for t in abscissas:
-            p = scenario.design_params(i1=t * base.i_rel)
-            rows.append([t, derive(p).alpha_rel])
-        _write_csv(out_path, header, rows)
-        return EXIT_OK
-
-    if kind in ("i1_min_trel", "i1_min_txi"):
-        xis = _grid(1.0 + grid_step, 3.0, grid_step)
-        rel = kind == "i1_min_trel"
-        header = ["xi", "t_i1_min", "t_i1_max"]
-        rows = []
-        for xi in xis:
-            p = replace(scenario.design_params(), xi=xi)
-            d = derive(p)
-            scale = d.i_rel if rel else d.i_delta
-            rows.append([xi, d.i1_min / scale, d.i1_max / scale])
-        _write_csv(out_path, header, rows)
-        return EXIT_OK
-
-    if kind in ("i2_min", "i2_mean", "i2_max", "total_mean", "total_max"):
-        if scenario.mode == "combination":
-            raise ScenarioError(f"kind {kind!r} requires a fasttrack mode")
-        t_hi = base.i1_max / i_delta
-        abscissas = _grid(grid_step, t_hi, grid_step)
-        header = ["t_xi_i1"] + [f"t_xi_{kind}_{f}" for f in _FASTTRACK_FAMILIES]
-        rows = []
-        for t in abscissas:
-            row = [t]
-            for family in _FASTTRACK_FAMILIES:
-                row.append(_fasttrack_stat(scenario, kind, t, family, cache))
-            rows.append(row)
-        _write_csv(out_path, header, rows)
-        return EXIT_OK
-
-    if kind == "i2_const":
-        if scenario.mode != "combination":
-            raise ScenarioError("kind 'i2_const' requires mode = combination")
-        t_hi = base.i1_max / i_delta
-        abscissas = _grid(grid_step, t_hi, grid_step)
-        header = ["t_xi_i1"] + [
-            f"t_xi_i2_const_{f}" for f in comb_mod.FAMILIES
-        ]
-        rows = []
-        for t in abscissas:
-            row = [t]
-            for family in comb_mod.FAMILIES:
-                p = scenario.design_params(i1=t * i_delta)
-                design = comb_mod.build_combination(p, family)
-                row.append(design.i2_const / i_delta)
-            rows.append(row)
-        _write_csv(out_path, header, rows)
-        return EXIT_OK
-
-    if kind == "combo_panel":
-        if scenario.mode != "combination":
-            raise ScenarioError("kind 'combo_panel' requires mode = combination")
-        t_hi = base.i1_max / i_delta
-        abscissas = _grid(grid_step, t_hi, grid_step)
-        header = [
-            "t_xi_i1",
-            "t_xi_i2_const",
-            "t_xi_i2_min",
-            "t_xi_i2_max",
-            "p_cond_reg",
-        ]
-        rows = []
-        for t in abscissas:
-            p = scenario.design_params(i1=t * i_delta)
-            design = comb_mod.build_combination(p, scenario.family)
-            rule = power_mod.AdaptiveConditionalPower(
-                i2_min=design.i2_min, cef=design.cef, beta=p.beta
-            )
-            i2_max = power_mod.max_stage2_info(p.i1, rule, design.branch_boundary)
-            rows.append(
-                [
-                    t,
-                    design.i2_const / i_delta,
-                    design.i2_min / i_delta,
-                    i2_max / i_delta,
-                    cond_registration_power(p),
-                ]
-            )
-        _write_csv(out_path, header, rows)
-        return EXIT_OK
-
-    raise ScenarioError(f"unknown curve kind {kind!r}")
+    if kind not in _CURVES:
+        raise ScenarioError(f"unknown curve kind {kind!r}")
+    combination, grid, columns, row = _CURVES[kind]
+    if combination is not None and combination != (scenario.mode == "combination"):
+        need = "mode = combination" if combination else "a fasttrack mode"
+        raise ScenarioError(f"kind {kind!r} requires {need}")
+    rows = [row(scenario, base, kind, x) for x in grid(base, grid_step)]
+    _write_csv(out_path, columns, rows)
+    return EXIT_OK
 
 
 TABLE1_SCENARIO = Scenario(
@@ -255,7 +227,7 @@ def cmd_table1(out_path: str, rounding: str = "ceil") -> int:
         "e_n2", "e_n2_total",
     ]
     rows = []
-    for family in comb_mod.FAMILIES:
+    for family in FAMILIES:
         design = comb_mod.build_combination(params, family)
         metrics = comb_mod.branch_metrics(design)
         cells = [

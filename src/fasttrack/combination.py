@@ -11,12 +11,13 @@ conditional error function keeps the type I error rate at alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cef as cef_mod
 from . import power as power_mod
+from .cef import FAMILIES
 from .design import DesignParams, boundary_z, cond_registration_power, derive
 from .numerics import (
     DEFAULT_QUAD,
@@ -30,20 +31,6 @@ from .numerics import (
     std_normal_pdf,
     std_normal_quantile,
 )
-
-FAMILIES = ("constant", "inverse_normal", "fisher", "z_combination")
-
-
-@dataclass(frozen=True)
-class CombinationDesign:
-    """A fully built apply-or-waive design."""
-
-    params: DesignParams
-    family: str
-    cef: cef_mod.CalibratedCef
-    i2_const: float
-    i2_min: float
-    branch_boundary: float  # z_f
 
 
 @dataclass(frozen=True)
@@ -143,7 +130,7 @@ def build_combination(
     family: str,
     quad: QuadratureSettings = DEFAULT_QUAD,
     root: RootSettings = DEFAULT_ROOT,
-) -> CombinationDesign:
+) -> power_mod.Design:
     """Build an apply-or-waive design for one conditional error family.
 
     Construction order: for the z-combination family the lower-branch
@@ -166,15 +153,10 @@ def build_combination(
                 i1=params.i1, i2_const=1.0, z_split=z_f, base_level=params.alpha
             )
         )
-
-        def success(i2c: float) -> float:
-            if i2c <= 0:
-                return 0.0
-            return lower_branch_success(
-                i2c, probe, params.i1, delta, z_f, quad, z_combination_base=True
-            )
-
-        i2_const, _ = solve_monotone(success, 1.0 - params.beta, 0.0, root)
+        i2_const = solve_i2_const(
+            params.i1, delta, probe, params.beta, z_f, quad, root,
+            z_combination_base=True,
+        )
         spec = cef_mod.ZCombinationCef(
             i1=params.i1, i2_const=i2_const, z_split=z_f, base_level=params.alpha
         )
@@ -196,53 +178,33 @@ def build_combination(
     i2_min = power_mod.solve_i2_min(
         params.i1, delta, cef, params.beta, target, z_f, quad, root
     )
-    return CombinationDesign(
-        params=params,
-        family=family,
-        cef=cef,
-        i2_const=i2_const,
-        i2_min=i2_min,
-        branch_boundary=z_f,
+    rule = power_mod.AdaptiveConditionalPower(
+        i2_min=i2_min, cef=cef, beta=params.beta
     )
+    return power_mod.Design(params, family, rule, z_f, i2_const)
 
 
 def branch_metrics(
-    design: CombinationDesign,
+    design: power_mod.Design,
     quad: QuadratureSettings = DEFAULT_QUAD,
     root: RootSettings = DEFAULT_ROOT,
 ) -> BranchMetrics:
-    """Success probabilities and information statistics over both branches."""
+    """Success probabilities and information statistics over both branches
+    of a combination design."""
     params = design.params
-    delta = params.delta
-    z_f = design.branch_boundary
-    p_upper = cond_registration_power(params)
-
-    rule = power_mod.AdaptiveConditionalPower(
-        i2_min=design.i2_min, cef=design.cef, beta=params.beta
-    )
-    upper_joint = power_mod.overall_power(
-        params.i1, rule, delta, z_f, quad, root
-    )
-    p_succ_upper = upper_joint / p_upper
+    upper = power_mod.evaluate_design(params, design.rule, quad, root)
+    p_upper = upper.p_cond_reg
     p_succ_lower = lower_branch_success(
-        design.i2_const, design.cef, params.i1, delta, z_f, quad
-    )
-    overall = upper_joint + (1.0 - p_upper) * p_succ_lower
-
-    e_upper = power_mod.mean_stage2_info(
-        params.i1, rule, delta, z_f, conditional=False, quad=quad, root=root
-    )
-    e_both = e_upper + (1.0 - p_upper) * design.i2_const
-    max_both = max(
-        power_mod.max_stage2_info(params.i1, rule, z_f), design.i2_const
+        design.i2_const, design.cef, params.i1, params.delta,
+        design.branch_boundary, quad,
     )
     return BranchMetrics(
         p_upper=p_upper,
-        p_success_given_upper=p_succ_upper,
+        p_success_given_upper=upper.overall_power / p_upper,
         p_success_given_lower=p_succ_lower,
-        overall_power=overall,
-        e_i2_both=e_both,
-        max_i2_both=max_both,
+        overall_power=upper.overall_power + (1.0 - p_upper) * p_succ_lower,
+        e_i2_both=upper.i2_mean + (1.0 - p_upper) * design.i2_const,
+        max_i2_both=max(upper.i2_max, design.i2_const),
     )
 
 
@@ -266,21 +228,9 @@ def gambling_threshold(
     i_delta = base.i_delta
 
     def excess(t_xi: float) -> float:
-        p = DesignParams(
-            alpha=params.alpha,
-            alpha_c=params.alpha_c,
-            beta=params.beta,
-            delta_rel=params.delta_rel,
-            xi=params.xi,
-            i1=t_xi * i_delta,
-        )
+        p = replace(params, i1=t_xi * i_delta)
         d = build_combination(p, family, quad, root)
-        rule = power_mod.AdaptiveConditionalPower(
-            i2_min=d.i2_min, cef=d.cef, beta=p.beta
-        )
-        formula_max = power_mod._adaptive_formula(
-            d.branch_boundary, p.i1, rule
-        )
+        formula_max = power_mod._adaptive_formula(d.branch_boundary, p.i1, d.rule)
         return float(formula_max) - d.i2_min
 
     t_max = base.i1_max / i_delta
@@ -291,13 +241,6 @@ def gambling_threshold(
     while t < t_max:
         t_next = min(t + scan_step, t_max)
         if excess(t_next) > 0:
-            return find_root(
-                excess,
-                t,
-                t_next,
-                RootSettings(x_tol=refine_tol, f_tol=root.f_tol,
-                             max_iter=root.max_iter,
-                             bracket_growth=root.bracket_growth),
-            )
+            return find_root(excess, t, t_next, replace(root, x_tol=refine_tol))
         t = t_next
     return 0.0

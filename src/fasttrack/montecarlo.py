@@ -11,18 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import cef as cef_mod
 from . import power as power_mod
-from .combination import CombinationDesign
 from .numerics import std_normal_quantile
-from .power import FastTrackDesign
-
-Design = Union[FastTrackDesign, CombinationDesign]
+from .power import Design
 
 
 @dataclass(frozen=True)
@@ -83,35 +80,23 @@ def simulate(design: Design, cfg: SimConfig, substream: int = 0) -> SimReport:
     i2 = np.zeros(n)
     reject = np.zeros(n, dtype=bool)
 
-    if isinstance(design, FastTrackDesign):
-        active = upper
-        if np.any(active):
-            rule = design.rule
-            i2_act = power_mod.stage2_info(z1[active], params.i1, rule)
-            a_act = cef_mod.eval_cef(rule.cef, z1[active])
-            z2 = _normal(gen, cfg.theta * np.sqrt(i2_act), int(active.sum()))
-            reject[active] = z2 >= std_normal_quantile(1.0 - a_act)
-            i2[active] = i2_act
-    else:
-        rule = power_mod.AdaptiveConditionalPower(
-            i2_min=design.i2_min, cef=design.cef, beta=params.beta
+    rule = design.rule
+    if np.any(upper):
+        i2_up = power_mod.stage2_info(z1[upper], params.i1, rule)
+        a_up = cef_mod.eval_cef(rule.cef, z1[upper])
+        z2_up = _normal(gen, cfg.theta * np.sqrt(i2_up), int(upper.sum()))
+        reject[upper] = z2_up >= std_normal_quantile(1.0 - a_up)
+        i2[upper] = i2_up
+    # A fast-track design stops below z_f; a combination design waives the
+    # application and runs its fixed-information stage two.
+    lower = ~upper
+    if design.i2_const is not None and np.any(lower):
+        a_lo = cef_mod.eval_cef(rule.cef, z1[lower])
+        z2_lo = _normal(
+            gen, cfg.theta * math.sqrt(design.i2_const), int(lower.sum())
         )
-        if np.any(upper):
-            i2_up = power_mod.stage2_info(z1[upper], params.i1, rule)
-            a_up = cef_mod.eval_cef(design.cef, z1[upper])
-            z2_up = _normal(gen, cfg.theta * np.sqrt(i2_up), int(upper.sum()))
-            reject[upper] = z2_up >= std_normal_quantile(1.0 - a_up)
-            i2[upper] = i2_up
-        lower = ~upper
-        if np.any(lower):
-            a_lo = cef_mod.eval_cef(design.cef, z1[lower])
-            z2_lo = _normal(
-                gen,
-                cfg.theta * math.sqrt(design.i2_const),
-                int(lower.sum()),
-            )
-            reject[lower] = z2_lo >= std_normal_quantile(1.0 - a_lo)
-            i2[lower] = design.i2_const
+        reject[lower] = z2_lo >= std_normal_quantile(1.0 - a_lo)
+        i2[lower] = design.i2_const
 
     p_cond = float(upper.mean())
     p_rej = float(reject.mean())

@@ -1,5 +1,5 @@
-"""Stage-two information rules, overall power integrals and the minimum
-second-stage information solver for the fast-track procedure.
+"""The design type, the stage-two information rule, overall power integrals
+and the minimum second-stage information solver for the fast-track procedure.
 
 The overall power of a design with conditional error function A, first-stage
 information I1 and continuation region Z1 >= z_lower is
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -57,17 +56,28 @@ class AdaptiveConditionalPower:
 
 
 @dataclass(frozen=True)
-class ConstantInfo:
-    """Fixed stage-two information, no adaptation."""
+class Design:
+    """A built design: conditional registration when Z1 >= z_f, then a
+    stage two sized by ``rule``.
 
-    i2_const: float
+    A fast-track design stops below z_f (``i2_const is None``); an
+    apply-or-waive combination design instead waives the application there
+    and runs a fixed stage two of information ``i2_const``.
+    """
 
-    def __post_init__(self):
-        if not self.i2_const > 0:
-            raise ValueError(f"need i2_const > 0, got {self.i2_const}")
+    params: DesignParams
+    family: str
+    rule: AdaptiveConditionalPower
+    branch_boundary: float  # z_f
+    i2_const: float | None = None
 
+    @property
+    def cef(self) -> cef_mod.CalibratedCef:
+        return self.rule.cef
 
-StageTwoRule = Union[AdaptiveConditionalPower, ConstantInfo]
+    @property
+    def i2_min(self) -> float:
+        return self.rule.i2_min
 
 
 @dataclass(frozen=True)
@@ -95,12 +105,8 @@ def _adaptive_formula(z1, i1: float, rule: AdaptiveConditionalPower, q=None):
     return i1 * numer**2 / z**2
 
 
-def stage2_info(z1, i1: float, rule: StageTwoRule):
+def stage2_info(z1, i1: float, rule: AdaptiveConditionalPower):
     """Information used for the second stage given the first-stage z-value."""
-    if isinstance(rule, ConstantInfo):
-        if np.isscalar(z1):
-            return rule.i2_const
-        return np.full(np.shape(z1), rule.i2_const)
     if np.any(np.asarray(z1) <= 0):
         raise ValueError("adaptive stage-two sizing requires z1 > 0")
     out = np.maximum(rule.i2_min, _adaptive_formula(z1, i1, rule))
@@ -159,9 +165,20 @@ def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
     return None
 
 
+def _splits(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
+            z_hi: float, root: RootSettings) -> list[float]:
+    """Quadrature split points on [z_lower, z_hi]: the CEF cap and the floor
+    kink, where they exist."""
+    splits = [p for p in (cef_mod.cap_kink(rule.cef),) if math.isfinite(p)]
+    kink = _floor_kink(i1, rule, max(z_lower, 1e-12), z_hi, root)
+    if kink is not None:
+        splits.append(kink)
+    return splits
+
+
 def overall_power(
     i1: float,
-    rule: StageTwoRule,
+    rule: AdaptiveConditionalPower,
     delta: float,
     z_lower: float,
     quad: QuadratureSettings = DEFAULT_QUAD,
@@ -172,19 +189,8 @@ def overall_power(
     z_hi = tail_upper_limit(mean, quad)
     if z_lower >= z_hi:
         return 0.0
-
-    if isinstance(rule, ConstantInfo):
-        raise TypeError(
-            "overall_power with ConstantInfo needs a conditional error "
-            "function; wrap it in AdaptiveConditionalPower or use "
-            "combination.branch_metrics"
-        )
-
+    splits = _splits(i1, rule, z_lower, z_hi, root)
     cef = rule.cef
-    splits = [p for p in (cef_mod.cap_kink(cef),) if math.isfinite(p)]
-    kink = _floor_kink(i1, rule, max(z_lower, 1e-12), z_hi, root)
-    if kink is not None:
-        splits.append(kink)
 
     def integrand(z):
         q = std_normal_quantile(1.0 - cef_mod.eval_cef(cef, z))
@@ -244,7 +250,7 @@ def max_stage2_info(i1: float, rule: AdaptiveConditionalPower, z_lower: float) -
 
 def mean_stage2_info(
     i1: float,
-    rule: StageTwoRule,
+    rule: AdaptiveConditionalPower,
     delta: float,
     z_lower: float,
     conditional: bool = True,
@@ -257,19 +263,9 @@ def mean_stage2_info(
     (Z1 >= z_lower); otherwise trials stopped at stage one contribute zero
     information.
     """
-    if isinstance(rule, ConstantInfo):
-        value = rule.i2_const
-        if conditional:
-            return value
-        p_cont = 1.0 - std_normal_cdf(z_lower - delta * math.sqrt(i1))
-        return value * p_cont
-
     mean = delta * math.sqrt(i1)
     z_hi = tail_upper_limit(mean, quad)
-    splits = [p for p in (cef_mod.cap_kink(rule.cef),) if math.isfinite(p)]
-    kink = _floor_kink(i1, rule, max(z_lower, 1e-12), z_hi, root)
-    if kink is not None:
-        splits.append(kink)
+    splits = _splits(i1, rule, z_lower, z_hi, root)
 
     def integrand(z):
         i2 = np.maximum(rule.i2_min, _adaptive_formula(z, i1, rule))
@@ -282,28 +278,13 @@ def mean_stage2_info(
     return raw / p_cont
 
 
-@dataclass(frozen=True)
-class FastTrackDesign:
-    """A required-conditional-registration design (continue only if Z1 >= z_f),
-    bundled for simulation and evaluation."""
-
-    params: DesignParams
-    rule: AdaptiveConditionalPower
-
-    @property
-    def branch_boundary(self) -> float:
-        return boundary_z(
-            self.params.i1, self.params.delta_rel, self.params.alpha_c
-        )
-
-
 def build_fasttrack(
     params: DesignParams,
     family: str,
     binding: bool = True,
     quad: QuadratureSettings = DEFAULT_QUAD,
     root: RootSettings = DEFAULT_ROOT,
-) -> FastTrackDesign:
+) -> Design:
     """Calibrate the family CEF and solve the floor for overall power 1-beta.
 
     ``binding=True`` credits the futility stop at z_f in the level condition
@@ -334,35 +315,29 @@ def build_fasttrack(
         quad, root,
     )
     rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=params.beta)
-    return FastTrackDesign(params=params, rule=rule)
+    return Design(params, family, rule, branch_boundary=z_f)
 
 
 def evaluate_design(
     params: DesignParams,
-    rule: StageTwoRule,
+    rule: AdaptiveConditionalPower,
     quad: QuadratureSettings = DEFAULT_QUAD,
     root: RootSettings = DEFAULT_ROOT,
 ) -> EvaluationResult:
-    """Bundle the operating characteristics of a fast-track design."""
+    """Bundle the operating characteristics of the branch Z1 >= z_f."""
     z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
-    p_cond = cond_registration_power(params)
-    if isinstance(rule, ConstantInfo):
-        i2_lo = i2_hi = i2_mean = rule.i2_const
-        power = math.nan  # no rejection rule attached to a bare constant stage
-    else:
-        power = overall_power(params.i1, rule, params.delta, z_f, quad, root)
-        i2_hi = max_stage2_info(params.i1, rule, z_f)
-        i2_lo = rule.i2_min
-        # Futility-stopped trials contribute zero second-stage information,
-        # which is what makes the non-adaptive mean sit just above its
-        # minimum (149 vs 148 per group in the worked example).
-        i2_mean = mean_stage2_info(
-            params.i1, rule, params.delta, z_f, False, quad, root
-        )
+    power = overall_power(params.i1, rule, params.delta, z_f, quad, root)
+    i2_hi = max_stage2_info(params.i1, rule, z_f)
+    # Futility-stopped trials contribute zero second-stage information,
+    # which is what makes the non-adaptive mean sit just above its
+    # minimum (149 vs 148 per group in the worked example).
+    i2_mean = mean_stage2_info(
+        params.i1, rule, params.delta, z_f, False, quad, root
+    )
     return EvaluationResult(
         overall_power=power,
-        p_cond_reg=p_cond,
-        i2_min=i2_lo,
+        p_cond_reg=cond_registration_power(params),
+        i2_min=rule.i2_min,
         i2_max=i2_hi,
         i2_mean=i2_mean,
         total_mean=params.i1 + i2_mean,

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from .cef import FAMILIES
 from .design import DesignParams, noncentrality_target
 
-FAMILIES = ("constant", "inverse_normal", "fisher", "z_combination")
 MODES = ("fasttrack_binding", "fasttrack_nonbinding", "combination")
 
 _FLOAT_KEYS = ("alpha", "alpha_c", "beta", "delta_rel", "xi", "sigma",

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import SIGMA
 from fasttrack import cli
 from fasttrack.numerics import ConvergenceError
 
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -145,6 +147,29 @@ class TestCurves:
             ["curve", "--scenario", path2, "--kind", "i2_const", "--out", out]
         )
         assert rc == cli.EXIT_INVALID
+
+    @pytest.mark.parametrize("kind, scenario", [
+        ("i2_min", "fasttrack_binding_fisher.txt"),
+        ("i2_const", "combination_example.txt"),
+    ])
+    def test_matches_golden_curve(self, kind, scenario, tmp_path):
+        # The benchmark's golden CSVs, frozen from the first imported
+        # package: same header and infeasible cells, numbers within 1e-7.
+        out = str(tmp_path / "c.csv")
+        rc = cli.main(["curve", "--scenario", str(BENCH_DATA / scenario),
+                       "--kind", kind, "--out", out, "--grid-step", "0.02"])
+        assert rc == cli.EXIT_OK
+        header, rows = read_csv(out)
+        want_header, want_rows = read_csv(BENCH_DATA / f"golden_{kind}.csv")
+        assert header == want_header
+        assert len(rows) == len(want_rows)
+        for got, want in zip(rows, want_rows):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                if cli.INFEASIBLE in (g, w):
+                    assert g == w
+                else:
+                    assert float(g) == pytest.approx(float(w), abs=1e-7)
 
 
 class TestTable:

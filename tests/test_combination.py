@@ -17,6 +17,7 @@ from fasttrack.combination import (
 )
 from fasttrack.design import ExampleCost, boundary_z, cond_registration_power, derive
 from fasttrack.numerics import std_normal_cdf, std_normal_quantile
+from fasttrack.power import AdaptiveConditionalPower, evaluate_design
 
 ALPHA = 0.025
 
@@ -105,6 +106,21 @@ class TestBranchMetrics:
         m = branch_metrics(combo_designs["constant"])
         assert m.p_upper == pytest.approx(cond_registration_power(p), abs=1e-12)
         assert m.p_upper == pytest.approx(0.6540, abs=5e-4)
+
+    def test_upper_branch_is_the_fasttrack_evaluation(self, combo_designs):
+        # The branch Z1 >= z_f is evaluated as a fast-track design with the
+        # combination's own rule.
+        for family, design in combo_designs.items():
+            m = branch_metrics(design)
+            upper = evaluate_design(design.params, design.rule)
+            assert m.p_upper == upper.p_cond_reg
+            assert m.p_success_given_upper * m.p_upper == pytest.approx(
+                upper.overall_power, rel=1e-12
+            )
+            assert m.max_i2_both == max(upper.i2_max, design.i2_const)
+            assert m.e_i2_both == pytest.approx(
+                upper.i2_mean + (1.0 - m.p_upper) * design.i2_const, rel=1e-12
+            )
 
     def test_worked_example_sample_sizes(self, combo_designs):
         cost = ExampleCost(sigma=SIGMA)
@@ -209,6 +225,17 @@ class TestValidation:
         p = params_at(COMBO_BASE, 0.5)
         with pytest.raises(ValueError):
             build_combination(p, "bonferroni")
+
+    def test_design_holds_its_rule(self, combo_designs):
+        p = params_at(COMBO_BASE, 0.5)
+        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        for family, design in combo_designs.items():
+            assert design.family == family
+            assert design.branch_boundary == z_f
+            assert design.i2_const is not None and design.i2_const > 0
+            assert design.rule == AdaptiveConditionalPower(
+                i2_min=design.i2_min, cef=design.cef, beta=p.beta
+            )
 
     def test_level_condition_holds_for_built_designs(self, combo_designs):
         from fasttrack.cef import level_integral

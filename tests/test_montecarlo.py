@@ -52,6 +52,29 @@ class TestDeterminism:
         assert reports[0] == simulate(fasttrack_design, cfg, substream=0)
         assert reports[1] == simulate(combo_design, cfg, substream=1)
 
+    def test_pinned_reports(self, fasttrack_design, combo_design):
+        # Recorded before the fast-track and combination designs shared one
+        # type and one simulate path: the same variates are drawn in the
+        # same order.
+        want = {
+            "fasttrack": SimReport(
+                p_cond_reg_hat=0.8609, p_cond_reg_se=0.0034605084886472973,
+                p_reject_hat=0.7987, p_reject_se=0.004009717072313208,
+                mean_i2_hat=1.0883256500748362,
+                max_i2_observed=5.881917263104307, n_reps=10_000,
+            ),
+            "combination": SimReport(
+                p_cond_reg_hat=0.6506, p_cond_reg_se=0.004767804945674687,
+                p_reject_hat=0.7996, p_reject_se=0.0040029968773407755,
+                mean_i2_hat=1.3096325839515088,
+                max_i2_observed=2.3156102847094324, n_reps=10_000,
+            ),
+        }
+        for name, design in (("fasttrack", fasttrack_design),
+                             ("combination", combo_design)):
+            cfg = SimConfig(n_reps=10_000, seed=SEED, theta=design.params.delta)
+            assert simulate(design, cfg, substream=3) == want[name], name
+
     def test_sweep_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             sweep([], SimConfig(n_reps=10, seed=1, theta=0.0))

@@ -1,6 +1,7 @@
 """Unit tests for stage-two information rules, the overall power integral
 and the minimum-information solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.special import ndtr, ndtri
 
 from conftest import EVAL_BASE, i_delta_of, params_at
 from fasttrack.cef import (
+    FASTTRACK_FAMILIES,
     CalibratedCef,
     ConstantCef,
     InverseNormalCef,
@@ -22,7 +24,6 @@ from fasttrack.design import DesignParams, boundary_z, cond_registration_power, 
 from fasttrack.numerics import DEFAULT_ROOT, BracketError, find_root
 from fasttrack.power import (
     AdaptiveConditionalPower,
-    ConstantInfo,
     InfeasiblePowerError,
     build_fasttrack,
     evaluate_design,
@@ -66,12 +67,6 @@ class TestStage2Info:
         with pytest.raises(ValueError):
             stage2_info(np.array([1.0, -0.5]), 1.0, rule)
 
-    def test_constant_rule_passthrough(self):
-        rule = ConstantInfo(i2_const=2.5)
-        assert stage2_info(1.3, 1.0, rule) == 2.5
-        out = stage2_info(np.array([0.5, 3.0]), 1.0, rule)
-        assert np.all(out == 2.5)
-
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             AdaptiveConditionalPower(
@@ -79,8 +74,6 @@ class TestStage2Info:
                 cef=CalibratedCef(spec=ConstantCef(level=ALPHA), level_used=ALPHA),
                 beta=BETA,
             )
-        with pytest.raises(ValueError):
-            ConstantInfo(i2_const=0.0)
 
 
 class TestOverallPower:
@@ -124,10 +117,6 @@ class TestOverallPower:
             for x in (0.0, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(powers, powers[1:]))
-
-    def test_constant_rule_has_no_rejection_rule(self):
-        with pytest.raises(TypeError):
-            overall_power(1.0, ConstantInfo(i2_const=1.0), 2.0, 1.0)
 
 
 class TestSolveFloor:
@@ -222,14 +211,6 @@ class TestMeanInfo:
         p_cont = cond_registration_power(p)
         assert uncond == pytest.approx(cond * p_cont, abs=1e-9)
 
-    def test_constant_rule_means(self):
-        p = params_at(EVAL_BASE, 0.6)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-        rule = ConstantInfo(i2_const=2.0)
-        assert mean_stage2_info(p.i1, rule, p.delta, z_f, conditional=True) == 2.0
-        uncond = mean_stage2_info(p.i1, rule, p.delta, z_f, conditional=False)
-        assert uncond == pytest.approx(2.0 * cond_registration_power(p), abs=1e-12)
-
 
 class TestEvaluateDesign:
     def test_power_hits_target(self):
@@ -255,11 +236,23 @@ class TestEvaluateDesign:
             res = evaluate_design(p, design.rule)
             assert res.overall_power == pytest.approx(0.8, abs=1e-6)
 
-    def test_constant_info_is_degenerate(self):
+    def test_fasttrack_design_forwards_to_its_rule(self):
         p = params_at(EVAL_BASE, 0.6)
-        res = evaluate_design(p, ConstantInfo(i2_const=2.0))
-        assert res.i2_min == res.i2_max == 2.0
-        assert math.isnan(res.overall_power)
+        for family in FASTTRACK_FAMILIES:
+            design = build_fasttrack(p, family)
+            assert design.i2_const is None
+            assert design.cef is design.rule.cef
+            assert design.i2_min == design.rule.i2_min
+            assert design.rule.beta == p.beta
+            assert design.branch_boundary == boundary_z(p.i1, p.delta_rel, p.alpha_c)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                design.i2_const = 1.0
+
+    def test_z_combination_needs_the_waive_branch(self):
+        p = params_at(EVAL_BASE, 0.6)
+        assert "z_combination" not in FASTTRACK_FAMILIES
+        with pytest.raises(ValueError):
+            build_fasttrack(p, "z_combination")
 
     def test_unknown_family(self):
         p = params_at(EVAL_BASE, 0.6)
