@@ -20,10 +20,6 @@ from typing import Union
 import numpy as np
 
 from .numerics import (
-    DEFAULT_QUAD,
-    DEFAULT_ROOT,
-    QuadratureSettings,
-    RootSettings,
     find_root,
     integrate,
     std_normal_cdf,
@@ -47,15 +43,9 @@ class ConstantCef:
 
 @dataclass(frozen=True)
 class InverseNormalCef:
-    """Inverse normal combination with weights (w1, w2), w1^2 + w2^2 = 1."""
+    """Inverse normal combination with equal weights w1 = w2 = sqrt(1/2)."""
 
     z0: float = -math.inf
-    w1: float = _SQRT_HALF
-    w2: float = _SQRT_HALF
-
-    def __post_init__(self):
-        if abs(self.w1**2 + self.w2**2 - 1.0) > 1e-12:
-            raise ValueError("inverse normal weights must satisfy w1^2 + w2^2 = 1")
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,7 @@ def eval_cef(cef: CalibratedCef, z1):
     if isinstance(spec, ConstantCef):
         out = np.full_like(z, min(spec.level, _CAP))
     elif isinstance(spec, InverseNormalCef):
-        raw = 1.0 - std_normal_cdf((_z_c(cef) - spec.w1 * z) / spec.w2)
+        raw = 1.0 - std_normal_cdf((_z_c(cef) - _SQRT_HALF * z) / _SQRT_HALF)
         out = np.minimum(raw, _CAP)
         if math.isfinite(spec.z0):
             out = np.where(z >= spec.z0, out, 0.0)
@@ -160,7 +150,7 @@ def cap_kink(cef: CalibratedCef) -> float:
     if isinstance(spec, ConstantCef):
         return math.inf
     if isinstance(spec, InverseNormalCef):
-        return _z_c(cef) / spec.w1
+        return _z_c(cef) / _SQRT_HALF
     if isinstance(spec, FisherProductCef):
         if 2.0 * cef.c >= 1.0:
             return -math.inf
@@ -185,7 +175,7 @@ def quantile_pieces(cef: CalibratedCef) -> list[tuple[float, float, float]] | No
     if isinstance(spec, ConstantCef):
         return [(-math.inf, std_normal_quantile(1.0 - min(spec.level, _CAP)), 0.0)]
     if isinstance(spec, InverseNormalCef):
-        return [(spec.z0, _z_c(cef) / spec.w2, spec.w1 / spec.w2)]
+        return [(spec.z0, _z_c(cef) / _SQRT_HALF, 1.0)]
     if isinstance(spec, ZCombinationCef):
         w1 = math.sqrt(spec.i1 / (spec.i1 + spec.i2_const))
         w2 = math.sqrt(spec.i2_const / (spec.i1 + spec.i2_const))
@@ -208,11 +198,7 @@ def _split_points(cef: CalibratedCef) -> list[float]:
     return [p for p in pts if math.isfinite(p)]
 
 
-def level_integral(
-    cef: CalibratedCef,
-    lower: float = -math.inf,
-    settings: QuadratureSettings = DEFAULT_QUAD,
-) -> float:
+def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
     """Value of the level condition integral from ``lower`` to infinity.
 
     There is no early rejection, so the integral is the whole type I error
@@ -222,18 +208,11 @@ def level_integral(
         lambda z: eval_cef(cef, z) * std_normal_pdf(z),
         lower,
         math.inf,
-        settings,
         split_points=_split_points(cef),
     )
 
 
-def calibrate(
-    spec: CefSpec,
-    alpha: float,
-    lower: float = -math.inf,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    root: RootSettings = DEFAULT_ROOT,
-) -> CalibratedCef:
+def calibrate(spec: CefSpec, alpha: float, lower: float = -math.inf) -> CalibratedCef:
     """Choose the family constant so the level integral equals ``alpha``.
 
     The level integral is strictly increasing in the constant (in alpha_prime
@@ -244,7 +223,7 @@ def calibrate(
     """
     if isinstance(spec, ConstantCef):
         cef = CalibratedCef(spec=spec)
-        return replace(cef, level_used=level_integral(cef, lower, quad))
+        return replace(cef, level_used=level_integral(cef, lower))
 
     if isinstance(spec, ZCombinationCef):
         key, lo, hi = "alpha_prime", alpha, 1.0 - 1e-12
@@ -255,7 +234,7 @@ def calibrate(
     def level_at(x: float) -> float:
         if x not in levels:
             cef = CalibratedCef(spec=spec, **{key: x})
-            levels[x] = level_integral(cef, lower, quad)
+            levels[x] = level_integral(cef, lower)
         return levels[x]
 
     # At the upper end the function is everywhere as large as the family
@@ -263,7 +242,5 @@ def calibrate(
     if level_at(hi) <= alpha:
         x = hi
     else:
-        x = find_root(
-            lambda t: level_at(t) - alpha, lo, hi, root, f_hi=levels[hi] - alpha
-        )
+        x = find_root(lambda t: level_at(t) - alpha, lo, hi, f_hi=levels[hi] - alpha)
     return CalibratedCef(spec=spec, **{key: x}, level_used=level_at(x))

@@ -109,10 +109,7 @@ def _i1_bounds_row(scenario: Scenario, base: DerivedDesign, kind: str, xi: float
 
 
 def _mean_i2(p, d: power_mod.Design) -> float:
-    # Futility-stopped trials count with zero stage-two information.
-    return power_mod.mean_stage2_info(
-        p.i1, d.rule, p.delta, d.branch_boundary, conditional=False
-    )
+    return power_mod.mean_stage2_info(p.i1, d.rule, p.delta, d.branch_boundary)
 
 
 def _max_i2(p, d: power_mod.Design) -> float:
@@ -148,9 +145,7 @@ def _fasttrack_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float)
 
 def _i2_const_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
     p = scenario.design_params(i1=t * base.i_delta)
-    return [t] + [
-        comb_mod.build_combination(p, f).i2_const / base.i_delta for f in FAMILIES
-    ]
+    return [t] + [comb_mod.waive_branch(p, f)[1] / base.i_delta for f in FAMILIES]
 
 
 def _combo_panel_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):

@@ -13,16 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import cef as cef_mod
 from . import power as power_mod
 from .cef import FAMILIES
 from .design import DesignParams, boundary_z, cond_registration_power, derive
 from .numerics import (
     DEFAULT_QUAD,
-    DEFAULT_ROOT,
-    QuadratureSettings,
     RootSettings,
     find_root,
     integrate,
@@ -58,43 +54,37 @@ def lower_branch_success(
     i1: float,
     delta: float,
     z_split: float,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    z_combination_base: bool = False,
 ) -> float:
     """P_delta(Z2 >= Phi^{-1}(1 - A(Z1)) | Z1 < z_split) at stage-two
     information ``i2c``.
 
     For the z-combination family the lower branch tests with the fixed-size
     combined z-test at the base level, whose conditional error function itself
-    depends on ``i2c``; pass ``z_combination_base=True`` to evaluate it without
-    a calibrated alpha_prime.
+    depends on ``i2c``: A is evaluated with I2_const = ``i2c`` and with
+    alpha_prime set to the base level, so ``cef`` needs no calibrated
+    alpha_prime (below z_split the family does not depend on it).
     """
     mean = delta * math.sqrt(i1)
-    lo = mean - quad.tail_halfwidth
+    lo = mean - DEFAULT_QUAD.tail_halfwidth
     if z_split <= lo:
         # Essentially no mass below the boundary; the branch is vacuous.
         return 1.0
 
-    if z_combination_base:
-        base = cef.spec.base_level if isinstance(cef.spec, cef_mod.ZCombinationCef) else None
-        if base is None:
-            raise TypeError("z_combination_base requires a ZCombinationCef spec")
-
-        def a_of(z):
-            return np.minimum(cef_mod.atilde_z(z, base, i1, i2c), 0.5)
-        splits = []
-    else:
-        a_of = lambda z: cef_mod.eval_cef(cef, z)
-        splits = [p for p in (cef_mod.cap_kink(cef),) if math.isfinite(p)]
+    spec = cef.spec
+    if isinstance(spec, cef_mod.ZCombinationCef):
+        cef = cef_mod.CalibratedCef(
+            spec=replace(spec, i2_const=i2c), alpha_prime=spec.base_level
+        )
+    splits = [p for p in (cef_mod.cap_kink(cef),) if math.isfinite(p)]
 
     def integrand(z):
-        a = a_of(z)
+        a = cef_mod.eval_cef(cef, z)
         cond = 1.0 - std_normal_cdf(
             std_normal_quantile(1.0 - a) - math.sqrt(i2c) * delta
         )
         return cond * std_normal_pdf(z - mean)
 
-    raw = integrate(integrand, lo, z_split, quad, split_points=splits)
+    raw = integrate(integrand, lo, z_split, split_points=splits)
     p_lower = std_normal_cdf(z_split - mean)
     return raw / p_lower
 
@@ -105,9 +95,6 @@ def solve_i2_const(
     cef: cef_mod.CalibratedCef,
     beta: float,
     z_split: float,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    root: RootSettings = DEFAULT_ROOT,
-    z_combination_base: bool = False,
 ) -> float:
     """Fixed stage-two information giving conditional success 1-beta on the
     waive branch.  The conditional success probability is increasing in the
@@ -117,66 +104,60 @@ def solve_i2_const(
     def success(i2c: float) -> float:
         if i2c <= 0:
             return 0.0
-        return lower_branch_success(
-            i2c, cef, i1, delta, z_split, quad, z_combination_base
-        )
+        return lower_branch_success(i2c, cef, i1, delta, z_split)
 
-    x, _ = solve_monotone(success, target, 0.0, root)
+    x, _ = solve_monotone(success, target, 0.0)
     return x
 
 
-def build_combination(
-    params: DesignParams,
-    family: str,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    root: RootSettings = DEFAULT_ROOT,
-) -> power_mod.Design:
-    """Build an apply-or-waive design for one conditional error family.
+def waive_branch(
+    params: DesignParams, family: str
+) -> tuple[cef_mod.CalibratedCef, float]:
+    """The calibrated CEF and the waive-branch information I2_const of the
+    apply-or-waive design for one conditional error family.
 
-    Construction order: for the z-combination family the lower-branch
-    information is solved first from the fixed-size combined test at level
-    alpha, then alpha_prime is calibrated so the level condition holds with
-    equality, then the upper-branch floor; for the other families the CEF is
-    calibrated with a non-binding lower bound first, then the two branch
-    informations.
+    For the z-combination family I2_const is solved first from the
+    fixed-size combined test at level alpha, then alpha_prime is calibrated
+    so the level condition holds with equality; for the other families the
+    CEF is calibrated with a non-binding lower bound first, then I2_const.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
-    delta = params.delta
 
     if family == "z_combination":
         # The lower branch only depends on the base-level combined test, so
-        # I2_const is determined before alpha_prime exists.
+        # I2_const is determined before alpha_prime exists (the probe's
+        # I2_const is a placeholder that lower_branch_success replaces).
         probe = cef_mod.CalibratedCef(
             spec=cef_mod.ZCombinationCef(
                 i1=params.i1, i2_const=1.0, z_split=z_f, base_level=params.alpha
             )
         )
-        i2_const = solve_i2_const(
-            params.i1, delta, probe, params.beta, z_f, quad, root,
-            z_combination_base=True,
-        )
+        i2_const = solve_i2_const(params.i1, params.delta, probe, params.beta, z_f)
         spec = cef_mod.ZCombinationCef(
             i1=params.i1, i2_const=i2_const, z_split=z_f, base_level=params.alpha
         )
-        cef = cef_mod.calibrate(spec, params.alpha, -math.inf, quad, root)
+        return cef_mod.calibrate(spec, params.alpha), i2_const
+    if family == "constant":
+        spec = cef_mod.ConstantCef(level=params.alpha)
+    elif family == "inverse_normal":
+        spec = cef_mod.InverseNormalCef(z0=-math.inf)
     else:
-        if family == "constant":
-            spec = cef_mod.ConstantCef(level=params.alpha)
-        elif family == "inverse_normal":
-            spec = cef_mod.InverseNormalCef(z0=-math.inf)
-        else:
-            spec = cef_mod.FisherProductCef(z0=-math.inf)
-        cef = cef_mod.calibrate(spec, params.alpha, -math.inf, quad, root)
-        i2_const = solve_i2_const(
-            params.i1, delta, cef, params.beta, z_f, quad, root
-        )
+        spec = cef_mod.FisherProductCef(z0=-math.inf)
+    cef = cef_mod.calibrate(spec, params.alpha)
+    return cef, solve_i2_const(params.i1, params.delta, cef, params.beta, z_f)
 
+
+def build_combination(params: DesignParams, family: str) -> power_mod.Design:
+    """Build an apply-or-waive design for one conditional error family: the
+    waive branch (see :func:`waive_branch`), then the upper-branch floor."""
+    cef, i2_const = waive_branch(params, family)
+    z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
     p_upper = cond_registration_power(params)
     target = (1.0 - params.beta) * p_upper
     i2_min = power_mod.solve_i2_min(
-        params.i1, delta, cef, params.beta, target, z_f, quad, root
+        params.i1, params.delta, cef, params.beta, target, z_f
     )
     rule = power_mod.AdaptiveConditionalPower(
         i2_min=i2_min, cef=cef, beta=params.beta
@@ -184,19 +165,15 @@ def build_combination(
     return power_mod.Design(params, family, rule, z_f, i2_const)
 
 
-def branch_metrics(
-    design: power_mod.Design,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    root: RootSettings = DEFAULT_ROOT,
-) -> BranchMetrics:
+def branch_metrics(design: power_mod.Design) -> BranchMetrics:
     """Success probabilities and information statistics over both branches
     of a combination design."""
     params = design.params
-    upper = power_mod.evaluate_design(params, design.rule, quad, root)
+    upper = power_mod.evaluate_design(params, design.rule)
     p_upper = upper.p_cond_reg
     p_succ_lower = lower_branch_success(
         design.i2_const, design.cef, params.i1, params.delta,
-        design.branch_boundary, quad,
+        design.branch_boundary,
     )
     return BranchMetrics(
         p_upper=p_upper,
@@ -208,14 +185,12 @@ def branch_metrics(
     )
 
 
-def gambling_threshold(
-    params: DesignParams,
-    family: str,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    root: RootSettings = DEFAULT_ROOT,
-    scan_step: float = 0.01,
-    refine_tol: float = 5e-4,
-) -> float:
+# The t-grid step of gambling_threshold's scan and its refinement settings.
+_SCAN_STEP = 0.01
+_REFINE = RootSettings(x_tol=5e-4)
+
+
+def gambling_threshold(params: DesignParams, family: str) -> float:
     """Largest relative pilot information t_xi(I1) for which the upper-branch
     stage-two information is constant (the conditional-power formula never
     exceeds the solved floor).
@@ -229,18 +204,17 @@ def gambling_threshold(
 
     def excess(t_xi: float) -> float:
         p = replace(params, i1=t_xi * i_delta)
-        d = build_combination(p, family, quad, root)
+        d = build_combination(p, family)
         formula_max = power_mod._adaptive_formula(d.branch_boundary, p.i1, d.rule)
         return float(formula_max) - d.i2_min
 
     t_max = base.i1_max / i_delta
-    lo = scan_step
-    if excess(lo) > 0:
+    t = _SCAN_STEP
+    if excess(t) > 0:
         return 0.0
-    t = lo
     while t < t_max:
-        t_next = min(t + scan_step, t_max)
+        t_next = min(t + _SCAN_STEP, t_max)
         if excess(t_next) > 0:
-            return find_root(excess, t, t_next, replace(root, x_tol=refine_tol))
+            return find_root(excess, t, t_next, _REFINE)
         t = t_next
     return 0.0

@@ -2,7 +2,7 @@
 
 Simulation model: the stage-k z-statistic is Z_k ~ N(theta * sqrt(I_k), 1)
 with independent stages.  Random numbers come from the counter-based Philox
-(4x64) generator so sweep points get provably non-overlapping substreams;
+(4x64) generator so each (seed, substream) pair gets its own key and stream;
 normal variates are produced by inverse-CDF transform of uniforms through the
 same quantile routine audited in :mod:`fasttrack.numerics`.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -31,8 +30,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_reps < 1:
             raise ValueError("n_reps must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an integer in [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ def _binom_se(p_hat: float, n: int) -> float:
 
 def _stream(seed: int, substream: int = 0) -> Generator:
     # Philox keys are 128-bit; (seed, substream) pairs map to disjoint keys.
-    return Generator(Philox(key=(seed & (2**64 - 1)) + (substream << 64)))
+    return Generator(Philox(key=seed + (substream << 64)))
 
 
 def _normal(gen: Generator, mean, n: int) -> np.ndarray:
@@ -111,10 +110,3 @@ def simulate(design: Design, cfg: SimConfig, substream: int = 0) -> SimReport:
         n_reps=n,
     )
 
-
-def sweep(designs: Sequence[Design], cfg: SimConfig) -> list[SimReport]:
-    """One report per design, each on its own Philox substream (indexed by
-    position), merged in grid order."""
-    if not designs:
-        raise ValueError("sweep requires a non-empty design grid")
-    return [simulate(d, cfg, substream=i) for i, d in enumerate(designs)]

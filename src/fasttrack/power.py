@@ -22,11 +22,7 @@ import numpy as np
 from . import cef as cef_mod
 from .design import DesignParams, boundary_z, cond_registration_power
 from .numerics import (
-    DEFAULT_QUAD,
-    DEFAULT_ROOT,
     BracketError,
-    QuadratureSettings,
-    RootSettings,
     find_root,
     integrate,
     solve_monotone,
@@ -114,7 +110,7 @@ def stage2_info(z1, i1: float, rule: AdaptiveConditionalPower):
 
 
 def _floor_kink(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
-                z_upper: float, root: RootSettings) -> float | None:
+                z_upper: float) -> float | None:
     """Abscissa where the conditional-power formula crosses the floor.
 
     The formula is non-increasing in z1 (A is non-decreasing), so there is at
@@ -131,7 +127,7 @@ def _floor_kink(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
         return _linear_floor_kink(pieces, slope, z_beta, z_lower, z_upper)
     g = lambda z: _adaptive_formula(float(z), i1, rule) - rule.i2_min
     try:
-        return find_root(g, z_lower, z_upper, root)
+        return find_root(g, z_lower, z_upper)
     except BracketError:
         return None
 
@@ -166,30 +162,25 @@ def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
 
 
 def _splits(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
-            z_hi: float, root: RootSettings) -> list[float]:
+            z_hi: float) -> list[float]:
     """Quadrature split points on [z_lower, z_hi]: the CEF cap and the floor
     kink, where they exist."""
     splits = [p for p in (cef_mod.cap_kink(rule.cef),) if math.isfinite(p)]
-    kink = _floor_kink(i1, rule, max(z_lower, 1e-12), z_hi, root)
+    kink = _floor_kink(i1, rule, max(z_lower, 1e-12), z_hi)
     if kink is not None:
         splits.append(kink)
     return splits
 
 
 def overall_power(
-    i1: float,
-    rule: AdaptiveConditionalPower,
-    delta: float,
-    z_lower: float,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    root: RootSettings = DEFAULT_ROOT,
+    i1: float, rule: AdaptiveConditionalPower, delta: float, z_lower: float
 ) -> float:
     """Probability of continuing past ``z_lower`` and rejecting at stage two."""
     mean = delta * math.sqrt(i1)
-    z_hi = tail_upper_limit(mean, quad)
+    z_hi = tail_upper_limit(mean)
     if z_lower >= z_hi:
         return 0.0
-    splits = _splits(i1, rule, z_lower, z_hi, root)
+    splits = _splits(i1, rule, z_lower, z_hi)
     cef = rule.cef
 
     def integrand(z):
@@ -198,7 +189,7 @@ def overall_power(
         cond = 1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)
         return cond * std_normal_pdf(z - mean)
 
-    return integrate(integrand, z_lower, z_hi, quad, split_points=splits)
+    return integrate(integrand, z_lower, z_hi, split_points=splits)
 
 
 def nonadaptive_rule(
@@ -218,8 +209,6 @@ def solve_i2_min(
     beta: float,
     target: float,
     z_lower: float,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    root: RootSettings = DEFAULT_ROOT,
 ) -> float:
     """Smallest floor I2min with overall power equal to ``target``.
 
@@ -236,9 +225,9 @@ def solve_i2_min(
 
     def power_at(i2_min: float) -> float:
         rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=beta)
-        return overall_power(i1, rule, delta, z_lower, quad, root)
+        return overall_power(i1, rule, delta, z_lower)
 
-    x, _ = solve_monotone(power_at, target, 0.0, root)
+    x, _ = solve_monotone(power_at, target, 0.0)
     return x
 
 
@@ -249,41 +238,29 @@ def max_stage2_info(i1: float, rule: AdaptiveConditionalPower, z_lower: float) -
 
 
 def mean_stage2_info(
-    i1: float,
-    rule: AdaptiveConditionalPower,
-    delta: float,
-    z_lower: float,
-    conditional: bool = True,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    root: RootSettings = DEFAULT_ROOT,
+    i1: float, rule: AdaptiveConditionalPower, delta: float, z_lower: float
 ) -> float:
-    """Expected stage-two information over the continuation region.
+    """Expected stage-two information, with trials stopped below ``z_lower``
+    contributing zero information.
 
-    With ``conditional=True`` the expectation is taken given continuation
-    (Z1 >= z_lower); otherwise trials stopped at stage one contribute zero
-    information.
+    This is what makes the non-adaptive mean sit just above its minimum (149
+    vs 148 per group in the worked example).
     """
     mean = delta * math.sqrt(i1)
-    z_hi = tail_upper_limit(mean, quad)
-    splits = _splits(i1, rule, z_lower, z_hi, root)
+    z_hi = tail_upper_limit(mean)
+    splits = _splits(i1, rule, z_lower, z_hi)
 
     def integrand(z):
         i2 = np.maximum(rule.i2_min, _adaptive_formula(z, i1, rule))
         return i2 * std_normal_pdf(z - mean)
 
-    raw = integrate(integrand, z_lower, z_hi, quad, split_points=splits)
-    if not conditional:
-        return raw
-    p_cont = 1.0 - std_normal_cdf(z_lower - mean)
-    return raw / p_cont
+    return integrate(integrand, z_lower, z_hi, split_points=splits)
 
 
 def build_fasttrack(
     params: DesignParams,
     family: str,
     binding: bool = True,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    root: RootSettings = DEFAULT_ROOT,
 ) -> Design:
     """Calibrate the family CEF and solve the floor for overall power 1-beta.
 
@@ -305,35 +282,26 @@ def build_fasttrack(
             if family == "inverse_normal"
             else cef_mod.FisherProductCef(z0=z0)
         )
-        cef = cef_mod.calibrate(spec, params.alpha, z0, quad, root)
+        cef = cef_mod.calibrate(spec, params.alpha, z0)
     else:
         raise ValueError(
             f"family {family!r} is not available for the fast-track mode"
         )
     i2_min = solve_i2_min(
-        params.i1, params.delta, cef, params.beta, 1.0 - params.beta, z_f,
-        quad, root,
+        params.i1, params.delta, cef, params.beta, 1.0 - params.beta, z_f
     )
     rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=params.beta)
     return Design(params, family, rule, branch_boundary=z_f)
 
 
 def evaluate_design(
-    params: DesignParams,
-    rule: AdaptiveConditionalPower,
-    quad: QuadratureSettings = DEFAULT_QUAD,
-    root: RootSettings = DEFAULT_ROOT,
+    params: DesignParams, rule: AdaptiveConditionalPower
 ) -> EvaluationResult:
     """Bundle the operating characteristics of the branch Z1 >= z_f."""
     z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
-    power = overall_power(params.i1, rule, params.delta, z_f, quad, root)
+    power = overall_power(params.i1, rule, params.delta, z_f)
     i2_hi = max_stage2_info(params.i1, rule, z_f)
-    # Futility-stopped trials contribute zero second-stage information,
-    # which is what makes the non-adaptive mean sit just above its
-    # minimum (149 vs 148 per group in the worked example).
-    i2_mean = mean_stage2_info(
-        params.i1, rule, params.delta, z_f, False, quad, root
-    )
+    i2_mean = mean_stage2_info(params.i1, rule, params.delta, z_f)
     return EvaluationResult(
         overall_power=power,
         p_cond_reg=cond_registration_power(params),

@@ -455,9 +455,7 @@ def test_criterion6e_waive_branch_monotonicity():
                 checks.append((f"{name} t={t}", ok, f"sequence {vals}"))
             design = combo_design("z_combination", t)
             vals = [
-                comb_mod.lower_branch_success(
-                    x, design.cef, p.i1, p.delta, z_f, z_combination_base=True
-                )
+                comb_mod.lower_branch_success(x, design.cef, p.i1, p.delta, z_f)
                 for x in grid
             ]
             ok = all(b > a for a, b in zip(vals, vals[1:]))

@@ -180,10 +180,6 @@ class TestLemmaPreconditions:
 
 
 class TestValidation:
-    def test_inverse_normal_weights(self):
-        with pytest.raises(ValueError):
-            InverseNormalCef(z0=0.0, w1=0.9, w2=0.9)
-
     def test_z_combination_requires_positive_informations(self):
         with pytest.raises(ValueError):
             ZCombinationCef(i1=0.0, i2_const=1.0, z_split=1.0)

@@ -231,6 +231,15 @@ class TestSimulate:
         )
         assert rc == cli.EXIT_INVALID
 
+    def test_rejects_seed_beyond_64_bits(self, write_scenario, tmp_path):
+        # It would alias another seed's stream in the 128-bit Philox key.
+        path = write_scenario()
+        rc = cli.main(
+            ["simulate", "--scenario", path, "--out", str(tmp_path / "s.csv"),
+             "--reps", "100", "--seed", str(2**64)]
+        )
+        assert rc == cli.EXIT_INVALID
+
 
 class TestExitCodes:
     def test_missing_scenario_file(self, tmp_path):

@@ -14,6 +14,7 @@ from fasttrack.combination import (
     lower_branch_success,
     naive_inflation,
     solve_i2_const,
+    waive_branch,
 )
 from fasttrack.design import ExampleCost, boundary_z, cond_registration_power, derive
 from fasttrack.numerics import std_normal_cdf, std_normal_quantile
@@ -64,6 +65,13 @@ class TestWaiveBranchSizing:
         # And the generic solver agrees.
         solved = solve_i2_const(p.i1, p.delta, design.cef, p.beta, z_f)
         assert solved == pytest.approx(i_fixed, abs=1e-7)
+
+    def test_waive_branch_is_the_designs_own(self, combo_designs):
+        p = params_at(COMBO_BASE, 0.5)
+        for family, design in combo_designs.items():
+            cef, i2_const = waive_branch(p, family)
+            assert cef == design.cef, family
+            assert i2_const == design.i2_const, family
 
     def test_adaptive_families_need_less_than_fixed(self, combo_designs):
         i_fixed = combo_designs["constant"].i2_const
@@ -172,9 +180,7 @@ class TestMonotonicity:
         design = build_combination(p, "z_combination")
         z_f = design.branch_boundary
         vals = [
-            lower_branch_success(
-                x, design.cef, p.i1, p.delta, z_f, z_combination_base=True
-            )
+            lower_branch_success(x, design.cef, p.i1, p.delta, z_f)
             for x in (0.25, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))

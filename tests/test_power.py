@@ -21,6 +21,7 @@ from fasttrack.cef import (
     eval_cef,
 )
 from fasttrack.design import DesignParams, boundary_z, cond_registration_power, derive
+from fasttrack.montecarlo import SimConfig, simulate
 from fasttrack.numerics import DEFAULT_ROOT, BracketError, find_root
 from fasttrack.power import (
     AdaptiveConditionalPower,
@@ -203,13 +204,13 @@ class TestMaxInfo:
 
 class TestMeanInfo:
     def test_conditioning_variants(self):
+        # Stopped trials count with zero information: the mean is the
+        # simulated mean over continuing trials times the continuation rate.
         p = params_at(EVAL_BASE, 0.6)
-        design = build_fasttrack(p, "inverse_normal")
-        z_f = design.branch_boundary
-        cond = mean_stage2_info(p.i1, design.rule, p.delta, z_f, conditional=True)
-        uncond = mean_stage2_info(p.i1, design.rule, p.delta, z_f, conditional=False)
-        p_cont = cond_registration_power(p)
-        assert uncond == pytest.approx(cond * p_cont, abs=1e-9)
+        design = build_fasttrack(p, "fisher")
+        mean = mean_stage2_info(p.i1, design.rule, p.delta, design.branch_boundary)
+        rep = simulate(design, SimConfig(n_reps=200_000, seed=20260823, theta=p.delta))
+        assert mean == pytest.approx(rep.mean_i2_hat * rep.p_cond_reg_hat, rel=0.02)
 
 
 class TestEvaluateDesign:
@@ -277,7 +278,7 @@ class TestClosedFormFloorKink:
         probe = AdaptiveConditionalPower(i2_min=0.0, cef=cef, beta=BETA)
         i2_min = float(_adaptive_formula(z_star, i1, probe))
         rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=BETA)
-        got = _floor_kink(i1, rule, lo, hi, DEFAULT_ROOT)
+        got = _floor_kink(i1, rule, lo, hi)
         assert got == pytest.approx(self.numeric_kink(i1, rule, lo, hi), abs=1e-9)
         assert got == pytest.approx(z_star, abs=1e-9)
 
@@ -319,7 +320,7 @@ class TestClosedFormFloorKink:
         below = float(_adaptive_formula(z_split - 1e-12, p.i1, probe))
         above = float(_adaptive_formula(z_split, p.i1, probe))
         rule = AdaptiveConditionalPower(i2_min=0.5 * (below + above), cef=cef, beta=BETA)
-        assert _floor_kink(p.i1, rule, 0.2, 12.0, DEFAULT_ROOT) == z_split
+        assert _floor_kink(p.i1, rule, 0.2, 12.0) == z_split
         numeric = self.numeric_kink(p.i1, rule, 0.2, 12.0)
         assert numeric == pytest.approx(z_split, abs=2 * DEFAULT_ROOT.x_tol)
 
@@ -337,5 +338,5 @@ class TestClosedFormFloorKink:
         for cef in cefs:
             for i2_min, hi in ((500.0, 12.0), (1e-3, 3.0)):  # above / below
                 rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=BETA)
-                assert _floor_kink(p.i1, rule, z_f, hi, DEFAULT_ROOT) is None
+                assert _floor_kink(p.i1, rule, z_f, hi) is None
                 assert self.numeric_kink(p.i1, rule, z_f, hi) is None
