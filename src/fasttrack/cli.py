@@ -10,7 +10,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 from . import combination as comb_mod
 from . import montecarlo as mc_mod
@@ -40,46 +40,38 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def cmd_derive(scenario: Scenario, rounding: str, out=None) -> int:
-    out = sys.stdout if out is None else out
+def _group_size(sigma: float, rounding: str):
+    """Per-group sample size of an information, rounded up or to nearest."""
+    cost = ExampleCost(sigma=sigma)
+    return cost.group_size_of if rounding == "ceil" else cost.group_size_nearest
+
+
+# The closed-form quantities derive prints, in order.
+DERIVE_KEYS = (
+    "alpha", "alpha_c", "beta", "delta_rel", "xi", "delta", "i1", "eta_f",
+    "i_rel", "i_delta", "z_f", "alpha_rel", "alpha_f", "i1_min", "i1_max",
+    "xi_min", "t_rel_i1", "t_xi_i1", "p_cond_reg",
+)
+
+
+def cmd_derive(scenario: Scenario, rounding: str) -> int:
     params = scenario.design_params()
     d = derive(params)
-    print(f"alpha        = {_fmt(params.alpha)}", file=out)
-    print(f"alpha_c      = {_fmt(params.alpha_c)}", file=out)
-    print(f"beta         = {_fmt(params.beta)}", file=out)
-    print(f"delta_rel    = {_fmt(params.delta_rel)}", file=out)
-    print(f"xi           = {_fmt(params.xi)}", file=out)
-    print(f"delta        = {_fmt(d.delta)}", file=out)
-    print(f"i1           = {_fmt(params.i1)}", file=out)
-    print(f"eta_f        = {_fmt(d.eta_f)}", file=out)
-    print(f"i_rel        = {_fmt(d.i_rel)}", file=out)
-    print(f"i_delta      = {_fmt(d.i_delta)}", file=out)
-    print(f"z_f          = {_fmt(d.z_f)}", file=out)
-    print(f"alpha_rel    = {_fmt(d.alpha_rel)}", file=out)
-    print(f"alpha_f      = {_fmt(d.alpha_f)}", file=out)
-    print(f"i1_min       = {_fmt(d.i1_min)}", file=out)
-    print(f"i1_max       = {_fmt(d.i1_max)}", file=out)
-    print(f"xi_min       = {_fmt(d.xi_min)}", file=out)
-    print(f"t_rel_i1     = {_fmt(d.t_rel_i1)}", file=out)
-    print(f"t_xi_i1      = {_fmt(d.t_xi_i1)}", file=out)
-    print(
-        f"p_cond_reg   = {_fmt(cond_registration_power(params))}",
-        file=out,
-    )
+    values = {**vars(params), **vars(d),
+              "p_cond_reg": cond_registration_power(params)}
+    record = [(key, _fmt(values[key])) for key in DERIVE_KEYS]
     if scenario.sigma is not None:
-        cost = ExampleCost(sigma=scenario.sigma)
-        size = cost.group_size_of if rounding == "ceil" else cost.group_size_nearest
-        print(f"n1           = {size(params.i1)}", file=out)
-        print(f"n_rel        = {size(d.i_rel)}", file=out)
-        print(f"n_delta      = {size(d.i_delta)}", file=out)
-        print(f"n1_max       = {size(d.i1_max)}", file=out)
-        if math.isfinite(d.i1_min):
-            print(f"n1_min       = {size(d.i1_min)}", file=out)
+        size = _group_size(scenario.sigma, rounding)
+        infos = [("n1", params.i1), ("n_rel", d.i_rel), ("n_delta", d.i_delta),
+                 ("n1_max", d.i1_max), ("n1_min", d.i1_min)]
+        record += [(key, size(info)) for key, info in infos
+                   if key != "n1_min" or math.isfinite(info)]
+    for key, value in record:
+        print(f"{key:<13}= {value}")
     if params.xi < d.xi_min:
         print(
             "warning: xi below xi_min — fast-track with required conditional "
-            "registration infeasible",
-            file=out,
+            "registration infeasible"
         )
     return EXIT_OK
 
@@ -210,9 +202,7 @@ def cmd_table1(out_path: str, rounding: str = "ceil") -> int:
     conditional error family, with +n1 totals."""
     scenario = TABLE1_SCENARIO
     params = scenario.design_params()
-    cost = ExampleCost(sigma=scenario.sigma)
-    size = cost.group_size_of if rounding == "ceil" else cost.group_size_nearest
-    d = derive(params)
+    size = _group_size(scenario.sigma, rounding)
     n1 = size(params.i1)
     header = [
         "family",
@@ -241,8 +231,7 @@ def cmd_table1(out_path: str, rounding: str = "ceil") -> int:
     return EXIT_OK
 
 
-def _build_design(scenario: Scenario):
-    params = scenario.design_params()
+def _build_design(scenario: Scenario, params):
     if scenario.mode == "combination":
         return comb_mod.build_combination(params, scenario.family)
     return power_mod.build_fasttrack(
@@ -252,38 +241,22 @@ def _build_design(scenario: Scenario):
     )
 
 
-def cmd_simulate(
-    scenario: Scenario, n_reps: int, seed: int, out_path: str, out=None
-) -> int:
-    out = sys.stdout if out is None else out
-    design = _build_design(scenario)
-    delta = scenario.design_params().delta
-    header = [
-        "theta",
-        "p_cond_reg_hat", "p_cond_reg_se",
-        "p_reject_hat", "p_reject_se",
-        "mean_i2_hat", "max_i2_observed",
-        "n_reps",
-    ]
+def cmd_simulate(scenario: Scenario, n_reps: int, seed: int, out_path: str) -> int:
+    params = scenario.design_params()
+    # Built first, so an invalid seed fails before the design is solved.
+    configs = [mc_mod.SimConfig(n_reps=n_reps, seed=seed, theta=theta)
+               for theta in (0.0, params.delta)]
+    design = _build_design(scenario, params)
     rows = []
-    for substream, theta in enumerate((0.0, delta)):
-        cfg = mc_mod.SimConfig(n_reps=n_reps, seed=seed, theta=theta)
+    for substream, cfg in enumerate(configs):
         rep = mc_mod.simulate(design, cfg, substream=substream)
-        rows.append(
-            [
-                theta,
-                rep.p_cond_reg_hat, rep.p_cond_reg_se,
-                rep.p_reject_hat, rep.p_reject_se,
-                rep.mean_i2_hat, rep.max_i2_observed,
-                rep.n_reps,
-            ]
-        )
+        rows.append([cfg.theta, *astuple(rep)])
         print(
-            f"theta={_fmt(theta)}: p_cond_reg={_fmt(rep.p_cond_reg_hat)} "
+            f"theta={_fmt(cfg.theta)}: p_cond_reg={_fmt(rep.p_cond_reg_hat)} "
             f"(se {_fmt(rep.p_cond_reg_se)}), "
-            f"p_reject={_fmt(rep.p_reject_hat)} (se {_fmt(rep.p_reject_se)})",
-            file=out,
+            f"p_reject={_fmt(rep.p_reject_hat)} (se {_fmt(rep.p_reject_se)})"
         )
+    header = ["theta", *(f.name for f in fields(mc_mod.SimReport))]
     _write_csv(out_path, header, rows)
     return EXIT_OK
 

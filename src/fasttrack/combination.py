@@ -106,8 +106,7 @@ def solve_i2_const(
             return 0.0
         return lower_branch_success(i2c, cef, i1, delta, z_split)
 
-    x, _ = solve_monotone(success, target, 0.0)
-    return x
+    return solve_monotone(success, target, 0.0)
 
 
 def waive_branch(

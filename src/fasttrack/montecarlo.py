@@ -79,23 +79,26 @@ def simulate(design: Design, cfg: SimConfig, substream: int = 0) -> SimReport:
     i2 = np.zeros(n)
     reject = np.zeros(n, dtype=bool)
 
+    # Above z_f stage two is sized by the rule.  Below it a fast-track design
+    # stops; a combination design waives the application and runs its
+    # fixed-information stage two.  An empty branch draws no variates.
     rule = design.rule
-    if np.any(upper):
-        i2_up = power_mod.stage2_info(z1[upper], params.i1, rule)
-        a_up = cef_mod.eval_cef(rule.cef, z1[upper])
-        z2_up = _normal(gen, cfg.theta * np.sqrt(i2_up), int(upper.sum()))
-        reject[upper] = z2_up >= std_normal_quantile(1.0 - a_up)
-        i2[upper] = i2_up
-    # A fast-track design stops below z_f; a combination design waives the
-    # application and runs its fixed-information stage two.
-    lower = ~upper
-    if design.i2_const is not None and np.any(lower):
-        a_lo = cef_mod.eval_cef(rule.cef, z1[lower])
-        z2_lo = _normal(
-            gen, cfg.theta * math.sqrt(design.i2_const), int(lower.sum())
-        )
-        reject[lower] = z2_lo >= std_normal_quantile(1.0 - a_lo)
-        i2[lower] = design.i2_const
+    branches = [(upper, None)]
+    if design.i2_const is not None:
+        branches.append((~upper, design.i2_const))
+    for branch, i2_const in branches:
+        z = z1[branch]
+        q = std_normal_quantile(1.0 - cef_mod.eval_cef(rule.cef, z))
+        if i2_const is None:
+            info = np.maximum(
+                rule.i2_min, power_mod._adaptive_formula(z, params.i1, rule, q)
+            )
+        else:
+            info = i2_const
+        del z  # free the branch's copy of z1 before the stage-two draw
+        z2 = _normal(gen, cfg.theta * np.sqrt(info), q.size)
+        reject[branch] = z2 >= q
+        i2[branch] = info
 
     p_cond = float(upper.mean())
     p_rej = float(reject.mean())

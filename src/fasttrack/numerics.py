@@ -235,16 +235,16 @@ def solve_monotone(
     target: float,
     lo_guess: float,
     settings: RootSettings = DEFAULT_ROOT,
-) -> tuple[float, bool]:
+) -> float:
     """Smallest x >= lo_guess with g(x) = target, for non-decreasing g.
 
-    Returns ``(x, already_satisfied)``: if g(lo_guess) already meets the
-    target, ``lo_guess`` is returned with the flag set.  The upper bracket is
-    found by geometric expansion.  ``g`` is called at most once at any x.
+    If g(lo_guess) already meets the target, ``lo_guess`` is returned.  The
+    upper bracket is found by geometric expansion.  ``g`` is called at most
+    once at any x.
     """
     g_lo = g(lo_guess)
     if g_lo >= target - settings.f_tol:
-        return lo_guess, True
+        return lo_guess
 
     step = max(abs(lo_guess), 1.0)
     lo, hi = lo_guess, lo_guess + step
@@ -259,11 +259,10 @@ def solve_monotone(
         raise BracketError(
             f"bracket expansion from {lo_guess} did not reach target {target}"
         )
-    x = find_root(
+    return find_root(
         lambda t: g(t) - target, lo, hi, settings,
         f_lo=g_lo - target, f_hi=g_hi - target,
     )
-    return x, False
 
 
 def tail_upper_limit(center: float, settings: QuadratureSettings = DEFAULT_QUAD) -> float:

@@ -227,8 +227,7 @@ def solve_i2_min(
         rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=beta)
         return overall_power(i1, rule, delta, z_lower)
 
-    x, _ = solve_monotone(power_at, target, 0.0)
-    return x
+    return solve_monotone(power_at, target, 0.0)
 
 
 def max_stage2_info(i1: float, rule: AdaptiveConditionalPower, z_lower: float) -> float:

@@ -111,10 +111,7 @@ def parse_scenario_text(text: str) -> Scenario:
             "family 'z_combination' is only valid with mode = combination"
         )
 
-    try:
-        return Scenario(**values)  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    return Scenario(**values)  # type: ignore[arg-type]
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,66 @@ from fasttrack import cli
 from fasttrack.numerics import ConvergenceError
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+FROZEN = Path(__file__).resolve().parent / "data"
+FASTTRACK = str(BENCH_DATA / "fasttrack_binding_fisher.txt")
+COMBINATION = str(BENCH_DATA / "combination_example.txt")
+
+# Outputs recorded before cli printed each command from one record:
+# case -> (argv, whether it also takes --out).  The case's stdout is in
+# FROZEN / "<case>.txt" (absent: empty) and its CSV in FROZEN / "<case>.csv".
+_DERIVE_SCENARIOS = {
+    "fasttrack": FASTTRACK,
+    "combination": COMBINATION,
+    # With sigma, below xi_min: the size lines and the warning.
+    "xi_below_min": str(FROZEN / "xi_below_min.txt"),
+    # xi = 1 has no finite I1_min, so n1_min is left out.
+    "xi_one": str(FROZEN / "xi_one.txt"),
+}
+FROZEN_CASES = {
+    **{
+        f"derive_{name}_{rounding}": (
+            ["derive", "--scenario", path, "--round", rounding], False)
+        for name, path in _DERIVE_SCENARIOS.items()
+        for rounding in ("ceil", "nearest")
+    },
+    **{
+        f"table1_{rounding}": (["table1", "--round", rounding], True)
+        for rounding in ("ceil", "nearest")
+    },
+    **{
+        f"curve_{kind}": (
+            ["curve", "--scenario", path, "--kind", kind, "--grid-step", "0.05"],
+            True)
+        for kind, path in (
+            ("alpha_rel", FASTTRACK), ("i1_min_trel", FASTTRACK),
+            ("i1_min_txi", FASTTRACK), ("i2_mean", FASTTRACK),
+            ("i2_max", FASTTRACK), ("total_mean", FASTTRACK),
+            ("total_max", FASTTRACK), ("combo_panel", COMBINATION),
+        )
+    },
+    **{
+        f"simulate_{name}": (
+            ["simulate", "--scenario", path, "--reps", "20000", "--seed", "7"],
+            True)
+        for name, path in (("fasttrack", FASTTRACK),
+                           ("combination", COMBINATION))
+    },
+}
+
+_NUMBER = re.compile(r"(?<![\w.])[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?(?![\w.])")
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Same lines with the same words between the numbers, and each number
+    within 1e-7 of the recorded one."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines)
+    for g, w in zip(got_lines, want_lines):
+        assert _NUMBER.split(g) == _NUMBER.split(w), (g, w)
+        got_numbers = [float(x) for x in _NUMBER.findall(g)]
+        want_numbers = [float(x) for x in _NUMBER.findall(w)]
+        assert got_numbers == pytest.approx(want_numbers, abs=1e-7), (g, w)
+
 
 def read_csv(path):
     with open(path, newline="") as fh:
@@ -239,6 +300,33 @@ class TestSimulate:
              "--reps", "100", "--seed", str(2**64)]
         )
         assert rc == cli.EXIT_INVALID
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_checks_seed_before_building(self, seed, write_scenario, tmp_path,
+                                         monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("design built for an invalid seed")
+
+        monkeypatch.setattr(cli, "_build_design", build)
+        rc = cli.main(
+            ["simulate", "--scenario", write_scenario(), "--out",
+             str(tmp_path / "s.csv"), "--reps", "100", "--seed", str(seed)]
+        )
+        assert rc == cli.EXIT_INVALID
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_CASES))
+def test_matches_frozen_output(case, tmp_path, capsys):
+    argv, writes_csv = FROZEN_CASES[case]
+    out = tmp_path / "out.csv"
+    rc = cli.main(argv + ["--out", str(out)] if writes_csv else argv)
+    assert rc == cli.EXIT_OK
+    stdout = FROZEN / f"{case}.txt"
+    want = stdout.read_text(encoding="utf-8") if stdout.exists() else ""
+    assert_same_text(capsys.readouterr().out, want)
+    if writes_csv:
+        assert_same_text(out.read_text(encoding="utf-8"),
+                         (FROZEN / f"{case}.csv").read_text(encoding="utf-8"))
 
 
 class TestExitCodes:

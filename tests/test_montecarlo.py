@@ -67,6 +67,26 @@ class TestDeterminism:
             cfg = SimConfig(n_reps=10_000, seed=SEED, theta=design.params.delta)
             assert simulate(design, cfg, substream=3) == want[name], name
 
+    def test_pinned_empty_branches(self, combo_design):
+        # Far below z_f no replication continues to the adaptive branch; far
+        # above it none is waived.  An empty branch draws no variates.
+        i2_const = combo_design.i2_const
+        want = {
+            -5.0: SimReport(
+                p_cond_reg_hat=0.0, p_cond_reg_se=0.0, p_reject_hat=0.0,
+                p_reject_se=0.0, mean_i2_hat=i2_const,
+                max_i2_observed=i2_const, n_reps=50,
+            ),
+            5.0: SimReport(
+                p_cond_reg_hat=1.0, p_cond_reg_se=0.0, p_reject_hat=1.0,
+                p_reject_se=0.0, mean_i2_hat=0.39498644401291527,
+                max_i2_observed=0.3949864440129153, n_reps=50,
+            ),
+        }
+        for theta, report in want.items():
+            cfg = SimConfig(n_reps=50, seed=SEED, theta=theta)
+            assert simulate(combo_design, cfg) == report, theta
+
 
 class TestStatisticalSanity:
     def test_type_one_error_fasttrack(self, fasttrack_design):

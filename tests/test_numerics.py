@@ -145,13 +145,11 @@ class TestRoots:
 
 class TestSolveMonotone:
     def test_identity(self):
-        x, satisfied = solve_monotone(lambda t: t, 5.0, 0.0)
-        assert not satisfied
+        x = solve_monotone(lambda t: t, 5.0, 0.0)
         assert x == pytest.approx(5.0, abs=1e-8)
 
     def test_already_satisfied(self):
-        x, satisfied = solve_monotone(lambda t: t + 10.0, 5.0, 0.0)
-        assert satisfied
+        x = solve_monotone(lambda t: t + 10.0, 5.0, 0.0)
         assert x == 0.0
 
     def test_bounded_function_gives_up(self):
@@ -211,8 +209,7 @@ class TestEvaluationReuse:
         for fn, target in ((lambda t: t, 5.0), (lambda t: t**2, 40.0),
                            (lambda t: 1.0 - math.exp(-t), 0.9)):
             g = CountingFunction(fn)
-            x, satisfied = solve_monotone(g, target, 0.0)
-            assert not satisfied
+            x = solve_monotone(g, target, 0.0)
             assert fn(x) == pytest.approx(target, abs=1e-8)
             assert g.repeated() == 0
 
