@@ -14,7 +14,8 @@ a rejection always requires a non-negative second-stage estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -91,6 +92,30 @@ class CalibratedCef:
     alpha_prime: float = math.nan
     level_used: float = math.nan
 
+    @cached_property
+    def pieces(self) -> tuple[tuple[float, float, float], ...] | None:
+        """Table of the critical value q(z) = Phi^{-1}(1 - A(z)), built once:
+        q = max(a - b*z, 0) from each ``(start, a, b)`` up to the next start,
+        infinite (A = 0) below the first; the max with 0 is the 0.5 cap.
+        None for the Fisher family, whose q is not of this form."""
+        spec = self.spec
+        if isinstance(spec, ConstantCef):
+            return ((-math.inf, std_normal_quantile(1.0 - min(spec.level, _CAP)), 0.0),)
+        if isinstance(spec, InverseNormalCef):
+            # c is clamped so the bracket ends c = 0, 1 of the calibration
+            # give the A == 0 and A == 0.5 extremes instead of failing.
+            c = min(max(self.c, 1e-16), 1.0 - 1e-16)
+            return ((spec.z0, std_normal_quantile(1.0 - c) / _SQRT_HALF, 1.0),)
+        if isinstance(spec, ZCombinationCef):
+            w1 = math.sqrt(spec.i1 / (spec.i1 + spec.i2_const))
+            w2 = math.sqrt(spec.i2_const / (spec.i1 + spec.i2_const))
+            return tuple(
+                (start, std_normal_quantile(1.0 - level) / w2, w1 / w2)
+                for start, level in ((-math.inf, spec.base_level),
+                                     (spec.z_split, self.alpha_prime))
+            )
+        return None
+
 
 def atilde_z(z1, level: float, i1: float, i2c: float):
     """Conditional error function of the fixed-size combined z-test at
@@ -103,14 +128,29 @@ def atilde_z(z1, level: float, i1: float, i2c: float):
     return 1.0 - std_normal_cdf((z_alpha - w1 * np.asarray(z1, dtype=float)) / w2)
 
 
-def _z_c(cef: CalibratedCef) -> float:
-    """Phi^{-1}(1 - c) of the inverse normal family.
+def _fisher_cef(cef: CalibratedCef, z: np.ndarray):
+    # Fisher's A.  The survival function underflows for large z; the cap
+    # binds well before that, so flooring the denominator never changes A.
+    denom = np.maximum(1.0 - std_normal_cdf(z), 1e-300)
+    a = np.minimum(cef.c / denom, _CAP)
+    return a if cef.spec.z0 == -math.inf else np.where(z >= cef.spec.z0, a, 0.0)
 
-    c is clamped so the bracket endpoints c = 0, 1 used during calibration
-    evaluate to the A == 0 and A == 0.5 extremes instead of failing.
+
+def critical_value(cef: CalibratedCef, z1):
+    """Stage-two critical value q(z) = Phi^{-1}(1 - A(z)), vectorized.
+
+    Infinite where A is 0 and 0 where A is capped.  The table families read
+    it off ``cef.pieces``; Fisher's goes through A.
     """
-    c = min(max(cef.c, 1e-16), 1.0 - 1e-16)
-    return std_normal_quantile(1.0 - c)
+    z = np.asarray(z1, dtype=float)
+    if cef.pieces is None:
+        q = std_normal_quantile(np.asarray(1.0 - _fisher_cef(cef, z)))
+    else:
+        q = math.inf
+        for start, a, b in cef.pieces:
+            piece = np.maximum(a - b * z, 0.0)
+            q = piece if start == -math.inf else np.where(z >= start, piece, q)
+    return float(q) if q.ndim == 0 else q
 
 
 def eval_cef(cef: CalibratedCef, z1):
@@ -119,83 +159,31 @@ def eval_cef(cef: CalibratedCef, z1):
     Returns 0 below a finite futility bound, is non-decreasing above it and is
     capped at 0.5 everywhere.
     """
-    spec = cef.spec
     z = np.asarray(z1, dtype=float)
-    if isinstance(spec, ConstantCef):
-        out = np.full_like(z, min(spec.level, _CAP))
-    elif isinstance(spec, InverseNormalCef):
-        raw = 1.0 - std_normal_cdf((_z_c(cef) - _SQRT_HALF * z) / _SQRT_HALF)
-        out = np.minimum(raw, _CAP)
-        if math.isfinite(spec.z0):
-            out = np.where(z >= spec.z0, out, 0.0)
-    elif isinstance(spec, FisherProductCef):
-        # The survival function underflows for large z; the cap binds well
-        # before that, so flooring the denominator never changes the value.
-        denom = np.maximum(1.0 - std_normal_cdf(z), 1e-300)
-        out = np.minimum(cef.c / denom, _CAP)
-        if math.isfinite(spec.z0):
-            out = np.where(z >= spec.z0, out, 0.0)
-    elif isinstance(spec, ZCombinationCef):
-        lower = atilde_z(z, spec.base_level, spec.i1, spec.i2_const)
-        upper = atilde_z(z, cef.alpha_prime, spec.i1, spec.i2_const)
-        out = np.minimum(np.where(z >= spec.z_split, upper, lower), _CAP)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown CEF spec {spec!r}")
+    if cef.pieces is None:
+        out = _fisher_cef(cef, z)
+    else:
+        out = std_normal_cdf(np.asarray(-critical_value(cef, z)))
     return float(out) if out.ndim == 0 else out
 
 
 def cap_kink(cef: CalibratedCef) -> float:
     """Abscissa where the family reaches the 0.5 cap (closed form)."""
-    spec = cef.spec
-    if isinstance(spec, ConstantCef):
-        return math.inf
-    if isinstance(spec, InverseNormalCef):
-        return _z_c(cef) / _SQRT_HALF
-    if isinstance(spec, FisherProductCef):
+    if cef.pieces is None:
         if 2.0 * cef.c >= 1.0:
             return -math.inf
         if cef.c <= 0.0:
             return math.inf
         return std_normal_quantile(1.0 - 2.0 * cef.c)
-    if isinstance(spec, ZCombinationCef):
-        w1 = math.sqrt(spec.i1 / (spec.i1 + spec.i2_const))
-        return std_normal_quantile(1.0 - cef.alpha_prime) / w1
-    raise TypeError(f"unknown CEF spec {spec!r}")  # pragma: no cover
-
-
-def quantile_pieces(cef: CalibratedCef) -> list[tuple[float, float, float]] | None:
-    """Phi^{-1}(1 - A(z)) in closed form, as max(a - b*z, 0) on pieces.
-
-    Returns ``[(start, a, b), ...]`` with increasing starts, each piece
-    running up to the next start; below the first start A is 0 and the
-    quantile is infinite.  The 0.5 cap is the max with 0.  Returns None for
-    the Fisher family, whose quantile is not of this form.
-    """
-    spec = cef.spec
-    if isinstance(spec, ConstantCef):
-        return [(-math.inf, std_normal_quantile(1.0 - min(spec.level, _CAP)), 0.0)]
-    if isinstance(spec, InverseNormalCef):
-        return [(spec.z0, _z_c(cef) / _SQRT_HALF, 1.0)]
-    if isinstance(spec, ZCombinationCef):
-        w1 = math.sqrt(spec.i1 / (spec.i1 + spec.i2_const))
-        w2 = math.sqrt(spec.i2_const / (spec.i1 + spec.i2_const))
-        return [
-            (-math.inf, std_normal_quantile(1.0 - spec.base_level) / w2, w1 / w2),
-            (spec.z_split, std_normal_quantile(1.0 - cef.alpha_prime) / w2, w1 / w2),
-        ]
-    return None
+    _, a, b = cef.pieces[-1]
+    return a / b if b else math.inf
 
 
 def _split_points(cef: CalibratedCef) -> list[float]:
-    pts = [cap_kink(cef)]
-    spec = cef.spec
-    if isinstance(spec, (InverseNormalCef, FisherProductCef)) and math.isfinite(spec.z0):
-        pts.append(spec.z0)
-    if isinstance(spec, ZCombinationCef):
-        pts.append(spec.z_split)
-        w1 = math.sqrt(spec.i1 / (spec.i1 + spec.i2_const))
-        pts.append(std_normal_quantile(1.0 - spec.base_level) / w1)
-    return [p for p in pts if math.isfinite(p)]
+    """Kinks of A: where it jumps up from 0 and where it reaches the cap."""
+    if cef.pieces is None:
+        return [cap_kink(cef), cef.spec.z0]
+    return [x for start, a, b in cef.pieces for x in (start, a / b if b else math.inf)]
 
 
 def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
@@ -221,10 +209,6 @@ def calibrate(spec: CefSpec, alpha: float, lower: float = -math.inf) -> Calibrat
     and records the achieved ``level_used`` instead of failing.  The level
     integral is computed once per distinct constant.
     """
-    if isinstance(spec, ConstantCef):
-        cef = CalibratedCef(spec=spec)
-        return replace(cef, level_used=level_integral(cef, lower))
-
     if isinstance(spec, ZCombinationCef):
         key, lo, hi = "alpha_prime", alpha, 1.0 - 1e-12
     else:
@@ -244,3 +228,24 @@ def calibrate(spec: CefSpec, alpha: float, lower: float = -math.inf) -> Calibrat
     else:
         x = find_root(lambda t: level_at(t) - alpha, lo, hi, f_hi=levels[hi] - alpha)
     return CalibratedCef(spec=spec, **{key: x}, level_used=level_at(x))
+
+
+def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> CalibratedCef:
+    """The named family's CEF, zero below ``z0`` and calibrated so that the
+    level integral from ``z0`` equals ``alpha``.
+
+    The constant family tests at level alpha, which spends alpha by
+    construction, so it computes no level integral.  The z-combination family
+    takes its fixed ``i1``, ``i2_const`` and ``z_split`` as keywords and tests
+    at level alpha below the split."""
+    if family == "constant":
+        return CalibratedCef(spec=ConstantCef(level=alpha), level_used=alpha)
+    if family == "inverse_normal":
+        spec = InverseNormalCef(z0=z0)
+    elif family == "fisher":
+        spec = FisherProductCef(z0=z0)
+    elif family == "z_combination":
+        spec = ZCombinationCef(**fixed, base_level=alpha)
+    else:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    return calibrate(spec, alpha, z0)

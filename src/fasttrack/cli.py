@@ -69,10 +69,8 @@ def cmd_derive(scenario: Scenario, rounding: str) -> int:
     for key, value in record:
         print(f"{key:<13}= {value}")
     if params.xi < d.xi_min:
-        print(
-            "warning: xi below xi_min — fast-track with required conditional "
-            "registration infeasible"
-        )
+        print("warning: xi below xi_min — fast-track with required conditional "
+              "registration infeasible", file=sys.stderr)
     return EXIT_OK
 
 
@@ -298,8 +296,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_derive(scenario, args.round)
         if args.command == "curve":
             scenario = load_scenario(args.scenario)
-            if args.grid_step <= 0:
-                raise ScenarioError("--grid-step must be positive")
+            if not (0 < args.grid_step < math.inf):
+                raise ScenarioError("--grid-step must be a positive finite number")
             return cmd_curve(args.kind, scenario, args.grid_step, args.out)
         if args.command == "table1":
             return cmd_table1(args.out, args.round)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from . import cef as cef_mod
 from . import power as power_mod
-from .cef import FAMILIES
+from .cef import FAMILIES  # re-exported: the families of this mode
 from .design import DesignParams, boundary_z, cond_registration_power, derive
 from .numerics import (
     DEFAULT_QUAD,
@@ -75,16 +75,13 @@ def lower_branch_success(
         cef = cef_mod.CalibratedCef(
             spec=replace(spec, i2_const=i2c), alpha_prime=spec.base_level
         )
-    splits = [p for p in (cef_mod.cap_kink(cef),) if math.isfinite(p)]
 
     def integrand(z):
-        a = cef_mod.eval_cef(cef, z)
-        cond = 1.0 - std_normal_cdf(
-            std_normal_quantile(1.0 - a) - math.sqrt(i2c) * delta
-        )
+        q = cef_mod.critical_value(cef, z)
+        cond = 1.0 - std_normal_cdf(q - math.sqrt(i2c) * delta)
         return cond * std_normal_pdf(z - mean)
 
-    raw = integrate(integrand, lo, z_split, split_points=splits)
+    raw = integrate(integrand, lo, z_split, split_points=[cef_mod.cap_kink(cef)])
     p_lower = std_normal_cdf(z_split - mean)
     return raw / p_lower
 
@@ -118,12 +115,9 @@ def waive_branch(
     For the z-combination family I2_const is solved first from the
     fixed-size combined test at level alpha, then alpha_prime is calibrated
     so the level condition holds with equality; for the other families the
-    CEF is calibrated with a non-binding lower bound first, then I2_const.
+    CEF is built with a non-binding lower bound first, then I2_const.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
-
     if family == "z_combination":
         # The lower branch only depends on the base-level combined test, so
         # I2_const is determined before alpha_prime exists (the probe's
@@ -134,17 +128,11 @@ def waive_branch(
             )
         )
         i2_const = solve_i2_const(params.i1, params.delta, probe, params.beta, z_f)
-        spec = cef_mod.ZCombinationCef(
-            i1=params.i1, i2_const=i2_const, z_split=z_f, base_level=params.alpha
+        cef = cef_mod.family_cef(
+            family, params.alpha, i1=params.i1, i2_const=i2_const, z_split=z_f
         )
-        return cef_mod.calibrate(spec, params.alpha), i2_const
-    if family == "constant":
-        spec = cef_mod.ConstantCef(level=params.alpha)
-    elif family == "inverse_normal":
-        spec = cef_mod.InverseNormalCef(z0=-math.inf)
-    else:
-        spec = cef_mod.FisherProductCef(z0=-math.inf)
-    cef = cef_mod.calibrate(spec, params.alpha)
+        return cef, i2_const
+    cef = cef_mod.family_cef(family, params.alpha)
     return cef, solve_i2_const(params.i1, params.delta, cef, params.beta, z_f)
 
 

@@ -88,7 +88,7 @@ def simulate(design: Design, cfg: SimConfig, substream: int = 0) -> SimReport:
         branches.append((~upper, design.i2_const))
     for branch, i2_const in branches:
         z = z1[branch]
-        q = std_normal_quantile(1.0 - cef_mod.eval_cef(rule.cef, z))
+        q = cef_mod.critical_value(rule.cef, z)
         if i2_const is None:
             info = np.maximum(
                 rule.i2_min, power_mod._adaptive_formula(z, params.i1, rule, q)

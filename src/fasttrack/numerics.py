@@ -151,7 +151,9 @@ def integrate(
     deviations; this is only adequate for integrands dominated by a standard
     normal density centred near zero (callers with shifted weights must
     truncate themselves).  Known kink abscissas can be passed via
-    ``split_points`` so that panel boundaries coincide with them.
+    ``split_points`` so that panel boundaries coincide with them; split
+    points outside the open interval (lo, hi), infinite or NaN ones
+    included, are ignored, so callers need not filter them.
     """
     if math.isinf(lo):
         lo = -settings.tail_halfwidth

@@ -90,13 +90,14 @@ class EvaluationResult:
 
 
 def _adaptive_formula(z1, i1: float, rule: AdaptiveConditionalPower, q=None):
-    """I1 * (z_beta + q)^2 / z1^2 with q = Phi^{-1}(1 - A(z1)), vectorized.
+    """I1 * (z_beta + q)^2 / z1^2 with q the stage-two critical value
+    Phi^{-1}(1 - A(z1)) (see cef.critical_value), vectorized.
 
     Callers that already hold q for these z1 pass it in.
     """
     z = np.asarray(z1, dtype=float)
     if q is None:
-        q = std_normal_quantile(1.0 - cef_mod.eval_cef(rule.cef, z))
+        q = cef_mod.critical_value(rule.cef, z)
     numer = std_normal_quantile(1.0 - rule.beta) + q
     return i1 * numer**2 / z**2
 
@@ -120,7 +121,7 @@ def _floor_kink(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
     """
     if rule.i2_min <= 0:
         return None
-    pieces = cef_mod.quantile_pieces(rule.cef)
+    pieces = rule.cef.pieces
     if pieces is not None:
         slope = math.sqrt(rule.i2_min / i1)
         z_beta = std_normal_quantile(1.0 - rule.beta)
@@ -135,7 +136,7 @@ def _floor_kink(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
 def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
                        z_upper: float) -> float | None:
     """First z in [z_lower, z_upper] with slope * z >= z_beta + q(z), where
-    q = max(a - b*z, 0) on each of ``pieces`` (see cef.quantile_pieces).
+    q = max(a - b*z, 0) on each of ``pieces`` (see CalibratedCef.pieces).
 
     For z1 > 0 this is where I1 * (z_beta + q)^2 / z1^2 falls to the floor
     I2min = slope^2 * I1.  Each piece is linear or constant, so its crossing
@@ -165,7 +166,7 @@ def _splits(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
             z_hi: float) -> list[float]:
     """Quadrature split points on [z_lower, z_hi]: the CEF cap and the floor
     kink, where they exist."""
-    splits = [p for p in (cef_mod.cap_kink(rule.cef),) if math.isfinite(p)]
+    splits = [cef_mod.cap_kink(rule.cef)]
     kink = _floor_kink(i1, rule, max(z_lower, 1e-12), z_hi)
     if kink is not None:
         splits.append(kink)
@@ -184,7 +185,7 @@ def overall_power(
     cef = rule.cef
 
     def integrand(z):
-        q = std_normal_quantile(1.0 - cef_mod.eval_cef(cef, z))
+        q = cef_mod.critical_value(cef, z)
         i2 = np.maximum(rule.i2_min, _adaptive_formula(z, i1, rule, q))
         cond = 1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)
         return cond * std_normal_pdf(z - mean)
@@ -196,9 +197,7 @@ def nonadaptive_rule(
     i2_min: float, alpha: float, beta: float
 ) -> AdaptiveConditionalPower:
     """The separate-studies design expressed as a constant-CEF adaptive rule."""
-    cef = cef_mod.CalibratedCef(
-        spec=cef_mod.ConstantCef(level=alpha), level_used=alpha
-    )
+    cef = cef_mod.family_cef("constant", alpha)
     return AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=beta)
 
 
@@ -269,23 +268,10 @@ def build_fasttrack(
     The 'constant' family is the separate-studies design testing stage two at
     level alpha.
     """
+    if family not in cef_mod.FASTTRACK_FAMILIES:
+        raise ValueError(f"family {family!r} is not available for the fast-track mode")
     z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
-    if family == "constant":
-        cef = cef_mod.CalibratedCef(
-            spec=cef_mod.ConstantCef(level=params.alpha), level_used=params.alpha
-        )
-    elif family in ("inverse_normal", "fisher"):
-        z0 = z_f if binding else -math.inf
-        spec = (
-            cef_mod.InverseNormalCef(z0=z0)
-            if family == "inverse_normal"
-            else cef_mod.FisherProductCef(z0=z0)
-        )
-        cef = cef_mod.calibrate(spec, params.alpha, z0)
-    else:
-        raise ValueError(
-            f"family {family!r} is not available for the fast-track mode"
-        )
+    cef = cef_mod.family_cef(family, params.alpha, z_f if binding else -math.inf)
     i2_min = solve_i2_min(
         params.i1, params.delta, cef, params.beta, 1.0 - params.beta, z_f
     )

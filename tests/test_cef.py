@@ -16,7 +16,9 @@ from fasttrack.cef import (
     atilde_z,
     calibrate,
     cap_kink,
+    critical_value,
     eval_cef,
+    family_cef,
     level_integral,
 )
 from fasttrack.combination import build_combination
@@ -158,6 +160,86 @@ class TestCombinedTestEquivalence:
         combined = w1 * z1[:, None] + w2 * z2[None, :] >= z_alpha
         conditional = z2[None, :] >= cutoff[:, None]
         assert np.array_equal(combined, conditional)
+
+
+def _reference_cef(cef, z):
+    """The per-family formulas that the critical-value table replaced."""
+    spec = cef.spec
+    if isinstance(spec, ConstantCef):
+        return np.full_like(z, min(spec.level, 0.5))
+    if isinstance(spec, InverseNormalCef):
+        z_c = std_normal_quantile(1.0 - cef.c)
+        raw = 1.0 - std_normal_cdf((z_c - math.sqrt(0.5) * z) / math.sqrt(0.5))
+        return np.where(z >= spec.z0, np.minimum(raw, 0.5), 0.0)
+    lower = atilde_z(z, spec.base_level, spec.i1, spec.i2_const)
+    upper = atilde_z(z, cef.alpha_prime, spec.i1, spec.i2_const)
+    return np.minimum(np.where(z >= spec.z_split, upper, lower), 0.5)
+
+
+class TestCriticalValueTable:
+    def _table_cefs(self):
+        p = params_at(COMBO_BASE, 0.5)
+        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        cefs = [
+            family_cef("constant", ALPHA),
+            CalibratedCef(spec=ConstantCef(level=0.7)),  # capped everywhere
+            family_cef("inverse_normal", ALPHA),
+            family_cef("inverse_normal", ALPHA, z_f),
+            build_combination(p, "z_combination").cef,
+        ]
+        return cefs, z_f
+
+    def _grid(self, z_f):
+        near = [z_f + d for d in (-1e-9, 0.0, 1e-9)]
+        return np.sort(np.concatenate((np.linspace(-10.0, 10.0, 4001), near)))
+
+    def test_eval_matches_the_family_formulas(self):
+        cefs, z_f = self._table_cefs()
+        z = self._grid(z_f)
+        for cef in cefs:
+            assert np.max(np.abs(eval_cef(cef, z) - _reference_cef(cef, z))) <= 1e-15
+
+    def test_critical_value_inverts_eval(self):
+        cefs, z_f = self._table_cefs()
+        z = self._grid(z_f)
+        for cef in cefs:
+            a, q = eval_cef(cef, z), critical_value(cef, z)
+            # Phi^{-1}(1 - A) written as -Phi^{-1}(A): forming 1 - A would
+            # cost up to 1e-5 in q at A = 1e-12.
+            mid = (a > 1e-12) & (a < 0.5)
+            assert np.allclose(q[mid], -std_normal_quantile(a[mid]), rtol=0, atol=1e-9)
+            assert np.array_equal(a == 0.0, q == math.inf)
+            assert np.array_equal(a == 0.5, q == 0.0)
+        assert np.any(critical_value(cefs[3], z) == math.inf)  # binding
+        assert np.all(critical_value(cefs[1], z) == 0.0)  # capped
+
+    def test_scalar_input_gives_float(self):
+        cefs, z_f = self._table_cefs()
+        for cef in cefs:
+            for z in (z_f - 1.0, z_f, 9.0):
+                q = critical_value(cef, z)
+                assert type(q) is float and type(eval_cef(cef, z)) is float
+                assert q == critical_value(cef, np.array([z]))[0]
+
+    def test_table_is_built_once(self):
+        cefs, _ = self._table_cefs()
+        for cef in cefs:
+            assert cef.pieces is cef.pieces
+
+    def test_fisher_has_no_table(self):
+        cef = family_cef("fisher", ALPHA, 0.5)
+        z = np.linspace(-10.0, 10.0, 4001)
+        assert cef.pieces is None
+        a = eval_cef(cef, z)
+        q = critical_value(cef, z)
+        assert np.array_equal(q, std_normal_quantile(1.0 - a))
+
+    def test_constant_family_spends_alpha_by_construction(self):
+        cef = family_cef("constant", ALPHA)
+        assert cef.level_used == ALPHA
+        assert level_integral(cef) == pytest.approx(ALPHA, abs=1e-12)
+        with pytest.raises(ValueError):
+            family_cef("nope", ALPHA)
 
 
 class TestLemmaPreconditions:

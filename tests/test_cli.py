@@ -22,7 +22,7 @@ COMBINATION = str(BENCH_DATA / "combination_example.txt")
 _DERIVE_SCENARIOS = {
     "fasttrack": FASTTRACK,
     "combination": COMBINATION,
-    # With sigma, below xi_min: the size lines and the warning.
+    # With sigma, below xi_min: the size lines (the warning goes to stderr).
     "xi_below_min": str(FROZEN / "xi_below_min.txt"),
     # xi = 1 has no finite I1_min, so n1_min is left out.
     "xi_one": str(FROZEN / "xi_one.txt"),
@@ -110,7 +110,9 @@ class TestDerive:
     def test_warns_below_minimal_effect_ratio(self, write_scenario, capsys):
         path = write_scenario(xi=1.3)
         assert cli.main(["derive", "--scenario", path]) == cli.EXIT_OK
-        assert "warning: xi below xi_min" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "warning: xi below xi_min" in captured.err
+        assert "warning" not in captured.out
 
     def test_nearest_rounding(self, write_scenario, capsys):
         path = write_scenario(sigma=SIGMA)
@@ -334,13 +336,15 @@ class TestExitCodes:
         rc = cli.main(["derive", "--scenario", str(tmp_path / "nope.txt")])
         assert rc == cli.EXIT_INVALID
 
-    def test_bad_grid_step(self, write_scenario, tmp_path):
+    @pytest.mark.parametrize("step", ["-0.1", "0", "nan", "inf"])
+    def test_bad_grid_step(self, write_scenario, tmp_path, capsys, step):
         path = write_scenario()
         rc = cli.main(
             ["curve", "--scenario", path, "--kind", "alpha_rel",
-             "--out", str(tmp_path / "c.csv"), "--grid-step", "-0.1"]
+             "--out", str(tmp_path / "c.csv"), "--grid-step", step]
         )
         assert rc == cli.EXIT_INVALID
+        assert "--grid-step must be a positive finite number" in capsys.readouterr().err
 
     def test_unknown_kind_is_usage_error(self, write_scenario, tmp_path):
         path = write_scenario()

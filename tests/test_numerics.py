@@ -88,6 +88,10 @@ class TestIntegrate:
         a = integrate(f, -1.0, 1.0, split_points=[0.3])
         b = integrate(f, -1.0, 0.3) + integrate(f, 0.3, 1.0)
         assert a == pytest.approx(b, abs=1e-10)
+        # Split points outside (lo, hi), infinite or NaN, are ignored.
+        ignored = [math.inf, -math.inf, math.nan, -1.0, 1.0, 2.0]
+        assert integrate(f, -1.0, 1.0, split_points=ignored) == integrate(f, -1.0, 1.0)
+        assert integrate(f, -1.0, 1.0, split_points=[0.3, *ignored]) == a
 
     def test_convergence_error_carries_estimate(self):
         f = lambda x: np.cos(200.0 * x)
