@@ -1,4 +1,4 @@
-"""Conditional error function families and their level calibration.
+"""Conditional error functions and their level calibration.
 
 A conditional error function A maps the first-stage z-value to the one-sided
 level at which the second stage tests the null hypothesis.  The overall type I
@@ -9,14 +9,18 @@ error rate is controlled when
 with the integral starting at the binding futility bound (or at -infinity when
 futility stopping is non-binding).  All families here are truncated at 0.5 so
 a rejection always requires a non-negative second-stage estimate.
+
+A CEF is the table of its stage-two critical value, a ``CalibratedCef``.
+``family_cef`` writes each named family's table and solves its one free
+constant with ``calibrate``; ``constant_cef`` and ``z_combination_cef`` build
+the two tables that are also used at a given level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Union
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -36,85 +40,49 @@ _SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
-class ConstantCef:
-    """A(z) = level everywhere above the futility bound."""
-
-    level: float
-
-
-@dataclass(frozen=True)
-class InverseNormalCef:
-    """Inverse normal combination with equal weights w1 = w2 = sqrt(1/2)."""
-
-    z0: float = -math.inf
-
-
-@dataclass(frozen=True)
-class FisherProductCef:
-    """Fisher's product test: A(z) = c / (1 - Phi(z)) above the bound."""
-
-    z0: float = -math.inf
-
-
-@dataclass(frozen=True)
-class ZCombinationCef:
-    """Fixed-size combined z-test error function with a raised level above
-    ``z_split`` (the Mueller-Schaefer style construction)."""
-
-    i1: float
-    i2_const: float
-    z_split: float
-    base_level: float = 0.025  # level of the fixed combined test below z_split
-
-    def __post_init__(self):
-        if not (self.i1 > 0 and self.i2_const > 0):
-            raise ValueError("ZCombinationCef requires positive informations")
-        if not math.isfinite(self.z_split):
-            raise ValueError("z_split must be finite")
-
-
-CefSpec = Union[ConstantCef, InverseNormalCef, FisherProductCef, ZCombinationCef]
-
-
-@dataclass(frozen=True)
 class CalibratedCef:
-    """A CEF family together with its calibrated constant.
+    """A conditional error function as the table of its stage-two critical
+    value q(z) = Phi^{-1}(1 - A(z)).
 
-    ``c`` is c_I(z0) or c_F(z0) for the two combination-test families and is
-    unused for the constant family; ``alpha_prime`` is the raised upper-branch
-    level of the z-combination family.  ``level_used`` records the value of the
-    level integral achieved at calibration (below the target only when the
-    family saturates).
+    ``pieces`` holds q = max(a - b*z, 0) from each ``(start, a, b)`` up to
+    the next start, infinite (A = 0) below the first; the max with 0 is the
+    0.5 cap.  It is None for Fisher's product test, A = min(c / (1 - Phi(z)),
+    0.5) from ``z0`` on.  ``c`` is c_I(z0) or c_F(z0) of the two
+    combination-test families, ``alpha_prime`` the raised upper-branch level
+    of the z-combination family, and ``level_used`` the level integral
+    achieved at calibration (below alpha only when the family saturates).
     """
 
-    spec: CefSpec
+    pieces: tuple[tuple[float, float, float], ...] | None
+    z0: float = -math.inf
     c: float = math.nan
     alpha_prime: float = math.nan
     level_used: float = math.nan
 
-    @cached_property
-    def pieces(self) -> tuple[tuple[float, float, float], ...] | None:
-        """Table of the critical value q(z) = Phi^{-1}(1 - A(z)), built once:
-        q = max(a - b*z, 0) from each ``(start, a, b)`` up to the next start,
-        infinite (A = 0) below the first; the max with 0 is the 0.5 cap.
-        None for the Fisher family, whose q is not of this form."""
-        spec = self.spec
-        if isinstance(spec, ConstantCef):
-            return ((-math.inf, std_normal_quantile(1.0 - min(spec.level, _CAP)), 0.0),)
-        if isinstance(spec, InverseNormalCef):
-            # c is clamped so the bracket ends c = 0, 1 of the calibration
-            # give the A == 0 and A == 0.5 extremes instead of failing.
-            c = min(max(self.c, 1e-16), 1.0 - 1e-16)
-            return ((spec.z0, std_normal_quantile(1.0 - c) / _SQRT_HALF, 1.0),)
-        if isinstance(spec, ZCombinationCef):
-            w1 = math.sqrt(spec.i1 / (spec.i1 + spec.i2_const))
-            w2 = math.sqrt(spec.i2_const / (spec.i1 + spec.i2_const))
-            return tuple(
-                (start, std_normal_quantile(1.0 - level) / w2, w1 / w2)
-                for start, level in ((-math.inf, spec.base_level),
-                                     (spec.z_split, self.alpha_prime))
-            )
-        return None
+
+def constant_cef(level: float) -> CalibratedCef:
+    """A(z) = level everywhere, which spends ``level`` by construction."""
+    level = min(level, _CAP)
+    q = std_normal_quantile(1.0 - level)
+    return CalibratedCef(((-math.inf, q, 0.0),), level_used=level)
+
+
+def z_combination_cef(
+    i1: float, i2_const: float, z_split: float, alpha: float, alpha_prime: float
+) -> CalibratedCef:
+    """The fixed-size combined z-test of informations ``i1`` and ``i2_const``
+    at level ``alpha`` below ``z_split`` and at the raised level
+    ``alpha_prime`` above it (the Mueller-Schaefer style construction)."""
+    if not (i1 > 0 and i2_const > 0 and math.isfinite(z_split)):
+        raise ValueError("z_combination_cef requires positive informations "
+                         f"and a finite z_split, got {i1}, {i2_const}, {z_split}")
+    w1 = math.sqrt(i1 / (i1 + i2_const))
+    w2 = math.sqrt(i2_const / (i1 + i2_const))
+    pieces = tuple(
+        (start, std_normal_quantile(1.0 - level) / w2, w1 / w2)
+        for start, level in ((-math.inf, alpha), (z_split, alpha_prime))
+    )
+    return CalibratedCef(pieces, alpha_prime=alpha_prime)
 
 
 def atilde_z(z1, level: float, i1: float, i2c: float):
@@ -133,7 +101,7 @@ def _fisher_cef(cef: CalibratedCef, z: np.ndarray):
     # binds well before that, so flooring the denominator never changes A.
     denom = np.maximum(1.0 - std_normal_cdf(z), 1e-300)
     a = np.minimum(cef.c / denom, _CAP)
-    return a if cef.spec.z0 == -math.inf else np.where(z >= cef.spec.z0, a, 0.0)
+    return a if cef.z0 == -math.inf else np.where(z >= cef.z0, a, 0.0)
 
 
 def critical_value(cef: CalibratedCef, z1):
@@ -179,11 +147,13 @@ def cap_kink(cef: CalibratedCef) -> float:
     return a / b if b else math.inf
 
 
-def _split_points(cef: CalibratedCef) -> list[float]:
-    """Kinks of A: where it jumps up from 0 and where it reaches the cap."""
+def kinks(cef: CalibratedCef, below: float = math.inf) -> list[float]:
+    """Kinks of A on the pieces that start below ``below``: where A jumps up
+    and where it reaches the cap."""
     if cef.pieces is None:
-        return [cap_kink(cef), cef.spec.z0]
-    return [x for start, a, b in cef.pieces for x in (start, a / b if b else math.inf)]
+        return [cap_kink(cef), cef.z0]
+    return [x for start, a, b in cef.pieces if start < below
+            for x in (start, a / b if b else math.inf)]
 
 
 def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
@@ -196,56 +166,60 @@ def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
         lambda z: eval_cef(cef, z) * std_normal_pdf(z),
         lower,
         math.inf,
-        split_points=_split_points(cef),
+        split_points=kinks(cef),
     )
 
 
-def calibrate(spec: CefSpec, alpha: float, lower: float = -math.inf) -> CalibratedCef:
-    """Choose the family constant so the level integral equals ``alpha``.
+def calibrate(cef_at: Callable[[float], CalibratedCef], alpha: float, lower: float,
+              lo: float, hi: float) -> CalibratedCef:
+    """The CEF ``cef_at(x)`` whose level integral from ``lower`` is ``alpha``.
 
-    The level integral is strictly increasing in the constant (in alpha_prime
-    for the z-combination family), so a bracketed root search suffices.  When
-    even the family extreme cannot reach ``alpha`` the calibration saturates
-    and records the achieved ``level_used`` instead of failing.  The level
-    integral is computed once per distinct constant.
+    ``cef_at`` builds a family's CEF from its one free constant x (c, or
+    alpha_prime for the z-combination family); the level integral increases
+    strictly in x on [lo, hi].  When even the CEF at ``hi`` cannot reach
+    ``alpha`` the calibration saturates and records the achieved
+    ``level_used`` instead of failing.  Each x is built and integrated once.
     """
-    if isinstance(spec, ZCombinationCef):
-        key, lo, hi = "alpha_prime", alpha, 1.0 - 1e-12
-    else:
-        key, lo, hi = "c", 0.0, 1.0
-    levels: dict[float, float] = {}
+    built: dict[float, CalibratedCef] = {}
 
-    def level_at(x: float) -> float:
-        if x not in levels:
-            cef = CalibratedCef(spec=spec, **{key: x})
-            levels[x] = level_integral(cef, lower)
-        return levels[x]
+    def at(x: float) -> CalibratedCef:
+        if x not in built:
+            cef = cef_at(x)
+            built[x] = replace(cef, level_used=level_integral(cef, lower))
+        return built[x]
 
     # At the upper end the function is everywhere as large as the family
     # allows; if that still stays below the target, the calibration saturates.
-    if level_at(hi) <= alpha:
-        x = hi
-    else:
-        x = find_root(lambda t: level_at(t) - alpha, lo, hi, f_hi=levels[hi] - alpha)
-    return CalibratedCef(spec=spec, **{key: x}, level_used=level_at(x))
+    excess = at(hi).level_used - alpha
+    if excess <= 0:
+        return at(hi)
+    return at(find_root(lambda x: at(x).level_used - alpha, lo, hi, f_hi=excess))
 
 
 def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> CalibratedCef:
     """The named family's CEF, zero below ``z0`` and calibrated so that the
-    level integral from ``z0`` equals ``alpha``.
+    level integral from ``z0`` equals ``alpha``: the one place each family's
+    critical-value table is written.
 
     The constant family tests at level alpha, which spends alpha by
     construction, so it computes no level integral.  The z-combination family
     takes its fixed ``i1``, ``i2_const`` and ``z_split`` as keywords and tests
     at level alpha below the split."""
     if family == "constant":
-        return CalibratedCef(spec=ConstantCef(level=alpha), level_used=alpha)
+        return constant_cef(alpha)
     if family == "inverse_normal":
-        spec = InverseNormalCef(z0=z0)
+        def cef_at(c: float) -> CalibratedCef:
+            # c is clamped so the bracket ends c = 0, 1 give the A == 0 and
+            # A == 0.5 extremes instead of failing.
+            q = std_normal_quantile(1.0 - min(max(c, 1e-16), 1.0 - 1e-16))
+            return CalibratedCef(((z0, q / _SQRT_HALF, 1.0),), z0=z0, c=c)
     elif family == "fisher":
-        spec = FisherProductCef(z0=z0)
+        def cef_at(c: float) -> CalibratedCef:
+            return CalibratedCef(None, z0=z0, c=c)
     elif family == "z_combination":
-        spec = ZCombinationCef(**fixed, base_level=alpha)
+        def cef_at(a: float) -> CalibratedCef:
+            return z_combination_cef(**fixed, alpha=alpha, alpha_prime=a)
+        return calibrate(cef_at, alpha, z0, alpha, 1.0 - 1e-12)
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return calibrate(spec, alpha, z0)
+    return calibrate(cef_at, alpha, z0, 0.0, 1.0)

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
+
+import numpy as np
+from scipy.special import log_ndtr
 
 from . import cef as cef_mod
 from . import power as power_mod
-from .cef import FAMILIES  # re-exported: the families of this mode
 from .design import DesignParams, boundary_z, cond_registration_power, derive
 from .numerics import (
     DEFAULT_QUAD,
@@ -24,9 +27,10 @@ from .numerics import (
     integrate,
     solve_monotone,
     std_normal_cdf,
-    std_normal_pdf,
     std_normal_quantile,
 )
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -58,52 +62,41 @@ def lower_branch_success(
     """P_delta(Z2 >= Phi^{-1}(1 - A(Z1)) | Z1 < z_split) at stage-two
     information ``i2c``.
 
-    For the z-combination family the lower branch tests with the fixed-size
-    combined z-test at the base level, whose conditional error function itself
-    depends on ``i2c``: A is evaluated with I2_const = ``i2c`` and with
-    alpha_prime set to the base level, so ``cef`` needs no calibrated
-    alpha_prime (below z_split the family does not depend on it).
+    The density phi(z - mean) / Phi(z_split - mean) of Z1 given Z1 < z_split
+    is formed in log space, so it holds its mass just below z_split even
+    when the mean lies far above.  Only the pieces of ``cef`` that start
+    below z_split enter: never the z-combination family's raised level.
     """
     mean = delta * math.sqrt(i1)
-    lo = mean - DEFAULT_QUAD.tail_halfwidth
-    if z_split <= lo:
-        # Essentially no mass below the boundary; the branch is vacuous.
-        return 1.0
-
-    spec = cef.spec
-    if isinstance(spec, cef_mod.ZCombinationCef):
-        cef = cef_mod.CalibratedCef(
-            spec=replace(spec, i2_const=i2c), alpha_prime=spec.base_level
-        )
+    log_p_lower = log_ndtr(z_split - mean)
 
     def integrand(z):
         q = cef_mod.critical_value(cef, z)
         cond = 1.0 - std_normal_cdf(q - math.sqrt(i2c) * delta)
-        return cond * std_normal_pdf(z - mean)
+        return cond * np.exp(-0.5 * (z - mean) ** 2 - log_p_lower) / _SQRT_2PI
 
-    raw = integrate(integrand, lo, z_split, split_points=[cef_mod.cap_kink(cef)])
-    p_lower = std_normal_cdf(z_split - mean)
-    return raw / p_lower
+    lo = min(mean, z_split) - DEFAULT_QUAD.tail_halfwidth
+    return integrate(integrand, lo, z_split, split_points=cef_mod.kinks(cef, z_split))
 
 
 def solve_i2_const(
     i1: float,
     delta: float,
-    cef: cef_mod.CalibratedCef,
+    cef_at: Callable[[float], cef_mod.CalibratedCef],
     beta: float,
     z_split: float,
 ) -> float:
     """Fixed stage-two information giving conditional success 1-beta on the
-    waive branch.  The conditional success probability is increasing in the
+    waive branch, where ``cef_at(i2c)`` is the CEF tested at information
+    ``i2c``.  The conditional success probability is increasing in the
     information, so a monotone solve applies."""
-    target = 1.0 - beta
 
     def success(i2c: float) -> float:
         if i2c <= 0:
             return 0.0
-        return lower_branch_success(i2c, cef, i1, delta, z_split)
+        return lower_branch_success(i2c, cef_at(i2c), i1, delta, z_split)
 
-    return solve_monotone(success, target, 0.0)
+    return solve_monotone(success, 1.0 - beta, 0.0)
 
 
 def waive_branch(
@@ -112,28 +105,23 @@ def waive_branch(
     """The calibrated CEF and the waive-branch information I2_const of the
     apply-or-waive design for one conditional error family.
 
-    For the z-combination family I2_const is solved first from the
-    fixed-size combined test at level alpha, then alpha_prime is calibrated
-    so the level condition holds with equality; for the other families the
-    CEF is built with a non-binding lower bound first, then I2_const.
+    For the z-combination family the waive branch tests with the fixed-size
+    combined test at level alpha, whose CEF depends on the information:
+    I2_const is solved with it first, then alpha_prime is calibrated so the
+    level condition holds with equality.  The other families build the CEF
+    with a non-binding lower bound first, then solve I2_const.
     """
-    z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
+    p = params
+    z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
     if family == "z_combination":
-        # The lower branch only depends on the base-level combined test, so
-        # I2_const is determined before alpha_prime exists (the probe's
-        # I2_const is a placeholder that lower_branch_success replaces).
-        probe = cef_mod.CalibratedCef(
-            spec=cef_mod.ZCombinationCef(
-                i1=params.i1, i2_const=1.0, z_split=z_f, base_level=params.alpha
-            )
-        )
-        i2_const = solve_i2_const(params.i1, params.delta, probe, params.beta, z_f)
-        cef = cef_mod.family_cef(
-            family, params.alpha, i1=params.i1, i2_const=i2_const, z_split=z_f
-        )
+        def fixed_test(i2c: float) -> cef_mod.CalibratedCef:
+            return cef_mod.z_combination_cef(p.i1, i2c, z_f, p.alpha, p.alpha)
+
+        i2_const = solve_i2_const(p.i1, p.delta, fixed_test, p.beta, z_f)
+        cef = cef_mod.family_cef(family, p.alpha, i1=p.i1, i2_const=i2_const, z_split=z_f)
         return cef, i2_const
-    cef = cef_mod.family_cef(family, params.alpha)
-    return cef, solve_i2_const(params.i1, params.delta, cef, params.beta, z_f)
+    cef = cef_mod.family_cef(family, p.alpha)
+    return cef, solve_i2_const(p.i1, p.delta, lambda i2c: cef, p.beta, z_f)
 
 
 def build_combination(params: DesignParams, family: str) -> power_mod.Design:

@@ -197,7 +197,7 @@ def nonadaptive_rule(
     i2_min: float, alpha: float, beta: float
 ) -> AdaptiveConditionalPower:
     """The separate-studies design expressed as a constant-CEF adaptive rule."""
-    cef = cef_mod.family_cef("constant", alpha)
+    cef = cef_mod.constant_cef(alpha)
     return AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=beta)
 
 

@@ -27,6 +27,12 @@ def params_at(base: dict, t_xi: float) -> DesignParams:
     return DesignParams(i1=t_xi * i_delta, **base)
 
 
+def params_near_i1_max(base: dict) -> DesignParams:
+    """Design parameters with the pilot information at 0.99 * I1_max."""
+    i1_max = derive(DesignParams(i1=1.0, **base)).i1_max
+    return DesignParams(i1=0.99 * i1_max, **base)
+
+
 def i_delta_of(base: dict) -> float:
     return derive(DesignParams(i1=1.0, **base)).i_delta
 

@@ -1,0 +1,103 @@
+"""Thirty-digit reference values for the level integral and the waive-branch
+success of a conditional error function, computed from its constants alone.
+
+Each CEF is written here from its definition, as a function z -> A(z) at
+mpmath precision together with its kinks, and integrated with ``mp.quad``
+with the kinks as breakpoints.  The normal survival function is written as
+``mp.ncdf(-z)``.  Nothing here calls ``fasttrack``, so the package's
+critical-value tables, its quadrature and its conditional density are checked
+against an independent computation.
+"""
+
+from __future__ import annotations
+
+from mpmath import mp
+
+DPS = 30
+
+
+def _upper_quantile(p):
+    """Phi^{-1}(1 - p), infinite at p = 0 and minus infinite at p = 1."""
+    return mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(p))
+
+
+def _capped(a):
+    return min(a, mp.mpf(1) / 2)
+
+
+def constant(level):
+    """A(z) = level everywhere."""
+    return (lambda z: _capped(mp.mpf(level))), []
+
+
+def inverse_normal(c, z0=-mp.inf):
+    """Inverse normal combination with equal weights, zero below ``z0``:
+    reject when (z1 + z2) / sqrt(2) >= Phi^{-1}(1 - c)."""
+    with mp.workdps(DPS):
+        z_c = _upper_quantile(c)
+        w = mp.sqrt(mp.mpf(1) / 2)
+
+        def a(z):
+            return _capped(mp.ncdf(-(z_c - w * z) / w)) if z >= z0 else mp.zero
+
+        return a, [z0, z_c / w]
+
+
+def fisher(c, z0=-mp.inf):
+    """Fisher's product test, zero below ``z0``: A = c / (1 - Phi(z))."""
+    with mp.workdps(DPS):
+
+        def a(z):
+            return _capped(mp.mpf(c) / mp.ncdf(-z)) if z >= z0 else mp.zero
+
+        return a, [z0, _upper_quantile(2 * mp.mpf(c))]
+
+
+def z_combination(i1, i2_const, z_split, alpha, alpha_prime):
+    """The combined z-test of informations i1 and i2_const at level alpha
+    below z_split and at alpha_prime above it."""
+    with mp.workdps(DPS):
+        i1, i2_const = mp.mpf(i1), mp.mpf(i2_const)
+        w1 = mp.sqrt(i1 / (i1 + i2_const))
+        w2 = mp.sqrt(i2_const / (i1 + i2_const))
+        z_lo, z_hi = _upper_quantile(alpha), _upper_quantile(alpha_prime)
+
+        def a(z):
+            z_level = z_lo if z < z_split else z_hi
+            return _capped(mp.ncdf(-(z_level - w1 * z) / w2))
+
+        return a, [z_split, z_lo / w1, z_hi / w1]
+
+
+def _quad(f, lo, hi, points):
+    inner = sorted({mp.mpf(x) for x in points if lo < x < hi})
+    return mp.quad(f, [lo, *inner, hi])
+
+
+def level_integral(cef, lower=-mp.inf) -> float:
+    """Integral of A(z) phi(z) from ``lower`` to infinity."""
+    a, kinks = cef
+    with mp.workdps(DPS):
+        return float(_quad(lambda z: a(z) * mp.npdf(z), mp.mpf(lower), mp.inf, kinks))
+
+
+def waive_branch_success(cef, i2c, i1, delta, z_split) -> float:
+    """P_delta(Z2 >= Phi^{-1}(1 - A(Z1)) | Z1 < z_split) at stage-two
+    information i2c, where Z1 ~ N(delta * sqrt(i1), 1)."""
+    a, kinks = cef
+    with mp.workdps(DPS):
+        z_split, mean = mp.mpf(z_split), mp.mpf(delta) * mp.sqrt(i1)
+        drift = mp.mpf(delta) * mp.sqrt(i2c)
+        # The conditional density is normalised before it is integrated:
+        # mp.quad's tolerance is absolute, and phi(z - mean) may be tiny.
+        p_lower = mp.ncdf(z_split - mean)
+
+        def f(z):
+            q = _upper_quantile(a(z))
+            return mp.ncdf(-(q - drift)) * mp.npdf(z - mean) / p_lower
+
+        # Z1 given Z1 < z_split lies within a few 1 / (mean - z_split) of
+        # z_split when the mean is far above it.
+        scale = 1 / max(mean - z_split, 1)
+        near = [z_split - k * scale for k in (1, 4, 16, 64)]
+        return float(_quad(f, -mp.inf, z_split, [*kinks, *near]))

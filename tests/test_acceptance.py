@@ -184,12 +184,8 @@ def test_criterion3_inverse_normal_max_documented_discrepancy():
 def test_criterion4_calibration_constants():
     with timed("non_mc"):
         checks = []
-        inv = cef_mod.calibrate(
-            cef_mod.InverseNormalCef(z0=-math.inf), ALPHA, -math.inf
-        )
-        fis = cef_mod.calibrate(
-            cef_mod.FisherProductCef(z0=-math.inf), ALPHA, -math.inf
-        )
+        inv = cef_mod.family_cef("inverse_normal", ALPHA)
+        fis = cef_mod.family_cef("fisher", ALPHA)
         checks.append(("c (inverse normal)", *close(inv.c, 0.0253, 5e-4)))
         checks.append(("c (Fisher)", *close(fis.c, 0.0044, 5e-4)))
         z_inv = find_root(lambda z: cef_mod.eval_cef(inv, float(z)) - ALPHA, 0.0, 2.0)
@@ -301,30 +297,20 @@ def test_criterion6a_level_condition_matrix():
             z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
             tag = f"(xi={sc['xi']}, t={sc['t']}, alpha_c={sc['alpha_c']})"
 
-            flat = cef_mod.CalibratedCef(
-                spec=cef_mod.ConstantCef(level=ALPHA), level_used=ALPHA
-            )
+            flat = cef_mod.constant_cef(ALPHA)
             checks.append(
                 (
                     f"constant {tag}",
                     *close(cef_mod.level_integral(flat, -math.inf), ALPHA, 1e-8),
                 )
             )
-            for name, spec, lower in (
-                ("inv normal binding", cef_mod.InverseNormalCef(z0=z_f), z_f),
-                ("Fisher binding", cef_mod.FisherProductCef(z0=z_f), z_f),
-                (
-                    "inv normal unrestricted",
-                    cef_mod.InverseNormalCef(z0=-math.inf),
-                    -math.inf,
-                ),
-                (
-                    "Fisher unrestricted",
-                    cef_mod.FisherProductCef(z0=-math.inf),
-                    -math.inf,
-                ),
+            for name, family, lower in (
+                ("inv normal binding", "inverse_normal", z_f),
+                ("Fisher binding", "fisher", z_f),
+                ("inv normal unrestricted", "inverse_normal", -math.inf),
+                ("Fisher unrestricted", "fisher", -math.inf),
             ):
-                calibrated = cef_mod.calibrate(spec, ALPHA, lower)
+                calibrated = cef_mod.family_cef(family, ALPHA, lower)
                 checks.append(
                     (
                         f"{name} {tag}",
@@ -351,7 +337,7 @@ def test_criterion6b_monte_carlo_type_one_error():
             designs.append(
                 (f"fasttrack nonbinding {family}", eval_design(family, binding=False))
             )
-        for family in comb_mod.FAMILIES:
+        for family in cef_mod.FAMILIES:
             designs.append((f"combination {family}", combo_design(family)))
         for idx, (name, design) in enumerate(designs):
             cfg = mc_mod.SimConfig(n_reps=MC_REPS, seed=MC_SEED, theta=0.0)
@@ -442,20 +428,22 @@ def test_criterion6e_waive_branch_monotonicity():
         for t in (0.3, 0.5):
             p = params_at(COMBO_BASE, t)
             z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-            for name, spec in (
-                ("inverse normal", cef_mod.InverseNormalCef(z0=-math.inf)),
-                ("Fisher", cef_mod.FisherProductCef(z0=-math.inf)),
+            for name, family in (
+                ("inverse normal", "inverse_normal"),
+                ("Fisher", "fisher"),
             ):
-                calibrated = cef_mod.calibrate(spec, ALPHA, -math.inf)
+                calibrated = cef_mod.family_cef(family, ALPHA)
                 vals = [
                     comb_mod.lower_branch_success(x, calibrated, p.i1, p.delta, z_f)
                     for x in grid
                 ]
                 ok = all(b > a for a, b in zip(vals, vals[1:]))
                 checks.append((f"{name} t={t}", ok, f"sequence {vals}"))
-            design = combo_design("z_combination", t)
             vals = [
-                comb_mod.lower_branch_success(x, design.cef, p.i1, p.delta, z_f)
+                comb_mod.lower_branch_success(
+                    x, cef_mod.z_combination_cef(p.i1, x, z_f, ALPHA, ALPHA),
+                    p.i1, p.delta, z_f,
+                )
                 for x in grid
             ]
             ok = all(b > a for a, b in zip(vals, vals[1:]))

@@ -8,18 +8,14 @@ import pytest
 
 from conftest import COMBO_BASE, EVAL_BASE, params_at
 from fasttrack.cef import (
-    CalibratedCef,
-    ConstantCef,
-    FisherProductCef,
-    InverseNormalCef,
-    ZCombinationCef,
     atilde_z,
-    calibrate,
     cap_kink,
+    constant_cef,
     critical_value,
     eval_cef,
     family_cef,
     level_integral,
+    z_combination_cef,
 )
 from fasttrack.combination import build_combination
 from fasttrack.design import boundary_z, derive
@@ -30,19 +26,19 @@ ALPHA = 0.025
 
 class TestCalibrationConstants:
     def test_inverse_normal_unrestricted(self):
-        cef = calibrate(InverseNormalCef(z0=-math.inf), ALPHA, -math.inf)
+        cef = family_cef("inverse_normal", ALPHA)
         assert cef.c == pytest.approx(0.0253, abs=5e-4)
         assert cef.level_used == pytest.approx(ALPHA, abs=1e-9)
 
     def test_fisher_unrestricted(self):
-        cef = calibrate(FisherProductCef(z0=-math.inf), ALPHA, -math.inf)
+        cef = family_cef("fisher", ALPHA)
         assert cef.c == pytest.approx(0.0044, abs=5e-4)
         assert cef.level_used == pytest.approx(ALPHA, abs=1e-9)
 
     def test_crossing_points_with_alpha(self):
         # Where each unrestricted family passes through the flat level alpha.
-        inv = calibrate(InverseNormalCef(z0=-math.inf), ALPHA, -math.inf)
-        fis = calibrate(FisherProductCef(z0=-math.inf), ALPHA, -math.inf)
+        inv = family_cef("inverse_normal", ALPHA)
+        fis = family_cef("fisher", ALPHA)
         z_inv = find_root(lambda z: eval_cef(inv, float(z)) - ALPHA, 0.0, 2.0)
         z_fis = find_root(lambda z: eval_cef(fis, float(z)) - ALPHA, 0.0, 2.0)
         assert z_inv == pytest.approx(0.8041, abs=1e-3)
@@ -51,14 +47,14 @@ class TestCalibrationConstants:
     def test_binding_calibration_closes_level(self):
         p = params_at(EVAL_BASE, 0.6)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-        for spec in (InverseNormalCef(z0=z_f), FisherProductCef(z0=z_f)):
-            cef = calibrate(spec, ALPHA, z_f)
+        for family in ("inverse_normal", "fisher"):
+            cef = family_cef(family, ALPHA, z_f)
             assert level_integral(cef, z_f) == pytest.approx(ALPHA, abs=1e-8)
 
     def test_saturation_records_achieved_level(self):
         # A futility bound so extreme that even the 0.5-capped extreme of the
         # family stays below alpha: calibration must not fail.
-        cef = calibrate(InverseNormalCef(z0=3.0), ALPHA, 3.0)
+        cef = family_cef("inverse_normal", ALPHA, 3.0)
         assert cef.c == 1.0
         assert cef.level_used < ALPHA
         assert cef.level_used == pytest.approx(
@@ -68,7 +64,7 @@ class TestCalibrationConstants:
 
 class TestLevelIntegral:
     def test_constant_unrestricted(self):
-        cef = CalibratedCef(spec=ConstantCef(level=ALPHA))
+        cef = constant_cef(ALPHA)
         assert level_integral(cef, -math.inf) == pytest.approx(ALPHA, abs=1e-10)
 
     def test_constant_raised_on_continuation_region(self):
@@ -76,7 +72,7 @@ class TestLevelIntegral:
         # alpha overall.
         p = params_at(EVAL_BASE, 0.6)
         d = derive(p)
-        cef = CalibratedCef(spec=ConstantCef(level=ALPHA / d.alpha_f))
+        cef = constant_cef(ALPHA / d.alpha_f)
         assert level_integral(cef, d.z_f) == pytest.approx(ALPHA, abs=1e-9)
 
     def test_z_combination_base_identity(self):
@@ -101,11 +97,11 @@ class TestShape:
         p = params_at(COMBO_BASE, 0.5)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         out = [
-            CalibratedCef(spec=ConstantCef(level=ALPHA), level_used=ALPHA),
-            calibrate(InverseNormalCef(z0=-math.inf), ALPHA, -math.inf),
-            calibrate(FisherProductCef(z0=-math.inf), ALPHA, -math.inf),
-            calibrate(InverseNormalCef(z0=z_f), ALPHA, z_f),
-            calibrate(FisherProductCef(z0=z_f), ALPHA, z_f),
+            family_cef("constant", ALPHA),
+            family_cef("inverse_normal", ALPHA),
+            family_cef("fisher", ALPHA),
+            family_cef("inverse_normal", ALPHA, z_f),
+            family_cef("fisher", ALPHA, z_f),
             build_combination(p, "z_combination").cef,
         ]
         return out, z_f
@@ -162,45 +158,63 @@ class TestCombinedTestEquivalence:
         assert np.array_equal(combined, conditional)
 
 
-def _reference_cef(cef, z):
-    """The per-family formulas that the critical-value table replaced."""
-    spec = cef.spec
-    if isinstance(spec, ConstantCef):
-        return np.full_like(z, min(spec.level, 0.5))
-    if isinstance(spec, InverseNormalCef):
-        z_c = std_normal_quantile(1.0 - cef.c)
+# The per-family formulas that the critical-value table replaced.
+def _constant_formula(level):
+    return lambda z: np.full_like(z, min(level, 0.5))
+
+
+def _inverse_normal_formula(c, z0):
+    z_c = std_normal_quantile(1.0 - c)
+
+    def formula(z):
         raw = 1.0 - std_normal_cdf((z_c - math.sqrt(0.5) * z) / math.sqrt(0.5))
-        return np.where(z >= spec.z0, np.minimum(raw, 0.5), 0.0)
-    lower = atilde_z(z, spec.base_level, spec.i1, spec.i2_const)
-    upper = atilde_z(z, cef.alpha_prime, spec.i1, spec.i2_const)
-    return np.minimum(np.where(z >= spec.z_split, upper, lower), 0.5)
+        return np.where(z >= z0, np.minimum(raw, 0.5), 0.0)
+
+    return formula
+
+
+def _z_combination_formula(i1, i2_const, z_split, alpha, alpha_prime):
+    def formula(z):
+        lower = atilde_z(z, alpha, i1, i2_const)
+        upper = atilde_z(z, alpha_prime, i1, i2_const)
+        return np.minimum(np.where(z >= z_split, upper, lower), 0.5)
+
+    return formula
 
 
 class TestCriticalValueTable:
     def _table_cefs(self):
+        """The table CEFs, each with the family formula it stands for."""
         p = params_at(COMBO_BASE, 0.5)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-        cefs = [
-            family_cef("constant", ALPHA),
-            CalibratedCef(spec=ConstantCef(level=0.7)),  # capped everywhere
-            family_cef("inverse_normal", ALPHA),
-            family_cef("inverse_normal", ALPHA, z_f),
-            build_combination(p, "z_combination").cef,
+        inv = family_cef("inverse_normal", ALPHA)
+        inv_binding = family_cef("inverse_normal", ALPHA, z_f)
+        az = build_combination(p, "z_combination")
+        az_formula = _z_combination_formula(
+            p.i1, az.i2_const, z_f, ALPHA, az.cef.alpha_prime
+        )
+        cases = [
+            (family_cef("constant", ALPHA), _constant_formula(ALPHA)),
+            (constant_cef(0.7), _constant_formula(0.7)),  # capped everywhere
+            (inv, _inverse_normal_formula(inv.c, -math.inf)),
+            (inv_binding, _inverse_normal_formula(inv_binding.c, z_f)),
+            (az.cef, az_formula),
         ]
-        return cefs, z_f
+        return cases, z_f
 
     def _grid(self, z_f):
         near = [z_f + d for d in (-1e-9, 0.0, 1e-9)]
         return np.sort(np.concatenate((np.linspace(-10.0, 10.0, 4001), near)))
 
     def test_eval_matches_the_family_formulas(self):
-        cefs, z_f = self._table_cefs()
+        cases, z_f = self._table_cefs()
         z = self._grid(z_f)
-        for cef in cefs:
-            assert np.max(np.abs(eval_cef(cef, z) - _reference_cef(cef, z))) <= 1e-15
+        for cef, formula in cases:
+            assert np.max(np.abs(eval_cef(cef, z) - formula(z))) <= 1e-15
 
     def test_critical_value_inverts_eval(self):
-        cefs, z_f = self._table_cefs()
+        cases, z_f = self._table_cefs()
+        cefs = [cef for cef, _ in cases]
         z = self._grid(z_f)
         for cef in cefs:
             a, q = eval_cef(cef, z), critical_value(cef, z)
@@ -214,17 +228,12 @@ class TestCriticalValueTable:
         assert np.all(critical_value(cefs[1], z) == 0.0)  # capped
 
     def test_scalar_input_gives_float(self):
-        cefs, z_f = self._table_cefs()
-        for cef in cefs:
+        cases, z_f = self._table_cefs()
+        for cef, _ in cases:
             for z in (z_f - 1.0, z_f, 9.0):
                 q = critical_value(cef, z)
                 assert type(q) is float and type(eval_cef(cef, z)) is float
                 assert q == critical_value(cef, np.array([z]))[0]
-
-    def test_table_is_built_once(self):
-        cefs, _ = self._table_cefs()
-        for cef in cefs:
-            assert cef.pieces is cef.pieces
 
     def test_fisher_has_no_table(self):
         cef = family_cef("fisher", ALPHA, 0.5)
@@ -256,17 +265,17 @@ class TestLemmaPreconditions:
             for t in np.linspace(t_lo * 1.05, t_hi * 0.95, 6):
                 p = params_at(base, float(t))
                 z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-                for spec in (InverseNormalCef(z0=z_f), FisherProductCef(z0=z_f)):
-                    cef = calibrate(spec, ALPHA, z_f)
+                for family in ("inverse_normal", "fisher"):
+                    cef = family_cef(family, ALPHA, z_f)
                     assert eval_cef(cef, z_f + 1e-12) > ALPHA
 
 
 class TestValidation:
     def test_z_combination_requires_positive_informations(self):
         with pytest.raises(ValueError):
-            ZCombinationCef(i1=0.0, i2_const=1.0, z_split=1.0)
+            z_combination_cef(0.0, 1.0, 1.0, ALPHA, ALPHA)
         with pytest.raises(ValueError):
-            ZCombinationCef(i1=1.0, i2_const=1.0, z_split=math.inf)
+            z_combination_cef(1.0, 1.0, math.inf, ALPHA, ALPHA)
 
     def test_atilde_validation(self):
         with pytest.raises(ValueError):
@@ -286,12 +295,13 @@ class TestCalibrationReuse:
         p = params_at(COMBO_BASE, 0.5)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         cases = [
-            (InverseNormalCef(z0=-math.inf), -math.inf, "c"),
-            (FisherProductCef(z0=z_f), z_f, "c"),
-            (InverseNormalCef(z0=3.0), 3.0, "c"),  # saturates
-            (ZCombinationCef(i1=p.i1, i2_const=2.0, z_split=z_f), -math.inf, "alpha_prime"),
+            ("inverse_normal", -math.inf, {}, "c"),
+            ("fisher", z_f, {}, "c"),
+            ("inverse_normal", 3.0, {}, "c"),  # saturates
+            ("z_combination", -math.inf,
+             dict(i1=p.i1, i2_const=2.0, z_split=z_f), "alpha_prime"),
         ]
-        for spec, lower, key in cases:
+        for family, lower, fixed, key in cases:
             seen = []
 
             def counted(cef, *args, _key=key):
@@ -299,7 +309,7 @@ class TestCalibrationReuse:
                 return level_integral(cef, *args)
 
             monkeypatch.setattr(cef_mod, "level_integral", counted)
-            got = calibrate(spec, ALPHA, lower)
+            got = family_cef(family, ALPHA, lower, **fixed)
             monkeypatch.undo()
             assert len(seen) == len(set(seen)) > 0
             assert got.level_used == level_integral(got, lower)

@@ -179,6 +179,26 @@ class TestCurves:
         assert by_t[0.3] > 1.0
         assert by_t[0.4] < 1.0
 
+    def test_i2_const_curve_up_to_the_largest_pilot(self, write_scenario, tmp_path):
+        # At xi = 6 the largest pilots put z_f far below the pilot mean, where
+        # the waive branch holds only the tail just below z_f.  The flat level
+        # still needs exactly the single-study information there.
+        path = write_scenario(
+            delta_rel=1.4, xi=6.0, t_xi_i1=0.5,
+            family="z_combination", mode="combination",
+        )
+        out = str(tmp_path / "c.csv")
+        rc = cli.main(
+            ["curve", "--scenario", path, "--kind", "i2_const", "--out", out,
+             "--grid-step", "1.0"]
+        )
+        assert rc == cli.EXIT_OK
+        header, rows = read_csv(out)
+        col = header.index("t_xi_i2_const_constant")
+        assert float(rows[-1][0]) == 17.0  # 0.965 * I1_max
+        for row in rows:
+            assert float(row[col]) == pytest.approx(1.0, abs=1e-9), row
+
     def test_csv_roundtrip_is_exact(self, write_scenario, tmp_path):
         # Parsing the emitted CSV and re-rendering it at 10 significant
         # digits reproduces the file byte for byte.

@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from conftest import COMBO_BASE, SIGMA, i_delta_of, params_at
-from fasttrack.cef import FisherProductCef, InverseNormalCef, calibrate
+from conftest import COMBO_BASE, SIGMA, i_delta_of, params_at, params_near_i1_max
+from fasttrack.cef import FAMILIES, cap_kink, family_cef, z_combination_cef
 from fasttrack.combination import (
-    FAMILIES,
     branch_metrics,
     build_combination,
     gambling_threshold,
@@ -50,12 +49,20 @@ class TestNaiveInflation:
         )
 
 
+def _near_i1_max(xi):
+    # At the largest pilots z_f lies far below the pilot mean, so Z1 given
+    # Z1 < z_f sits just below z_f.
+    return params_near_i1_max({**COMBO_BASE, "xi": xi})
+
+
 class TestWaiveBranchSizing:
-    def test_flat_level_gives_fixed_design_information(self):
+    @pytest.mark.parametrize("xi", [None, 5.0, 5.4, 6.0])
+    def test_flat_level_gives_fixed_design_information(self, xi):
         # With a flat conditional error function the waive branch is an
         # ordinary fixed design at level alpha, so its information is exactly
-        # the fixed-design information for the assumed effect.
-        p = params_at(COMBO_BASE, 0.5)
+        # the fixed-design information for the assumed effect, also where
+        # the pilot lands far above z_f.
+        p = params_at(COMBO_BASE, 0.5) if xi is None else _near_i1_max(xi)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         design = build_combination(p, "constant")
         i_fixed = (
@@ -63,8 +70,28 @@ class TestWaiveBranchSizing:
         ) ** 2 / p.delta**2
         assert design.i2_const == pytest.approx(i_fixed, abs=1e-7)
         # And the generic solver agrees.
-        solved = solve_i2_const(p.i1, p.delta, design.cef, p.beta, z_f)
+        solved = solve_i2_const(p.i1, p.delta, lambda _: design.cef, p.beta, z_f)
         assert solved == pytest.approx(i_fixed, abs=1e-7)
+
+    @pytest.mark.parametrize("xi", [5.0, 5.4, 6.0])
+    def test_success_far_above_the_boundary(self, xi):
+        p = _near_i1_max(xi)
+        for family in FAMILIES:
+            m = branch_metrics(build_combination(p, family))
+            assert m.p_success_given_lower == pytest.approx(1.0 - p.beta, abs=1e-8)
+
+    def test_z_combination_success_is_the_solved_one(self, combo_designs):
+        # The design's raised upper branch does not enter the waive branch:
+        # its success is, bit for bit, the one I2_const was solved with.
+        design = combo_designs["z_combination"]
+        p, z_f = design.params, design.branch_boundary
+        fixed_test = z_combination_cef(p.i1, design.i2_const, z_f, ALPHA, ALPHA)
+        solved = lower_branch_success(design.i2_const, fixed_test, p.i1, p.delta, z_f)
+        assert branch_metrics(design).p_success_given_lower == solved
+        # Also when the raised level reaches the cap below z_f.
+        raised = z_combination_cef(p.i1, design.i2_const, z_f, ALPHA, 0.3)
+        assert cap_kink(raised) < z_f
+        assert lower_branch_success(design.i2_const, raised, p.i1, p.delta, z_f) == solved
 
     def test_waive_branch_is_the_designs_own(self, combo_designs):
         p = params_at(COMBO_BASE, 0.5)
@@ -164,11 +191,8 @@ class TestMonotonicity:
         for t in (0.3, 0.5):
             p = params_at(COMBO_BASE, t)
             z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-            for spec in (
-                InverseNormalCef(z0=-math.inf),
-                FisherProductCef(z0=-math.inf),
-            ):
-                cef = calibrate(spec, ALPHA, -math.inf)
+            for family in ("inverse_normal", "fisher"):
+                cef = family_cef(family, ALPHA)
                 vals = [
                     lower_branch_success(x, cef, p.i1, p.delta, z_f)
                     for x in (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -176,11 +200,14 @@ class TestMonotonicity:
                 assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_z_combination_base_branch_increasing(self):
+        # The waive branch tests with the fixed combined z-test at the
+        # stage-two information itself.
         p = params_at(COMBO_BASE, 0.5)
-        design = build_combination(p, "z_combination")
-        z_f = design.branch_boundary
+        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         vals = [
-            lower_branch_success(x, design.cef, p.i1, p.delta, z_f)
+            lower_branch_success(
+                x, z_combination_cef(p.i1, x, z_f, ALPHA, ALPHA), p.i1, p.delta, z_f
+            )
             for x in (0.25, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(b > a for a, b in zip(vals, vals[1:]))

@@ -12,13 +12,11 @@ from scipy.special import ndtr, ndtri
 from conftest import EVAL_BASE, i_delta_of, params_at
 from fasttrack.cef import (
     FASTTRACK_FAMILIES,
-    CalibratedCef,
-    ConstantCef,
-    InverseNormalCef,
-    ZCombinationCef,
-    calibrate,
     cap_kink,
+    constant_cef,
     eval_cef,
+    family_cef,
+    z_combination_cef,
 )
 from fasttrack.design import DesignParams, boundary_z, cond_registration_power, derive
 from fasttrack.montecarlo import SimConfig, simulate
@@ -72,7 +70,7 @@ class TestStage2Info:
         with pytest.raises(ValueError):
             AdaptiveConditionalPower(
                 i2_min=-1.0,
-                cef=CalibratedCef(spec=ConstantCef(level=ALPHA), level_used=ALPHA),
+                cef=constant_cef(ALPHA),
                 beta=BETA,
             )
 
@@ -293,7 +291,7 @@ class TestClosedFormFloorKink:
         p = params_at(EVAL_BASE, 0.6)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         for z0 in (-math.inf, z_f):  # non-binding, binding
-            cef = calibrate(InverseNormalCef(z0=z0), ALPHA, z0)
+            cef = family_cef("inverse_normal", ALPHA, z0)
             cap = cap_kink(cef)
             assert z_f < cap - 0.2
             for z_star in (z_f + 0.05, cap - 0.1, cap + 0.1, cap + 3.0):
@@ -302,8 +300,7 @@ class TestClosedFormFloorKink:
     def test_z_combination_both_sides_of_split(self):
         p = params_at(EVAL_BASE, 0.6)
         z_split = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-        spec = ZCombinationCef(i1=p.i1, i2_const=1.5, z_split=z_split, base_level=ALPHA)
-        cef = CalibratedCef(spec=spec, alpha_prime=0.1)
+        cef = z_combination_cef(p.i1, 1.5, z_split, ALPHA, 0.1)
         for z_star in (0.4, z_split - 0.05, z_split + 0.05, cap_kink(cef) + 1.0):
             self.check(p.i1, cef, z_star, 0.2)
         # As in the combination design, which integrates from z_split up.
@@ -314,8 +311,7 @@ class TestClosedFormFloorKink:
         # settle on the jump (the root search to within its x tolerance).
         p = params_at(EVAL_BASE, 0.6)
         z_split = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-        spec = ZCombinationCef(i1=p.i1, i2_const=1.5, z_split=z_split, base_level=ALPHA)
-        cef = CalibratedCef(spec=spec, alpha_prime=0.1)
+        cef = z_combination_cef(p.i1, 1.5, z_split, ALPHA, 0.1)
         probe = AdaptiveConditionalPower(i2_min=0.0, cef=cef, beta=BETA)
         below = float(_adaptive_formula(z_split - 1e-12, p.i1, probe))
         above = float(_adaptive_formula(z_split, p.i1, probe))
@@ -329,11 +325,8 @@ class TestClosedFormFloorKink:
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         cefs = [
             nonadaptive_rule(0.0, ALPHA, BETA).cef,
-            calibrate(InverseNormalCef(z0=z_f), ALPHA, z_f),
-            CalibratedCef(
-                spec=ZCombinationCef(i1=p.i1, i2_const=1.5, z_split=z_f),
-                alpha_prime=0.1,
-            ),
+            family_cef("inverse_normal", ALPHA, z_f),
+            z_combination_cef(p.i1, 1.5, z_f, ALPHA, 0.1),
         ]
         for cef in cefs:
             for i2_min, hi in ((500.0, 12.0), (1e-3, 3.0)):  # above / below

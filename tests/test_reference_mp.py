@@ -1,0 +1,49 @@
+"""The level integral and the waive-branch success against thirty-digit
+references computed from each CEF's constants alone (see reference_mp)."""
+
+import math
+
+import pytest
+
+import reference_mp as ref
+from conftest import COMBO_BASE, EVAL_BASE, params_at, params_near_i1_max
+from fasttrack.cef import constant_cef, family_cef, level_integral
+from fasttrack.combination import build_combination, lower_branch_success, waive_branch
+from fasttrack.design import boundary_z
+
+ALPHA = 0.025
+
+
+def test_level_and_waive_branch_success_match_the_reference():
+    p = params_at(EVAL_BASE, 0.6)
+    z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+    saturated = family_cef("inverse_normal", ALPHA, 3.0)
+    assert saturated.level_used < ALPHA
+    checks = [
+        ("constant", constant_cef(ALPHA), ref.constant(ALPHA), -math.inf),
+        ("saturated", saturated, ref.inverse_normal(saturated.c, 3.0), 3.0),
+    ]
+    for z0 in (-math.inf, z_f):  # non-binding, binding
+        cef = family_cef("inverse_normal", ALPHA, z0)
+        checks.append(("inverse normal", cef, ref.inverse_normal(cef.c, z0), z0))
+        cef = family_cef("fisher", ALPHA, z0)
+        checks.append(("Fisher", cef, ref.fisher(cef.c, z0), z0))
+    combo = build_combination(params_at(COMBO_BASE, 0.5), "z_combination")
+    cp = combo.params
+    reference = ref.z_combination(
+        cp.i1, combo.i2_const, combo.branch_boundary, ALPHA, combo.cef.alpha_prime
+    )
+    checks.append(("z-combination", combo.cef, reference, -math.inf))
+    for name, cef, reference, lower in checks:
+        want = ref.level_integral(reference, lower)
+        assert level_integral(cef, lower) == pytest.approx(want, abs=1e-10), (name, lower)
+
+    # The waive branch where the pilot lands far above z_f (xi = 6, I1 =
+    # 0.99 * I1_max): the mass of Z1 below z_f sits just below z_f.
+    p = params_near_i1_max({**COMBO_BASE, "xi": 6.0})
+    z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+    cef, i2_const = waive_branch(p, "inverse_normal")
+    got = lower_branch_success(i2_const, cef, p.i1, p.delta, z_f)
+    want = ref.waive_branch_success(ref.inverse_normal(cef.c), i2_const, p.i1, p.delta, z_f)
+    assert got == pytest.approx(want, abs=1e-9)
+    assert want == pytest.approx(1.0 - p.beta, abs=1e-8)
