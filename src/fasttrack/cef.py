@@ -27,6 +27,7 @@ import numpy as np
 from .numerics import (
     find_root,
     integrate,
+    normal_window,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -164,8 +165,7 @@ def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
     """
     return integrate(
         lambda z: eval_cef(cef, z) * std_normal_pdf(z),
-        lower,
-        math.inf,
+        *normal_window(0.0, lower),
         split_points=kinks(cef),
     )
 

@@ -21,10 +21,10 @@ from . import cef as cef_mod
 from . import power as power_mod
 from .design import DesignParams, boundary_z, cond_registration_power, derive
 from .numerics import (
-    DEFAULT_QUAD,
     RootSettings,
     find_root,
     integrate,
+    normal_window,
     solve_monotone,
     std_normal_cdf,
     std_normal_quantile,
@@ -75,8 +75,8 @@ def lower_branch_success(
         cond = 1.0 - std_normal_cdf(q - math.sqrt(i2c) * delta)
         return cond * np.exp(-0.5 * (z - mean) ** 2 - log_p_lower) / _SQRT_2PI
 
-    lo = min(mean, z_split) - DEFAULT_QUAD.tail_halfwidth
-    return integrate(integrand, lo, z_split, split_points=cef_mod.kinks(cef, z_split))
+    lo, hi = normal_window(mean, hi=z_split)
+    return integrate(integrand, lo, hi, split_points=cef_mod.kinks(cef, z_split))
 
 
 def solve_i2_const(
@@ -170,9 +170,9 @@ def gambling_threshold(params: DesignParams, family: str) -> float:
     stage-two information is constant (the conditional-power formula never
     exceeds the solved floor).
 
-    The excess of the formula maximum over the floor is scanned on a t-grid
-    and the bracketed sign change refined by bisection.  Returns 0 when the
-    branch is never constant.
+    The excess of the formula maximum (the rule read at a zero floor) over
+    the floor is scanned on a t-grid and the bracketed sign change refined by
+    bisection.  Returns 0 when the branch is never constant.
     """
     base = derive(params)
     i_delta = base.i_delta
@@ -180,8 +180,8 @@ def gambling_threshold(params: DesignParams, family: str) -> float:
     def excess(t_xi: float) -> float:
         p = replace(params, i1=t_xi * i_delta)
         d = build_combination(p, family)
-        formula_max = power_mod._adaptive_formula(d.branch_boundary, p.i1, d.rule)
-        return float(formula_max) - d.i2_min
+        formula = replace(d.rule, i2_min=0.0)
+        return float(power_mod.stage2_info(d.branch_boundary, p.i1, formula)) - d.i2_min
 
     t_max = base.i1_max / i_delta
     t = _SCAN_STEP

@@ -35,13 +35,14 @@ class DesignParams:
     i1: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < self.alpha_c < 0.5:
+        # A level of 2**-54 or less has 1 - level == 1.0, so no quantile.
+        if not 2.0**-54 < self.alpha < self.alpha_c < 0.5:
             raise ValueError(
-                f"need 0 < alpha < alpha_c < 0.5, got alpha={self.alpha}, "
+                f"need 2**-54 < alpha < alpha_c < 0.5, got alpha={self.alpha}, "
                 f"alpha_c={self.alpha_c}"
             )
-        if not 0.0 < self.beta < 0.5:
-            raise ValueError(f"need 0 < beta < 0.5, got beta={self.beta}")
+        if not 2.0**-54 < self.beta < 0.5:
+            raise ValueError(f"need 2**-54 < beta < 0.5, got beta={self.beta}")
         if not self.delta_rel > 0:
             raise ValueError(f"need delta_rel > 0, got {self.delta_rel}")
         if not self.xi >= 1.0:
@@ -87,9 +88,6 @@ class ExampleCost:
 
     def group_size_nearest(self, information: float) -> int:
         return round(2.0 * self.sigma**2 * information)
-
-    def information_of(self, group_size: float) -> float:
-        return group_size / (2.0 * self.sigma**2)
 
 
 def noncentrality_target(alpha: float, beta: float) -> float:

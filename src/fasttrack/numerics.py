@@ -39,7 +39,7 @@ class QuadratureSettings:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 400
-    tail_halfwidth: float = 8.5
+    tail_halfwidth: float = 8.5  # normal_window's cut, in sds, read from DEFAULT_QUAD
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
@@ -147,20 +147,17 @@ def integrate(
     once (all initial panels, then both halves of each bisected panel) and
     must return the integrand at each node.
 
-    Infinite endpoints are truncated at +-tail_halfwidth standard normal
-    deviations; this is only adequate for integrands dominated by a standard
-    normal density centred near zero (callers with shifted weights must
-    truncate themselves).  Known kink abscissas can be passed via
-    ``split_points`` so that panel boundaries coincide with them; split
-    points outside the open interval (lo, hi), infinite or NaN ones
-    included, are ignored, so callers need not filter them.
+    The interval must be finite (normal tails are cut by
+    :func:`normal_window`); an empty one, lo == hi, integrates to 0.  Known
+    kink abscissas can be passed via ``split_points`` so that panel
+    boundaries coincide with them; split points outside the open interval
+    (lo, hi), infinite or NaN ones included, are ignored, so callers need not
+    filter them.
     """
-    if math.isinf(lo):
-        lo = -settings.tail_halfwidth
-    if math.isinf(hi):
-        hi = settings.tail_halfwidth
-    if not lo < hi:
-        raise ValueError(f"integrate requires lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"integrate requires finite lo <= hi, got [{lo}, {hi}]")
+    if lo == hi:
+        return 0.0
 
     cuts = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
     heap: list[tuple[float, float, float, float]] = []
@@ -267,6 +264,12 @@ def solve_monotone(
     )
 
 
-def tail_upper_limit(center: float, settings: QuadratureSettings = DEFAULT_QUAD) -> float:
-    """Truncation point for integrals weighted by a normal density at ``center``."""
-    return center + settings.tail_halfwidth
+def normal_window(mean: float, lo: float = -math.inf, hi: float = math.inf):
+    """[lo, hi] with its infinite ends cut for a normal density at ``mean``:
+    the upper end tail_halfwidth above the mean, the lower end tail_halfwidth
+    below the nearer of the mean and ``hi``.  An empty window is (lo, lo)."""
+    if math.isinf(hi):
+        hi = mean + DEFAULT_QUAD.tail_halfwidth
+    if math.isinf(lo):
+        lo = min(mean, hi) - DEFAULT_QUAD.tail_halfwidth
+    return lo, max(lo, hi)

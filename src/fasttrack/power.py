@@ -25,11 +25,11 @@ from .numerics import (
     BracketError,
     find_root,
     integrate,
+    normal_window,
     solve_monotone,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
-    tail_upper_limit,
 )
 
 
@@ -102,12 +102,11 @@ def _adaptive_formula(z1, i1: float, rule: AdaptiveConditionalPower, q=None):
     return i1 * numer**2 / z**2
 
 
-def stage2_info(z1, i1: float, rule: AdaptiveConditionalPower):
-    """Information used for the second stage given the first-stage z-value."""
-    if np.any(np.asarray(z1) <= 0):
-        raise ValueError("adaptive stage-two sizing requires z1 > 0")
-    out = np.maximum(rule.i2_min, _adaptive_formula(z1, i1, rule))
-    return float(out) if np.isscalar(z1) else out
+def stage2_info(z1, i1: float, rule: AdaptiveConditionalPower, q=None):
+    """The stage-two information rule: the formula floored at
+    ``rule.i2_min``, vectorized, for z1 > 0 (its callers check their lower
+    end).  Callers that already hold q for these z1 pass it in."""
+    return np.maximum(rule.i2_min, _adaptive_formula(z1, i1, rule, q))
 
 
 def _floor_kink(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
@@ -167,7 +166,7 @@ def _splits(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
     """Quadrature split points on [z_lower, z_hi]: the CEF cap and the floor
     kink, where they exist."""
     splits = [cef_mod.cap_kink(rule.cef)]
-    kink = _floor_kink(i1, rule, max(z_lower, 1e-12), z_hi)
+    kink = _floor_kink(i1, rule, z_lower, z_hi)
     if kink is not None:
         splits.append(kink)
     return splits
@@ -177,28 +176,19 @@ def overall_power(
     i1: float, rule: AdaptiveConditionalPower, delta: float, z_lower: float
 ) -> float:
     """Probability of continuing past ``z_lower`` and rejecting at stage two."""
+    if not z_lower > 0:
+        raise ValueError(f"stage-two sizing requires z1 > 0, got z_lower={z_lower}")
     mean = delta * math.sqrt(i1)
-    z_hi = tail_upper_limit(mean)
-    if z_lower >= z_hi:
-        return 0.0
-    splits = _splits(i1, rule, z_lower, z_hi)
+    lo, hi = normal_window(mean, z_lower)
     cef = rule.cef
 
     def integrand(z):
         q = cef_mod.critical_value(cef, z)
-        i2 = np.maximum(rule.i2_min, _adaptive_formula(z, i1, rule, q))
+        i2 = stage2_info(z, i1, rule, q)
         cond = 1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)
         return cond * std_normal_pdf(z - mean)
 
-    return integrate(integrand, z_lower, z_hi, split_points=splits)
-
-
-def nonadaptive_rule(
-    i2_min: float, alpha: float, beta: float
-) -> AdaptiveConditionalPower:
-    """The separate-studies design expressed as a constant-CEF adaptive rule."""
-    cef = cef_mod.constant_cef(alpha)
-    return AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=beta)
+    return integrate(integrand, lo, hi, split_points=_splits(i1, rule, lo, hi))
 
 
 def solve_i2_min(
@@ -232,7 +222,9 @@ def solve_i2_min(
 def max_stage2_info(i1: float, rule: AdaptiveConditionalPower, z_lower: float) -> float:
     """Largest possible stage-two information, attained at z1 = z_lower or
     at the floor."""
-    return max(rule.i2_min, float(_adaptive_formula(z_lower, i1, rule)))
+    if not z_lower > 0:
+        raise ValueError(f"stage-two sizing requires z1 > 0, got z_lower={z_lower}")
+    return float(stage2_info(z_lower, i1, rule))
 
 
 def mean_stage2_info(
@@ -244,15 +236,15 @@ def mean_stage2_info(
     This is what makes the non-adaptive mean sit just above its minimum (149
     vs 148 per group in the worked example).
     """
+    if not z_lower > 0:
+        raise ValueError(f"stage-two sizing requires z1 > 0, got z_lower={z_lower}")
     mean = delta * math.sqrt(i1)
-    z_hi = tail_upper_limit(mean)
-    splits = _splits(i1, rule, z_lower, z_hi)
+    lo, hi = normal_window(mean, z_lower)
 
     def integrand(z):
-        i2 = np.maximum(rule.i2_min, _adaptive_formula(z, i1, rule))
-        return i2 * std_normal_pdf(z - mean)
+        return stage2_info(z, i1, rule) * std_normal_pdf(z - mean)
 
-    return integrate(integrand, z_lower, z_hi, split_points=splits)
+    return integrate(integrand, lo, hi, split_points=_splits(i1, rule, lo, hi))
 
 
 def build_fasttrack(

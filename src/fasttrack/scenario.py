@@ -43,9 +43,10 @@ class Scenario:
 
     def resolved_i1(self) -> float:
         """Absolute first-stage information from whichever key was given."""
-        eta_f = noncentrality_target(self.alpha, self.beta)
         if self.i1 is not None:
             return self.i1
+        self.design_params(i1=1.0)  # checks the levels before their quantiles
+        eta_f = noncentrality_target(self.alpha, self.beta)
         if self.t_xi_i1 is not None:
             i_delta = eta_f**2 / (self.xi * self.delta_rel) ** 2
             return self.t_xi_i1 * i_delta

@@ -1,12 +1,15 @@
 """Thirty-digit reference values for the level integral and the waive-branch
-success of a conditional error function, computed from its constants alone.
+success of a conditional error function, and for the upper branch's overall
+power and mean stage-two information, computed from a design's constants
+alone.
 
 Each CEF is written here from its definition, as a function z -> A(z) at
 mpmath precision together with its kinks, and integrated with ``mp.quad``
 with the kinks as breakpoints.  The normal survival function is written as
 ``mp.ncdf(-z)``.  Nothing here calls ``fasttrack``, so the package's
-critical-value tables, its quadrature and its conditional density are checked
-against an independent computation.
+critical-value tables, its quadrature, its conditional density and its
+stage-two rule with its floor kink are checked against an independent
+computation.
 """
 
 from __future__ import annotations
@@ -101,3 +104,51 @@ def waive_branch_success(cef, i2c, i1, delta, z_split) -> float:
         scale = 1 / max(mean - z_split, 1)
         near = [z_split - k * scale for k in (1, 4, 16, 64)]
         return float(_quad(f, -mp.inf, z_split, [*kinks, *near]))
+
+
+
+def upper_branch(cef, i2_min, beta, i1, delta, z_f) -> tuple[float, float]:
+    """Overall power P_delta(Z1 >= z_f, Z2 >= q(Z1)) and mean stage-two
+    information E_delta[I2(Z1); Z1 >= z_f] of the upper branch, where Z2 is
+    observed at information I2(z) = max(i2_min, i1 (z_beta + q(z))^2 / z^2)
+    with q = Phi^{-1}(1 - A(z)), and Z1 ~ N(delta * sqrt(i1), 1).
+
+    The breakpoints are the CEF's kinks and the floor kink, which is found
+    here by a root search on the formula.
+    """
+    a, kinks = cef
+    with mp.workdps(DPS):
+        i1, i2_min, z_f = mp.mpf(i1), mp.mpf(i2_min), mp.mpf(z_f)
+        delta, z_beta = mp.mpf(delta), _upper_quantile(beta)
+        mean = delta * mp.sqrt(i1)
+
+        def formula(z):
+            return i1 * (z_beta + _upper_quantile(a(z))) ** 2 / z**2
+
+        points = list(kinks)
+        if i2_min > 0 and formula(z_f) > i2_min:
+            # The formula falls to 0 as z grows, so doubling the distance to
+            # z_f brackets its one crossing of the floor.
+            hi = z_f + 1
+            while formula(hi) > i2_min:
+                hi = z_f + 2 * (hi - z_f)
+            points.append(mp.findroot(lambda z: formula(z) - i2_min, (z_f, hi),
+                                      solver="anderson"))
+
+        # Both integrals run on the same breakpoints, so mp.quad asks for
+        # the same nodes: each node's q and I2 are computed once.
+        seen = {}
+
+        def q_i2(z):
+            if z not in seen:
+                seen[z] = _upper_quantile(a(z)), max(i2_min, formula(z))
+            return seen[z]
+
+        def power(z):
+            q, i2 = q_i2(z)
+            return mp.ncdf(-(q - mp.sqrt(i2) * delta)) * mp.npdf(z - mean)
+
+        def info(z):
+            return q_i2(z)[1] * mp.npdf(z - mean)
+
+        return tuple(float(_quad(f, z_f, mp.inf, points)) for f in (power, info))

@@ -78,7 +78,7 @@ class TestLevelIntegral:
     def test_z_combination_base_identity(self):
         # The fixed-size combined z-test at level alpha spends alpha for any
         # pair of stage informations.
-        from fasttrack.numerics import integrate, std_normal_pdf
+        from fasttrack.numerics import integrate, normal_window, std_normal_pdf
 
         rng = np.random.default_rng(11)
         for _ in range(5):
@@ -86,8 +86,7 @@ class TestLevelIntegral:
             i2c = rng.uniform(0.2, 6.0)
             val = integrate(
                 lambda z: atilde_z(z, ALPHA, i1, i2c) * std_normal_pdf(z),
-                -math.inf,
-                math.inf,
+                *normal_window(0.0),
             )
             assert val == pytest.approx(ALPHA, abs=1e-9)
 

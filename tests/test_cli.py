@@ -114,6 +114,11 @@ class TestDerive:
         assert "warning: xi below xi_min" in captured.err
         assert "warning" not in captured.out
 
+    def test_level_that_rounds_away_is_invalid_input(self, write_scenario, capsys):
+        path = write_scenario(alpha=1e-17)
+        assert cli.main(["derive", "--scenario", path]) == cli.EXIT_INVALID
+        assert "alpha=1e-17" in capsys.readouterr().err
+
     def test_nearest_rounding(self, write_scenario, capsys):
         path = write_scenario(sigma=SIGMA)
         assert (
@@ -305,6 +310,17 @@ class TestSimulate:
             0.025 * 0.975 / 50000
         )
         assert float(alt_row["p_reject_hat"]) == pytest.approx(0.8, abs=0.01)
+
+    @pytest.mark.parametrize("i1", [73.0, 100.0])
+    @pytest.mark.parametrize("family", ["inverse_normal", "fisher"])
+    def test_pilot_far_above_i1_max(self, i1, family, write_scenario, tmp_path):
+        # z_f = sqrt(I1) * delta_rel >= 8.5 builds a saturated design.
+        path = write_scenario(t_xi_i1=None, i1=i1, family=family)
+        rc = cli.main(
+            ["simulate", "--scenario", path, "--out", str(tmp_path / "s.csv"),
+             "--reps", "1000"]
+        )
+        assert rc == cli.EXIT_OK
 
     def test_rejects_bad_reps(self, write_scenario, tmp_path):
         path = write_scenario()

@@ -168,10 +168,6 @@ class TestExampleCost:
         # Exact integers are not pushed up by the ceiling guard.
         assert cost.group_size_of(1.5) == 3
 
-    def test_information_roundtrip(self):
-        cost = ExampleCost(sigma=SIGMA)
-        assert cost.group_size_of(cost.information_of(137)) == 137
-
     def test_strictly_increasing(self):
         cost = ExampleCost(sigma=SIGMA)
         infos = np.linspace(0.1, 5.0, 50)
@@ -199,4 +195,17 @@ class TestValidation:
     )
     def test_rejects_bad_parameters(self, overrides):
         with pytest.raises(ValueError):
+            base_params(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(alpha=1e-17), "alpha"),
+            (dict(beta=1e-17), "beta"),
+            (dict(alpha=1e-17, alpha_c=2e-17), "alpha"),
+        ],
+    )
+    def test_rejects_levels_that_round_away(self, overrides, field):
+        # 1 - level == 1 in float64: no quantile of the level exists.
+        with pytest.raises(ValueError, match=f"got {field}="):
             base_params(**overrides)

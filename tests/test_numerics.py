@@ -16,11 +16,11 @@ from fasttrack.numerics import (
     RootSettings,
     find_root,
     integrate,
+    normal_window,
     solve_monotone,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
-    tail_upper_limit,
 )
 
 
@@ -65,16 +65,16 @@ class TestNormal:
 
 class TestIntegrate:
     def test_total_normal_mass(self):
-        assert integrate(std_normal_pdf, -math.inf, math.inf) == pytest.approx(
+        assert integrate(std_normal_pdf, *normal_window(0.0)) == pytest.approx(
             1.0, abs=1e-10
         )
 
     def test_upper_tail(self):
-        val = integrate(std_normal_pdf, 1.0364334, math.inf)
+        val = integrate(std_normal_pdf, *normal_window(0.0, 1.0364334))
         assert val == pytest.approx(0.15, abs=1e-7)
 
     def test_first_moment_half_line(self):
-        val = integrate(lambda z: z * std_normal_pdf(z), 0.0, math.inf)
+        val = integrate(lambda z: z * std_normal_pdf(z), *normal_window(0.0, 0.0))
         assert val == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-10)
 
     def test_additivity(self):
@@ -108,9 +108,13 @@ class TestIntegrate:
             assert err.best_estimate == total
             assert err.error_estimate == total_err
 
+    def test_empty_interval_integrates_to_zero(self):
+        assert integrate(std_normal_pdf, 1.0, 1.0) == 0.0
+
     def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            integrate(std_normal_pdf, 1.0, 1.0)
+        for lo, hi in ((-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError):
+                integrate(std_normal_pdf, lo, hi)
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -161,9 +165,20 @@ class TestSolveMonotone:
         with pytest.raises(BracketError):
             solve_monotone(math.tanh, 2.0, 0.0, settings)
 
-    def test_tail_upper_limit(self):
-        assert tail_upper_limit(1.5) == 1.5 + DEFAULT_QUAD.tail_halfwidth
-        assert tail_upper_limit(0.0, DEFAULT_QUAD) == DEFAULT_QUAD.tail_halfwidth
+
+def test_normal_window_cuts_each_infinite_end_and_keeps_finite_ones():
+    half = DEFAULT_QUAD.tail_halfwidth
+    # An infinite upper end goes half above the mean.
+    assert normal_window(1.5) == (1.5 - half, 1.5 + half)
+    assert normal_window(1.5, 0.2) == (0.2, 1.5 + half)
+    # An infinite lower end goes half below the nearer of the mean and hi.
+    assert normal_window(1.5, hi=0.2) == (0.2 - half, 0.2)
+    assert normal_window(-3.0, hi=0.2) == (-3.0 - half, 0.2)
+    # Finite ends stay.
+    assert normal_window(100.0, -1.0, 2.0) == (-1.0, 2.0)
+    # A window the cut leaves empty comes back as (lo, lo).
+    assert normal_window(0.0, 10.0) == (10.0, 10.0)
+    assert normal_window(0.0, 10.0, 3.0) == (10.0, 10.0)
 
 
 class CountingFunction:
@@ -233,8 +248,6 @@ def _reference_integrate(f, lo, hi, settings=DEFAULT_QUAD, split_points=()):
         i7 = half * float(np.dot(g7_w, y[15:]))
         return i15, abs(i15 - i7)
 
-    lo = -settings.tail_halfwidth if math.isinf(lo) else lo
-    hi = settings.tail_halfwidth if math.isinf(hi) else hi
     cuts = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
     heap, total, total_err = [], 0.0, 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -268,7 +281,7 @@ class TestBatchedPanels:
 
     def test_equals_per_panel_reference_bit_for_bit(self):
         cases = [
-            (self.kinked, -math.inf, math.inf, ()),
+            (self.kinked, *normal_window(0.0), ()),
             (self.kinked, -1.0, 4.0, (0.3, 1.7)),
             (self.kinked, 0.31, 2.5, (1.7, 9.0)),
             (lambda x: np.cos(7.0 * x) * std_normal_pdf(x), -3.0, 2.0, (0.0,)),

@@ -28,7 +28,6 @@ from fasttrack.power import (
     evaluate_design,
     max_stage2_info,
     mean_stage2_info,
-    nonadaptive_rule,
     overall_power,
     solve_i2_min,
     stage2_info,
@@ -43,7 +42,7 @@ class TestStage2Info:
         # At the pilot estimate theta_hat = 1.2 the non-adaptive reassessment
         # is eta_f^2 / 1.2^2 regardless of the floor being inactive.
         i1 = 1.18
-        rule = nonadaptive_rule(0.0, ALPHA, BETA)
+        rule = AdaptiveConditionalPower(0.0, constant_cef(ALPHA), BETA)
         z1 = 1.2 * math.sqrt(i1)
         eta_f = ndtri(0.8) + ndtri(0.975)
         assert stage2_info(z1, i1, rule) == pytest.approx(
@@ -51,20 +50,24 @@ class TestStage2Info:
         )
 
     def test_floor_activation(self):
-        rule = nonadaptive_rule(5.0, ALPHA, BETA)
+        rule = AdaptiveConditionalPower(5.0, constant_cef(ALPHA), BETA)
         assert stage2_info(100.0, 1.0, rule) == 5.0
         assert stage2_info(0.1, 1.0, rule) > 5.0
 
     def test_vanishes_for_large_estimates(self):
-        rule = nonadaptive_rule(0.0, ALPHA, BETA)
+        rule = AdaptiveConditionalPower(0.0, constant_cef(ALPHA), BETA)
         assert stage2_info(100.0, 1.0, rule) < 1e-3
 
     def test_rejects_nonpositive_z(self):
-        rule = nonadaptive_rule(0.0, ALPHA, BETA)
-        with pytest.raises(ValueError):
-            stage2_info(0.0, 1.0, rule)
-        with pytest.raises(ValueError):
-            stage2_info(np.array([1.0, -0.5]), 1.0, rule)
+        # The integrals and the maximum check their lower end once.
+        rule = AdaptiveConditionalPower(0.0, constant_cef(ALPHA), BETA)
+        for z_lower in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                overall_power(1.0, rule, 1.0, z_lower)
+            with pytest.raises(ValueError):
+                mean_stage2_info(1.0, rule, 1.0, z_lower)
+            with pytest.raises(ValueError):
+                max_stage2_info(1.0, rule, z_lower)
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):
@@ -81,7 +84,7 @@ class TestOverallPower:
         # non-adaptive design.
         p = params_at(EVAL_BASE, 0.6)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-        rule = nonadaptive_rule(1.7, ALPHA, BETA)
+        rule = AdaptiveConditionalPower(1.7, constant_cef(ALPHA), BETA)
         got = overall_power(p.i1, rule, p.delta, z_f)
 
         q_alpha = ndtri(1.0 - ALPHA)
@@ -101,18 +104,19 @@ class TestOverallPower:
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         ceiling = cond_registration_power(p)
         # At floor 10 the gap to the ceiling (about 5.5e-6) is representable.
-        rule = nonadaptive_rule(10.0, ALPHA, BETA)
+        rule = AdaptiveConditionalPower(10.0, constant_cef(ALPHA), BETA)
         assert overall_power(p.i1, rule, p.delta, z_f) < ceiling
         # At floor 50 the conditional power is 1 - Phi(-12.2), which rounds
         # to 1.0 in double precision, so both sides are the same double.
-        rule = nonadaptive_rule(50.0, ALPHA, BETA)
+        rule = AdaptiveConditionalPower(50.0, constant_cef(ALPHA), BETA)
         assert overall_power(p.i1, rule, p.delta, z_f) <= ceiling
 
     def test_monotone_in_floor(self):
         p = params_at(EVAL_BASE, 0.6)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        cef = constant_cef(ALPHA)
         powers = [
-            overall_power(p.i1, nonadaptive_rule(x, ALPHA, BETA), p.delta, z_f)
+            overall_power(p.i1, AdaptiveConditionalPower(x, cef, BETA), p.delta, z_f)
             for x in (0.0, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(powers, powers[1:]))
@@ -134,13 +138,13 @@ class TestSolveFloor:
     def test_zero_floor_when_target_already_met(self):
         p = params_at(EVAL_BASE, 0.6)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-        cef = nonadaptive_rule(0.0, ALPHA, BETA).cef
+        cef = constant_cef(ALPHA)
         assert solve_i2_min(p.i1, p.delta, cef, BETA, 0.1, z_f) == 0.0
 
     def test_infeasible_target(self):
         p = params_at(EVAL_BASE, 0.6)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-        cef = nonadaptive_rule(0.0, ALPHA, BETA).cef
+        cef = constant_cef(ALPHA)
         ceiling = cond_registration_power(p)
         with pytest.raises(InfeasiblePowerError):
             solve_i2_min(p.i1, p.delta, cef, BETA, ceiling + 1e-6, z_f)
@@ -253,6 +257,17 @@ class TestEvaluateDesign:
         with pytest.raises(ValueError):
             build_fasttrack(p, "z_combination")
 
+    def test_pilot_far_above_i1_max_saturates(self):
+        # With z_f = sqrt(I1) * delta_rel >= 8.5 the level integral above z_f
+        # has an empty window: the binding calibration spends nothing and
+        # saturates at its upper bracket end instead of failing.
+        for i1 in (73.0, 100.0):
+            p = DesignParams(i1=i1, **EVAL_BASE)
+            for family in ("inverse_normal", "fisher"):
+                design = build_fasttrack(p, family)
+                assert design.cef.level_used < p.alpha
+                assert design.cef.c == 1.0
+
     def test_unknown_family(self):
         p = params_at(EVAL_BASE, 0.6)
         with pytest.raises(ValueError):
@@ -283,7 +298,7 @@ class TestClosedFormFloorKink:
     def test_constant_family(self):
         p = params_at(EVAL_BASE, 0.6)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-        cef = nonadaptive_rule(0.0, ALPHA, BETA).cef
+        cef = constant_cef(ALPHA)
         for z_star in (z_f + 0.1, 2.5, 6.0):
             self.check(p.i1, cef, z_star, z_f)
 
@@ -324,7 +339,7 @@ class TestClosedFormFloorKink:
         p = params_at(EVAL_BASE, 0.6)
         z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         cefs = [
-            nonadaptive_rule(0.0, ALPHA, BETA).cef,
+            constant_cef(ALPHA),
             family_cef("inverse_normal", ALPHA, z_f),
             z_combination_cef(p.i1, 1.5, z_f, ALPHA, 0.1),
         ]

@@ -1,5 +1,6 @@
-"""The level integral and the waive-branch success against thirty-digit
-references computed from each CEF's constants alone (see reference_mp)."""
+"""The level integral, the waive-branch success and the upper branch's power
+and mean stage-two information against thirty-digit references computed from
+each design's constants alone (see reference_mp)."""
 
 import math
 
@@ -10,6 +11,7 @@ from conftest import COMBO_BASE, EVAL_BASE, params_at, params_near_i1_max
 from fasttrack.cef import constant_cef, family_cef, level_integral
 from fasttrack.combination import build_combination, lower_branch_success, waive_branch
 from fasttrack.design import boundary_z
+from fasttrack.power import build_fasttrack, mean_stage2_info, overall_power
 
 ALPHA = 0.025
 
@@ -47,3 +49,31 @@ def test_level_and_waive_branch_success_match_the_reference():
     want = ref.waive_branch_success(ref.inverse_normal(cef.c), i2_const, p.i1, p.delta, z_f)
     assert got == pytest.approx(want, abs=1e-9)
     assert want == pytest.approx(1.0 - p.beta, abs=1e-8)
+
+
+def test_upper_branch_power_and_mean_information_match_the_reference():
+    p = params_at(EVAL_BASE, 0.6)
+    checks = []
+    # Binding Fisher, whose floor kink the package finds by a root search,
+    # and binding inverse normal, whose kink is closed-form.
+    for family, reference in (("fisher", ref.fisher),
+                              ("inverse_normal", ref.inverse_normal)):
+        design = build_fasttrack(p, family)
+        checks.append((family, design, reference(design.cef.c, design.branch_boundary)))
+    # The z-combination upper branch of the worked example.
+    combo = build_combination(params_at(COMBO_BASE, 0.5), "z_combination")
+    cp = combo.params
+    reference = ref.z_combination(
+        cp.i1, combo.i2_const, combo.branch_boundary, ALPHA, combo.cef.alpha_prime
+    )
+    checks.append(("z-combination", combo, reference))
+    for name, design, reference in checks:
+        q, z_f = design.params, design.branch_boundary
+        assert design.i2_min > 0, name  # the rule kinks where the formula meets it
+        want_power, want_info = ref.upper_branch(
+            reference, design.i2_min, q.beta, q.i1, q.delta, z_f
+        )
+        got_power = overall_power(q.i1, design.rule, q.delta, z_f)
+        got_info = mean_stage2_info(q.i1, design.rule, q.delta, z_f)
+        assert got_power == pytest.approx(want_power, abs=1e-10), name
+        assert got_info == pytest.approx(want_info, abs=1e-10), name
