@@ -1,7 +1,8 @@
 """Command-line interface: scenario ingestion, figure-data CSV emission,
 table reproduction and Monte Carlo runs.
 
-Exit codes: 0 success, 2 invalid input, 3 numerical failure.
+Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 infeasible
+power target (a fast-track pilot information at or below I1_min).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .scenario import Scenario, ScenarioError, load_scenario
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
+EXIT_INFEASIBLE = 4
 
 INFEASIBLE = "infeasible"
 
@@ -98,21 +100,21 @@ def _i1_bounds_row(scenario: Scenario, base: DerivedDesign, kind: str, xi: float
     return [xi, d.i1_min / scale, d.i1_max / scale]
 
 
-def _mean_i2(p, d: power_mod.Design) -> float:
-    return power_mod.mean_stage2_info(p.i1, d.rule, p.delta, d.branch_boundary)
+def _mean_i2(d: power_mod.Design) -> float:
+    return power_mod.mean_stage2_info(d.params, d.rule)
 
 
-def _max_i2(p, d: power_mod.Design) -> float:
-    return power_mod.max_stage2_info(p.i1, d.rule, d.branch_boundary)
+def _max_i2(d: power_mod.Design) -> float:
+    return power_mod.max_stage2_info(d.params, d.rule)
 
 
 # Fast-track curve kind -> its statistic of a built design, in information.
 _FASTTRACK_STATS = {
-    "i2_min": lambda p, d: d.i2_min,
+    "i2_min": lambda d: d.i2_min,
     "i2_mean": _mean_i2,
     "i2_max": _max_i2,
-    "total_mean": lambda p, d: p.i1 + _mean_i2(p, d),
-    "total_max": lambda p, d: p.i1 + _max_i2(p, d),
+    "total_mean": lambda d: d.params.i1 + _mean_i2(d),
+    "total_max": lambda d: d.params.i1 + _max_i2(d),
 }
 
 
@@ -129,7 +131,7 @@ def _fasttrack_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float)
         except power_mod.InfeasiblePowerError:
             row.append(INFEASIBLE)
         else:
-            row.append(_FASTTRACK_STATS[kind](p, d) / base.i_delta)
+            row.append(_FASTTRACK_STATS[kind](d) / base.i_delta)
     return row
 
 
@@ -141,7 +143,7 @@ def _i2_const_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
 def _combo_panel_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
     p = scenario.design_params(i1=t * base.i_delta)
     d = comb_mod.build_combination(p, scenario.family)
-    infos = (d.i2_const, d.i2_min, _max_i2(p, d))
+    infos = (d.i2_const, d.i2_min, _max_i2(d))
     return [t, *(x / base.i_delta for x in infos), cond_registration_power(p)]
 
 
@@ -310,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConvergenceError, BracketError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except power_mod.InfeasiblePowerError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

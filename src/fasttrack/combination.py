@@ -19,7 +19,7 @@ from scipy.special import log_ndtr
 
 from . import cef as cef_mod
 from . import power as power_mod
-from .design import DesignParams, boundary_z, cond_registration_power, derive
+from .design import DesignParams, cond_registration_power, derive
 from .numerics import (
     RootSettings,
     find_root,
@@ -53,38 +53,31 @@ def naive_inflation(alpha: float, alpha_c: float) -> float:
 
 
 def lower_branch_success(
-    i2c: float,
-    cef: cef_mod.CalibratedCef,
-    i1: float,
-    delta: float,
-    z_split: float,
+    params: DesignParams, i2c: float, cef: cef_mod.CalibratedCef
 ) -> float:
-    """P_delta(Z2 >= Phi^{-1}(1 - A(Z1)) | Z1 < z_split) at stage-two
+    """P_delta(Z2 >= Phi^{-1}(1 - A(Z1)) | Z1 < z_f) at stage-two
     information ``i2c``.
 
-    The density phi(z - mean) / Phi(z_split - mean) of Z1 given Z1 < z_split
-    is formed in log space, so it holds its mass just below z_split even
-    when the mean lies far above.  Only the pieces of ``cef`` that start
-    below z_split enter: never the z-combination family's raised level.
+    The density phi(z - mean) / Phi(z_f - mean) of Z1 given Z1 < z_f is
+    formed in log space, so it holds its mass just below z_f even when the
+    mean lies far above.  Only the pieces of ``cef`` that start below z_f
+    enter: never the z-combination family's raised level.
     """
-    mean = delta * math.sqrt(i1)
-    log_p_lower = log_ndtr(z_split - mean)
+    delta, z_f = params.delta, params.z_f
+    mean = delta * math.sqrt(params.i1)
+    log_p_lower = log_ndtr(z_f - mean)
 
     def integrand(z):
         q = cef_mod.critical_value(cef, z)
         cond = 1.0 - std_normal_cdf(q - math.sqrt(i2c) * delta)
         return cond * np.exp(-0.5 * (z - mean) ** 2 - log_p_lower) / _SQRT_2PI
 
-    lo, hi = normal_window(mean, hi=z_split)
-    return integrate(integrand, lo, hi, split_points=cef_mod.kinks(cef, z_split))
+    lo, hi = normal_window(mean, hi=z_f)
+    return integrate(integrand, lo, hi, split_points=cef_mod.kinks(cef, z_f))
 
 
 def solve_i2_const(
-    i1: float,
-    delta: float,
-    cef_at: Callable[[float], cef_mod.CalibratedCef],
-    beta: float,
-    z_split: float,
+    params: DesignParams, cef_at: Callable[[float], cef_mod.CalibratedCef]
 ) -> float:
     """Fixed stage-two information giving conditional success 1-beta on the
     waive branch, where ``cef_at(i2c)`` is the CEF tested at information
@@ -94,9 +87,9 @@ def solve_i2_const(
     def success(i2c: float) -> float:
         if i2c <= 0:
             return 0.0
-        return lower_branch_success(i2c, cef_at(i2c), i1, delta, z_split)
+        return lower_branch_success(params, i2c, cef_at(i2c))
 
-    return solve_monotone(success, 1.0 - beta, 0.0)
+    return solve_monotone(success, 1.0 - params.beta)
 
 
 def waive_branch(
@@ -112,32 +105,25 @@ def waive_branch(
     with a non-binding lower bound first, then solve I2_const.
     """
     p = params
-    z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
     if family == "z_combination":
         def fixed_test(i2c: float) -> cef_mod.CalibratedCef:
-            return cef_mod.z_combination_cef(p.i1, i2c, z_f, p.alpha, p.alpha)
+            return cef_mod.z_combination_cef(p.i1, i2c, p.z_f, p.alpha, p.alpha)
 
-        i2_const = solve_i2_const(p.i1, p.delta, fixed_test, p.beta, z_f)
-        cef = cef_mod.family_cef(family, p.alpha, i1=p.i1, i2_const=i2_const, z_split=z_f)
+        i2_const = solve_i2_const(p, fixed_test)
+        cef = cef_mod.family_cef(family, p.alpha, i1=p.i1, i2_const=i2_const, z_split=p.z_f)
         return cef, i2_const
     cef = cef_mod.family_cef(family, p.alpha)
-    return cef, solve_i2_const(p.i1, p.delta, lambda i2c: cef, p.beta, z_f)
+    return cef, solve_i2_const(p, lambda i2c: cef)
 
 
 def build_combination(params: DesignParams, family: str) -> power_mod.Design:
     """Build an apply-or-waive design for one conditional error family: the
     waive branch (see :func:`waive_branch`), then the upper-branch floor."""
     cef, i2_const = waive_branch(params, family)
-    z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
-    p_upper = cond_registration_power(params)
-    target = (1.0 - params.beta) * p_upper
-    i2_min = power_mod.solve_i2_min(
-        params.i1, params.delta, cef, params.beta, target, z_f
-    )
-    rule = power_mod.AdaptiveConditionalPower(
-        i2_min=i2_min, cef=cef, beta=params.beta
-    )
-    return power_mod.Design(params, family, rule, z_f, i2_const)
+    target = (1.0 - params.beta) * cond_registration_power(params)
+    i2_min = power_mod.solve_i2_min(params, cef, target)
+    rule = power_mod.AdaptiveConditionalPower(i2_min, cef)
+    return power_mod.Design(params, family, rule, i2_const)
 
 
 def branch_metrics(design: power_mod.Design) -> BranchMetrics:
@@ -146,10 +132,7 @@ def branch_metrics(design: power_mod.Design) -> BranchMetrics:
     params = design.params
     upper = power_mod.evaluate_design(params, design.rule)
     p_upper = upper.p_cond_reg
-    p_succ_lower = lower_branch_success(
-        design.i2_const, design.cef, params.i1, params.delta,
-        design.branch_boundary,
-    )
+    p_succ_lower = lower_branch_success(params, design.i2_const, design.cef)
     return BranchMetrics(
         p_upper=p_upper,
         p_success_given_upper=upper.overall_power / p_upper,
@@ -181,7 +164,7 @@ def gambling_threshold(params: DesignParams, family: str) -> float:
         p = replace(params, i1=t_xi * i_delta)
         d = build_combination(p, family)
         formula = replace(d.rule, i2_min=0.0)
-        return float(power_mod.stage2_info(d.branch_boundary, p.i1, formula)) - d.i2_min
+        return power_mod.max_stage2_info(p, formula) - d.i2_min
 
     t_max = base.i1_max / i_delta
     t = _SCAN_STEP

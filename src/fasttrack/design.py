@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .numerics import std_normal_cdf, std_normal_quantile
 
@@ -35,11 +36,12 @@ class DesignParams:
     i1: float
 
     def __post_init__(self):
-        # A level of 2**-54 or less has 1 - level == 1.0, so no quantile.
-        if not 2.0**-54 < self.alpha < self.alpha_c < 0.5:
+        # A level of 2**-54 or less has 1 - level == 1.0, so no quantile; at
+        # alpha_c = 0.5 - 2**-54, 1 - alpha_c == 0.5, so z_f could be 0.
+        if not 2.0**-54 < self.alpha < self.alpha_c < 0.5 - 2.0**-54:
             raise ValueError(
-                f"need 2**-54 < alpha < alpha_c < 0.5, got alpha={self.alpha}, "
-                f"alpha_c={self.alpha_c}"
+                f"need 2**-54 < alpha < alpha_c < 0.5 - 2**-54, "
+                f"got alpha={self.alpha}, alpha_c={self.alpha_c}"
             )
         if not 2.0**-54 < self.beta < 0.5:
             raise ValueError(f"need 2**-54 < beta < 0.5, got beta={self.beta}")
@@ -53,6 +55,14 @@ class DesignParams:
     @property
     def delta(self) -> float:
         return self.xi * self.delta_rel
+
+    @cached_property
+    def z_f(self) -> float:
+        """The conditional-registration boundary on the z-scale, > 0."""
+        return max(
+            math.sqrt(self.i1) * self.delta_rel,
+            std_normal_quantile(1.0 - self.alpha_c),
+        )
 
 
 @dataclass(frozen=True)
@@ -138,13 +148,6 @@ def xi_min(alpha: float, beta: float) -> float:
     return 1.0 + std_normal_quantile(1.0 - beta) / std_normal_quantile(1.0 - alpha)
 
 
-def boundary_z(i1: float, delta_rel: float, alpha_c: float) -> float:
-    """z_f, the conditional-registration boundary on the z-scale."""
-    return max(
-        math.sqrt(i1) * delta_rel, std_normal_quantile(1.0 - alpha_c)
-    )
-
-
 def derive(params: DesignParams) -> DerivedDesign:
     """Populate every closed-form derived quantity for a scenario."""
     eta_f = noncentrality_target(params.alpha, params.beta)
@@ -158,7 +161,7 @@ def derive(params: DesignParams) -> DerivedDesign:
         i_rel=i_rel,
         i_delta=i_delta,
         delta=delta,
-        z_f=boundary_z(params.i1, params.delta_rel, params.alpha_c),
+        z_f=params.z_f,
         alpha_rel=a_rel,
         alpha_f=min(a_rel, params.alpha_c),
         i1_min=i1min,
@@ -171,5 +174,4 @@ def derive(params: DesignParams) -> DerivedDesign:
 
 def cond_registration_power(params: DesignParams) -> float:
     """P_delta(Z1 >= z_f), the probability of conditional registration."""
-    z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
-    return 1.0 - std_normal_cdf(z_f - params.delta * math.sqrt(params.i1))
+    return 1.0 - std_normal_cdf(params.z_f - params.delta * math.sqrt(params.i1))

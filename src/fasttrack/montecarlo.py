@@ -90,7 +90,7 @@ def simulate(design: Design, cfg: SimConfig, substream: int = 0) -> SimReport:
         z = z1[branch]
         q = cef_mod.critical_value(rule.cef, z)
         if i2_const is None:
-            info = power_mod.stage2_info(z, params.i1, rule, q)
+            info = power_mod.stage2_info(z, params, rule, q)
         else:
             info = i2_const
         del z  # free the branch's copy of z1 before the stage-two draw

@@ -57,13 +57,10 @@ class RootSettings:
     x_tol: float = 1e-9
     f_tol: float = 1e-10
     max_iter: int = 200
-    bracket_growth: float = 2.0
 
     def __post_init__(self):
         if not (self.x_tol > 0 and self.f_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.bracket_growth <= 1:
-            raise ValueError("bracket_growth must exceed 1")
 
 
 DEFAULT_QUAD = QuadratureSettings()
@@ -232,32 +229,27 @@ def find_root(
 def solve_monotone(
     g: Callable[[float], float],
     target: float,
-    lo_guess: float,
     settings: RootSettings = DEFAULT_ROOT,
 ) -> float:
-    """Smallest x >= lo_guess with g(x) = target, for non-decreasing g.
+    """Smallest x >= 0 with g(x) = target, for non-decreasing g.
 
-    If g(lo_guess) already meets the target, ``lo_guess`` is returned.  The
-    upper bracket is found by geometric expansion.  ``g`` is called at most
-    once at any x.
+    If g(0) already meets the target, 0 is returned.  The upper bracket is
+    found by doubling steps from 1.  ``g`` is called at most once at any x.
     """
-    g_lo = g(lo_guess)
+    lo, g_lo = 0.0, g(0.0)
     if g_lo >= target - settings.f_tol:
-        return lo_guess
+        return lo
 
-    step = max(abs(lo_guess), 1.0)
-    lo, hi = lo_guess, lo_guess + step
+    hi, step = 1.0, 1.0
     for _ in range(settings.max_iter):
         g_hi = g(hi)
         if g_hi >= target:
             break
         lo, g_lo = hi, g_hi
-        step *= settings.bracket_growth
+        step *= 2.0
         hi = lo + step
     else:
-        raise BracketError(
-            f"bracket expansion from {lo_guess} did not reach target {target}"
-        )
+        raise BracketError(f"bracket expansion from 0.0 did not reach target {target}")
     return find_root(
         lambda t: g(t) - target, lo, hi, settings,
         f_lo=g_lo - target, f_hi=g_hi - target,

@@ -2,14 +2,15 @@
 and the minimum second-stage information solver for the fast-track procedure.
 
 The overall power of a design with conditional error function A, first-stage
-information I1 and continuation region Z1 >= z_lower is
+information I1 and continuation region Z1 >= z_f is
 
-    integral over z1 >= z_lower of
+    integral over z1 >= z_f of
         [1 - Phi(Phi^{-1}(1 - A(z1)) - sqrt(I2(z1)) * delta)]
         * phi(z1 - sqrt(I1) * delta)  dz1
 
 where I2(z1) is the stage-two information rule.  The non-adaptive (separate
-studies) design is the special case A == alpha.
+studies) design is the special case A == alpha.  I1, delta, beta and z_f
+are read from the design's DesignParams.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cef as cef_mod
-from .design import DesignParams, boundary_z, cond_registration_power
+from .design import DesignParams, cond_registration_power
 from .numerics import (
     BracketError,
     find_root,
@@ -44,7 +45,6 @@ class AdaptiveConditionalPower:
 
     i2_min: float
     cef: cef_mod.CalibratedCef
-    beta: float
 
     def __post_init__(self):
         if self.i2_min < 0:
@@ -64,8 +64,11 @@ class Design:
     params: DesignParams
     family: str
     rule: AdaptiveConditionalPower
-    branch_boundary: float  # z_f
     i2_const: float | None = None
+
+    @property
+    def branch_boundary(self) -> float:
+        return self.params.z_f
 
     @property
     def cef(self) -> cef_mod.CalibratedCef:
@@ -89,7 +92,8 @@ class EvaluationResult:
     total_max: float
 
 
-def _adaptive_formula(z1, i1: float, rule: AdaptiveConditionalPower, q=None):
+def _adaptive_formula(z1, params: DesignParams, rule: AdaptiveConditionalPower,
+                      q=None):
     """I1 * (z_beta + q)^2 / z1^2 with q the stage-two critical value
     Phi^{-1}(1 - A(z1)) (see cef.critical_value), vectorized.
 
@@ -98,19 +102,19 @@ def _adaptive_formula(z1, i1: float, rule: AdaptiveConditionalPower, q=None):
     z = np.asarray(z1, dtype=float)
     if q is None:
         q = cef_mod.critical_value(rule.cef, z)
-    numer = std_normal_quantile(1.0 - rule.beta) + q
-    return i1 * numer**2 / z**2
+    numer = std_normal_quantile(1.0 - params.beta) + q
+    return params.i1 * numer**2 / z**2
 
 
-def stage2_info(z1, i1: float, rule: AdaptiveConditionalPower, q=None):
+def stage2_info(z1, params: DesignParams, rule: AdaptiveConditionalPower, q=None):
     """The stage-two information rule: the formula floored at
-    ``rule.i2_min``, vectorized, for z1 > 0 (its callers check their lower
-    end).  Callers that already hold q for these z1 pass it in."""
-    return np.maximum(rule.i2_min, _adaptive_formula(z1, i1, rule, q))
+    ``rule.i2_min``, vectorized, for z1 >= z_f > 0 (DesignParams keeps z_f
+    positive).  Callers that already hold q for these z1 pass it in."""
+    return np.maximum(rule.i2_min, _adaptive_formula(z1, params, rule, q))
 
 
-def _floor_kink(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
-                z_upper: float) -> float | None:
+def _floor_kink(params: DesignParams, rule: AdaptiveConditionalPower,
+                z_lower: float, z_upper: float) -> float | None:
     """Abscissa where the conditional-power formula crosses the floor.
 
     The formula is non-increasing in z1 (A is non-decreasing), so there is at
@@ -122,10 +126,10 @@ def _floor_kink(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
         return None
     pieces = rule.cef.pieces
     if pieces is not None:
-        slope = math.sqrt(rule.i2_min / i1)
-        z_beta = std_normal_quantile(1.0 - rule.beta)
+        slope = math.sqrt(rule.i2_min / params.i1)
+        z_beta = std_normal_quantile(1.0 - params.beta)
         return _linear_floor_kink(pieces, slope, z_beta, z_lower, z_upper)
-    g = lambda z: _adaptive_formula(float(z), i1, rule) - rule.i2_min
+    g = lambda z: _adaptive_formula(float(z), params, rule) - rule.i2_min
     try:
         return find_root(g, z_lower, z_upper)
     except BracketError:
@@ -161,43 +165,35 @@ def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
     return None
 
 
-def _splits(i1: float, rule: AdaptiveConditionalPower, z_lower: float,
+def _splits(params: DesignParams, rule: AdaptiveConditionalPower, z_lower: float,
             z_hi: float) -> list[float]:
     """Quadrature split points on [z_lower, z_hi]: the CEF cap and the floor
     kink, where they exist."""
     splits = [cef_mod.cap_kink(rule.cef)]
-    kink = _floor_kink(i1, rule, z_lower, z_hi)
+    kink = _floor_kink(params, rule, z_lower, z_hi)
     if kink is not None:
         splits.append(kink)
     return splits
 
 
-def overall_power(
-    i1: float, rule: AdaptiveConditionalPower, delta: float, z_lower: float
-) -> float:
-    """Probability of continuing past ``z_lower`` and rejecting at stage two."""
-    if not z_lower > 0:
-        raise ValueError(f"stage-two sizing requires z1 > 0, got z_lower={z_lower}")
-    mean = delta * math.sqrt(i1)
-    lo, hi = normal_window(mean, z_lower)
+def overall_power(params: DesignParams, rule: AdaptiveConditionalPower) -> float:
+    """Probability of continuing past z_f and rejecting at stage two."""
+    delta = params.delta
+    mean = delta * math.sqrt(params.i1)
+    lo, hi = normal_window(mean, params.z_f)
     cef = rule.cef
 
     def integrand(z):
         q = cef_mod.critical_value(cef, z)
-        i2 = stage2_info(z, i1, rule, q)
+        i2 = stage2_info(z, params, rule, q)
         cond = 1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)
         return cond * std_normal_pdf(z - mean)
 
-    return integrate(integrand, lo, hi, split_points=_splits(i1, rule, lo, hi))
+    return integrate(integrand, lo, hi, split_points=_splits(params, rule, lo, hi))
 
 
 def solve_i2_min(
-    i1: float,
-    delta: float,
-    cef: cef_mod.CalibratedCef,
-    beta: float,
-    target: float,
-    z_lower: float,
+    params: DesignParams, cef: cef_mod.CalibratedCef, target: float
 ) -> float:
     """Smallest floor I2min with overall power equal to ``target``.
 
@@ -205,7 +201,7 @@ def solve_i2_min(
     :class:`InfeasiblePowerError` when the target exceeds the continuation
     probability, which caps the achievable power.
     """
-    ceiling = 1.0 - std_normal_cdf(z_lower - delta * math.sqrt(i1))
+    ceiling = cond_registration_power(params)
     if target >= ceiling:
         raise InfeasiblePowerError(
             f"target {target} is not below the continuation probability "
@@ -213,38 +209,31 @@ def solve_i2_min(
         )
 
     def power_at(i2_min: float) -> float:
-        rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=beta)
-        return overall_power(i1, rule, delta, z_lower)
+        return overall_power(params, AdaptiveConditionalPower(i2_min, cef))
 
-    return solve_monotone(power_at, target, 0.0)
-
-
-def max_stage2_info(i1: float, rule: AdaptiveConditionalPower, z_lower: float) -> float:
-    """Largest possible stage-two information, attained at z1 = z_lower or
-    at the floor."""
-    if not z_lower > 0:
-        raise ValueError(f"stage-two sizing requires z1 > 0, got z_lower={z_lower}")
-    return float(stage2_info(z_lower, i1, rule))
+    return solve_monotone(power_at, target)
 
 
-def mean_stage2_info(
-    i1: float, rule: AdaptiveConditionalPower, delta: float, z_lower: float
-) -> float:
-    """Expected stage-two information, with trials stopped below ``z_lower``
+def max_stage2_info(params: DesignParams, rule: AdaptiveConditionalPower) -> float:
+    """Largest possible stage-two information, attained at z1 = z_f or at the
+    floor."""
+    return float(stage2_info(params.z_f, params, rule))
+
+
+def mean_stage2_info(params: DesignParams, rule: AdaptiveConditionalPower) -> float:
+    """Expected stage-two information, with trials stopped below z_f
     contributing zero information.
 
     This is what makes the non-adaptive mean sit just above its minimum (149
     vs 148 per group in the worked example).
     """
-    if not z_lower > 0:
-        raise ValueError(f"stage-two sizing requires z1 > 0, got z_lower={z_lower}")
-    mean = delta * math.sqrt(i1)
-    lo, hi = normal_window(mean, z_lower)
+    mean = params.delta * math.sqrt(params.i1)
+    lo, hi = normal_window(mean, params.z_f)
 
     def integrand(z):
-        return stage2_info(z, i1, rule) * std_normal_pdf(z - mean)
+        return stage2_info(z, params, rule) * std_normal_pdf(z - mean)
 
-    return integrate(integrand, lo, hi, split_points=_splits(i1, rule, lo, hi))
+    return integrate(integrand, lo, hi, split_points=_splits(params, rule, lo, hi))
 
 
 def build_fasttrack(
@@ -262,23 +251,19 @@ def build_fasttrack(
     """
     if family not in cef_mod.FASTTRACK_FAMILIES:
         raise ValueError(f"family {family!r} is not available for the fast-track mode")
-    z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
-    cef = cef_mod.family_cef(family, params.alpha, z_f if binding else -math.inf)
-    i2_min = solve_i2_min(
-        params.i1, params.delta, cef, params.beta, 1.0 - params.beta, z_f
-    )
-    rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=params.beta)
-    return Design(params, family, rule, branch_boundary=z_f)
+    z0 = params.z_f if binding else -math.inf
+    cef = cef_mod.family_cef(family, params.alpha, z0)
+    i2_min = solve_i2_min(params, cef, 1.0 - params.beta)
+    return Design(params, family, AdaptiveConditionalPower(i2_min, cef))
 
 
 def evaluate_design(
     params: DesignParams, rule: AdaptiveConditionalPower
 ) -> EvaluationResult:
     """Bundle the operating characteristics of the branch Z1 >= z_f."""
-    z_f = boundary_z(params.i1, params.delta_rel, params.alpha_c)
-    power = overall_power(params.i1, rule, params.delta, z_f)
-    i2_hi = max_stage2_info(params.i1, rule, z_f)
-    i2_mean = mean_stage2_info(params.i1, rule, params.delta, z_f)
+    power = overall_power(params, rule)
+    i2_hi = max_stage2_info(params, rule)
+    i2_mean = mean_stage2_info(params, rule)
     return EvaluationResult(
         overall_power=power,
         p_cond_reg=cond_registration_power(params),

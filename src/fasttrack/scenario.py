@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Optional
 
 from .cef import FAMILIES
-from .design import DesignParams, noncentrality_target
+from .design import DesignParams, derive
 
 MODES = ("fasttrack_binding", "fasttrack_nonbinding", "combination")
 
@@ -45,13 +45,12 @@ class Scenario:
         """Absolute first-stage information from whichever key was given."""
         if self.i1 is not None:
             return self.i1
-        self.design_params(i1=1.0)  # checks the levels before their quantiles
-        eta_f = noncentrality_target(self.alpha, self.beta)
+        # The information scales do not depend on I1; the probe validates the
+        # levels before their quantiles are taken.
+        scales = derive(self.design_params(i1=1.0))
         if self.t_xi_i1 is not None:
-            i_delta = eta_f**2 / (self.xi * self.delta_rel) ** 2
-            return self.t_xi_i1 * i_delta
-        i_rel = eta_f**2 / self.delta_rel**2
-        return self.t_rel_i1 * i_rel
+            return self.t_xi_i1 * scales.i_delta
+        return self.t_rel_i1 * scales.i_rel
 
     def design_params(self, i1: Optional[float] = None) -> DesignParams:
         return DesignParams(

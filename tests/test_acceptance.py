@@ -23,7 +23,6 @@ from fasttrack import power as power_mod
 from fasttrack.design import (
     DesignParams,
     ExampleCost,
-    boundary_z,
     cond_registration_power,
     derive,
     i1_max,
@@ -294,7 +293,7 @@ def test_criterion6a_level_condition_matrix():
             base = dict(alpha=ALPHA, beta=BETA, alpha_c=sc["alpha_c"],
                         delta_rel=sc["delta_rel"], xi=sc["xi"])
             p = params_at(base, sc["t"])
-            z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+            z_f = p.z_f
             tag = f"(xi={sc['xi']}, t={sc['t']}, alpha_c={sc['alpha_c']})"
 
             flat = cef_mod.constant_cef(ALPHA)
@@ -401,15 +400,15 @@ def test_criterion6d_max_information_dominance():
             t_hi = d0.i1_max / d0.i_delta
             for t in np.linspace(t_lo * 1.05, t_hi * 0.95, 5):
                 p = params_at(base, float(t))
-                z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+                z_f = p.z_f
                 flat = power_mod.build_fasttrack(p, "constant")
-                max_flat = power_mod.max_stage2_info(p.i1, flat.rule, z_f)
+                max_flat = power_mod.max_stage2_info(p, flat.rule)
                 for family in ("inverse_normal", "fisher"):
                     design = power_mod.build_fasttrack(p, family)
                     a_bound = cef_mod.eval_cef(design.rule.cef, z_f + 1e-12)
                     if a_bound <= ALPHA:
                         continue  # dominance is only claimed above the flat level
-                    max_adapt = power_mod.max_stage2_info(p.i1, design.rule, z_f)
+                    max_adapt = power_mod.max_stage2_info(p, design.rule)
                     checks.append(
                         (
                             f"xi={xi} t={t:.3f} {family}",
@@ -427,22 +426,20 @@ def test_criterion6e_waive_branch_monotonicity():
         grid = (0.25, 0.5, 1.0, 2.0, 4.0)
         for t in (0.3, 0.5):
             p = params_at(COMBO_BASE, t)
-            z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
             for name, family in (
                 ("inverse normal", "inverse_normal"),
                 ("Fisher", "fisher"),
             ):
                 calibrated = cef_mod.family_cef(family, ALPHA)
                 vals = [
-                    comb_mod.lower_branch_success(x, calibrated, p.i1, p.delta, z_f)
+                    comb_mod.lower_branch_success(p, x, calibrated)
                     for x in grid
                 ]
                 ok = all(b > a for a, b in zip(vals, vals[1:]))
                 checks.append((f"{name} t={t}", ok, f"sequence {vals}"))
             vals = [
                 comb_mod.lower_branch_success(
-                    x, cef_mod.z_combination_cef(p.i1, x, z_f, ALPHA, ALPHA),
-                    p.i1, p.delta, z_f,
+                    p, x, cef_mod.z_combination_cef(p.i1, x, p.z_f, ALPHA, ALPHA)
                 )
                 for x in grid
             ]

@@ -18,7 +18,7 @@ from fasttrack.cef import (
     z_combination_cef,
 )
 from fasttrack.combination import build_combination
-from fasttrack.design import boundary_z, derive
+from fasttrack.design import derive
 from fasttrack.numerics import find_root, std_normal_cdf, std_normal_quantile
 
 ALPHA = 0.025
@@ -46,7 +46,7 @@ class TestCalibrationConstants:
 
     def test_binding_calibration_closes_level(self):
         p = params_at(EVAL_BASE, 0.6)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        z_f = p.z_f
         for family in ("inverse_normal", "fisher"):
             cef = family_cef(family, ALPHA, z_f)
             assert level_integral(cef, z_f) == pytest.approx(ALPHA, abs=1e-8)
@@ -94,7 +94,7 @@ class TestLevelIntegral:
 class TestShape:
     def _calibrated_all(self):
         p = params_at(COMBO_BASE, 0.5)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        z_f = p.z_f
         out = [
             family_cef("constant", ALPHA),
             family_cef("inverse_normal", ALPHA),
@@ -185,7 +185,7 @@ class TestCriticalValueTable:
     def _table_cefs(self):
         """The table CEFs, each with the family formula it stands for."""
         p = params_at(COMBO_BASE, 0.5)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        z_f = p.z_f
         inv = family_cef("inverse_normal", ALPHA)
         inv_binding = family_cef("inverse_normal", ALPHA, z_f)
         az = build_combination(p, "z_combination")
@@ -263,7 +263,7 @@ class TestLemmaPreconditions:
             t_hi = d0.i1_max / d0.i_delta
             for t in np.linspace(t_lo * 1.05, t_hi * 0.95, 6):
                 p = params_at(base, float(t))
-                z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+                z_f = p.z_f
                 for family in ("inverse_normal", "fisher"):
                     cef = family_cef(family, ALPHA, z_f)
                     assert eval_cef(cef, z_f + 1e-12) > ALPHA
@@ -292,7 +292,7 @@ class TestCalibrationReuse:
         import fasttrack.cef as cef_mod
 
         p = params_at(COMBO_BASE, 0.5)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        z_f = p.z_f
         cases = [
             ("inverse_normal", -math.inf, {}, "c"),
             ("fisher", z_f, {}, "c"),

@@ -322,6 +322,17 @@ class TestSimulate:
         )
         assert rc == cli.EXIT_OK
 
+    def test_pilot_below_i1_min_is_infeasible(self, write_scenario, tmp_path,
+                                              capsys):
+        # t_xi 0.01 lies below I1_min: no floor reaches power 1 - beta.
+        path = write_scenario(t_xi_i1=0.01)
+        rc = cli.main(
+            ["simulate", "--scenario", path, "--out", str(tmp_path / "s.csv"),
+             "--reps", "1000"]
+        )
+        assert rc == cli.EXIT_INFEASIBLE == 4
+        assert "continuation probability" in capsys.readouterr().err
+
     def test_rejects_bad_reps(self, write_scenario, tmp_path):
         path = write_scenario()
         rc = cli.main(

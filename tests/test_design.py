@@ -11,7 +11,6 @@ from fasttrack.design import (
     DesignParams,
     ExampleCost,
     alpha_rel,
-    boundary_z,
     cond_registration_power,
     derive,
     i1_max,
@@ -123,8 +122,19 @@ class TestPilotBounds:
 class TestBoundaryAndPower:
     def test_boundary_branches(self):
         z_c = std_normal_quantile(0.85)
-        assert boundary_z(0.25, 1.0, 0.15) == z_c
-        assert boundary_z(9.0, 1.0, 0.15) == 3.0
+        assert base_params(i1=0.25, delta_rel=1.0, alpha_c=0.15).z_f == z_c
+        assert base_params(i1=9.0, delta_rel=1.0, alpha_c=0.15).z_f == 3.0
+
+    def test_boundary_is_positive_over_the_whole_domain(self):
+        # The stage-two rule divides by z1^2 on Z1 >= z_f.  Only at
+        # alpha_c = 0.5 - 2**-54, where 1 - alpha_c rounds to 0.5, could z_f
+        # be 0; that level is rejected, and the next one down keeps z_f > 0
+        # even when sqrt(I1) * delta_rel underflows to 0.
+        with pytest.raises(ValueError, match="got alpha=0.025, alpha_c="):
+            base_params(alpha_c=0.5 - 2.0**-54)
+        p = base_params(alpha_c=0.5 - 2.0**-53, i1=1e-300, delta_rel=1e-300)
+        assert math.sqrt(p.i1) * p.delta_rel == 0.0
+        assert p.z_f > 0
 
     def test_boundary_at_reference_point(self):
         p = params_at(EVAL_BASE, 0.6)

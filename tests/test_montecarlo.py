@@ -136,15 +136,13 @@ class TestInvariants:
         from fasttrack.power import max_stage2_info
 
         rule = fasttrack_design.rule
-        hi = max_stage2_info(
-            fasttrack_design.params.i1, rule, fasttrack_design.branch_boundary
-        )
+        hi = max_stage2_info(fasttrack_design.params, rule)
         assert rep.max_i2_observed <= hi + 1e-9
 
     def test_stage2_info_vectorized_floor(self, fasttrack_design):
         rule = fasttrack_design.rule
         z = np.linspace(fasttrack_design.branch_boundary, 8.0, 1000)
-        out = stage2_info(z, fasttrack_design.params.i1, rule)
+        out = stage2_info(z, fasttrack_design.params, rule)
         assert np.all(out >= rule.i2_min - 1e-12)
 
     def test_report_shape(self, fasttrack_design):

@@ -148,22 +148,22 @@ class TestRoots:
         with pytest.raises(ValueError):
             RootSettings(x_tol=-1.0)
         with pytest.raises(ValueError):
-            RootSettings(bracket_growth=1.0)
+            RootSettings(f_tol=0.0)
 
 
 class TestSolveMonotone:
     def test_identity(self):
-        x = solve_monotone(lambda t: t, 5.0, 0.0)
+        x = solve_monotone(lambda t: t, 5.0)
         assert x == pytest.approx(5.0, abs=1e-8)
 
     def test_already_satisfied(self):
-        x = solve_monotone(lambda t: t + 10.0, 5.0, 0.0)
+        x = solve_monotone(lambda t: t + 10.0, 5.0)
         assert x == 0.0
 
     def test_bounded_function_gives_up(self):
         settings = RootSettings(max_iter=30)
         with pytest.raises(BracketError):
-            solve_monotone(math.tanh, 2.0, 0.0, settings)
+            solve_monotone(math.tanh, 2.0, settings)
 
 
 def test_normal_window_cuts_each_infinite_end_and_keeps_finite_ones():
@@ -228,7 +228,7 @@ class TestEvaluationReuse:
         for fn, target in ((lambda t: t, 5.0), (lambda t: t**2, 40.0),
                            (lambda t: 1.0 - math.exp(-t), 0.9)):
             g = CountingFunction(fn)
-            x = solve_monotone(g, target, 0.0)
+            x = solve_monotone(g, target)
             assert fn(x) == pytest.approx(target, abs=1e-8)
             assert g.repeated() == 0
 

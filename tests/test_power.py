@@ -18,7 +18,7 @@ from fasttrack.cef import (
     family_cef,
     z_combination_cef,
 )
-from fasttrack.design import DesignParams, boundary_z, cond_registration_power, derive
+from fasttrack.design import DesignParams, cond_registration_power, derive
 from fasttrack.montecarlo import SimConfig, simulate
 from fasttrack.numerics import DEFAULT_ROOT, BracketError, find_root
 from fasttrack.power import (
@@ -41,41 +41,28 @@ class TestStage2Info:
     def test_conditional_power_formula(self):
         # At the pilot estimate theta_hat = 1.2 the non-adaptive reassessment
         # is eta_f^2 / 1.2^2 regardless of the floor being inactive.
-        i1 = 1.18
-        rule = AdaptiveConditionalPower(0.0, constant_cef(ALPHA), BETA)
-        z1 = 1.2 * math.sqrt(i1)
+        p = DesignParams(i1=1.18, **EVAL_BASE)
+        rule = AdaptiveConditionalPower(0.0, constant_cef(ALPHA))
+        z1 = 1.2 * math.sqrt(p.i1)
         eta_f = ndtri(0.8) + ndtri(0.975)
-        assert stage2_info(z1, i1, rule) == pytest.approx(
+        assert stage2_info(z1, p, rule) == pytest.approx(
             eta_f**2 / 1.2**2, rel=1e-10
         )
 
     def test_floor_activation(self):
-        rule = AdaptiveConditionalPower(5.0, constant_cef(ALPHA), BETA)
-        assert stage2_info(100.0, 1.0, rule) == 5.0
-        assert stage2_info(0.1, 1.0, rule) > 5.0
+        p = DesignParams(i1=1.0, **EVAL_BASE)
+        rule = AdaptiveConditionalPower(5.0, constant_cef(ALPHA))
+        assert stage2_info(100.0, p, rule) == 5.0
+        assert stage2_info(0.1, p, rule) > 5.0
 
     def test_vanishes_for_large_estimates(self):
-        rule = AdaptiveConditionalPower(0.0, constant_cef(ALPHA), BETA)
-        assert stage2_info(100.0, 1.0, rule) < 1e-3
-
-    def test_rejects_nonpositive_z(self):
-        # The integrals and the maximum check their lower end once.
-        rule = AdaptiveConditionalPower(0.0, constant_cef(ALPHA), BETA)
-        for z_lower in (0.0, -0.5):
-            with pytest.raises(ValueError):
-                overall_power(1.0, rule, 1.0, z_lower)
-            with pytest.raises(ValueError):
-                mean_stage2_info(1.0, rule, 1.0, z_lower)
-            with pytest.raises(ValueError):
-                max_stage2_info(1.0, rule, z_lower)
+        p = DesignParams(i1=1.0, **EVAL_BASE)
+        rule = AdaptiveConditionalPower(0.0, constant_cef(ALPHA))
+        assert stage2_info(100.0, p, rule) < 1e-3
 
     def test_rule_validation(self):
         with pytest.raises(ValueError):
-            AdaptiveConditionalPower(
-                i2_min=-1.0,
-                cef=constant_cef(ALPHA),
-                beta=BETA,
-            )
+            AdaptiveConditionalPower(i2_min=-1.0, cef=constant_cef(ALPHA))
 
 
 class TestOverallPower:
@@ -83,9 +70,8 @@ class TestOverallPower:
         # Independent oracle: scipy quadrature of the power integrand for the
         # non-adaptive design.
         p = params_at(EVAL_BASE, 0.6)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
-        rule = AdaptiveConditionalPower(1.7, constant_cef(ALPHA), BETA)
-        got = overall_power(p.i1, rule, p.delta, z_f)
+        rule = AdaptiveConditionalPower(1.7, constant_cef(ALPHA))
+        got = overall_power(p, rule)
 
         q_alpha = ndtri(1.0 - ALPHA)
         eta = ndtri(1.0 - BETA) + q_alpha
@@ -96,27 +82,25 @@ class TestOverallPower:
             mean = p.delta * math.sqrt(p.i1)
             return cond * math.exp(-0.5 * (z - mean) ** 2) / math.sqrt(2 * math.pi)
 
-        want, _ = scipy_quad(integrand, z_f, 20.0, limit=400, epsabs=1e-12)
+        want, _ = scipy_quad(integrand, p.z_f, 20.0, limit=400, epsabs=1e-12)
         assert got == pytest.approx(want, abs=1e-8)
 
     def test_capped_by_continuation_probability(self):
         p = params_at(EVAL_BASE, 0.6)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         ceiling = cond_registration_power(p)
         # At floor 10 the gap to the ceiling (about 5.5e-6) is representable.
-        rule = AdaptiveConditionalPower(10.0, constant_cef(ALPHA), BETA)
-        assert overall_power(p.i1, rule, p.delta, z_f) < ceiling
+        rule = AdaptiveConditionalPower(10.0, constant_cef(ALPHA))
+        assert overall_power(p, rule) < ceiling
         # At floor 50 the conditional power is 1 - Phi(-12.2), which rounds
         # to 1.0 in double precision, so both sides are the same double.
-        rule = AdaptiveConditionalPower(50.0, constant_cef(ALPHA), BETA)
-        assert overall_power(p.i1, rule, p.delta, z_f) <= ceiling
+        rule = AdaptiveConditionalPower(50.0, constant_cef(ALPHA))
+        assert overall_power(p, rule) <= ceiling
 
     def test_monotone_in_floor(self):
         p = params_at(EVAL_BASE, 0.6)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         cef = constant_cef(ALPHA)
         powers = [
-            overall_power(p.i1, AdaptiveConditionalPower(x, cef, BETA), p.delta, z_f)
+            overall_power(p, AdaptiveConditionalPower(x, cef))
             for x in (0.0, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(powers, powers[1:]))
@@ -137,17 +121,15 @@ class TestSolveFloor:
 
     def test_zero_floor_when_target_already_met(self):
         p = params_at(EVAL_BASE, 0.6)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         cef = constant_cef(ALPHA)
-        assert solve_i2_min(p.i1, p.delta, cef, BETA, 0.1, z_f) == 0.0
+        assert solve_i2_min(p, cef, 0.1) == 0.0
 
     def test_infeasible_target(self):
         p = params_at(EVAL_BASE, 0.6)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
         cef = constant_cef(ALPHA)
         ceiling = cond_registration_power(p)
         with pytest.raises(InfeasiblePowerError):
-            solve_i2_min(p.i1, p.delta, cef, BETA, ceiling + 1e-6, z_f)
+            solve_i2_min(p, cef, ceiling + 1e-6)
 
     def test_floor_diverges_near_pilot_lower_bound(self):
         # Approaching the smallest admissible pilot information from above,
@@ -174,8 +156,8 @@ class TestMaxInfo:
         design = build_fasttrack(p, "fisher")
         z_f = design.branch_boundary
         z = np.linspace(z_f + 1e-9, z_f + 12.0, 2000)
-        curve = stage2_info(z, p.i1, design.rule)
-        assert max_stage2_info(p.i1, design.rule, z_f) >= np.max(curve) - 1e-12
+        curve = stage2_info(z, p, design.rule)
+        assert max_stage2_info(p, design.rule) >= np.max(curve) - 1e-12
 
     def test_piecewise_linear_region(self):
         # On the window where the boundary formula dominates the floor, the
@@ -186,7 +168,7 @@ class TestMaxInfo:
             for t in ts:
                 p = params_at(EVAL_BASE, float(t))
                 design = build_fasttrack(p, family)
-                ms.append(max_stage2_info(p.i1, design.rule, design.branch_boundary))
+                ms.append(max_stage2_info(p, design.rule))
             second = np.diff(ms, n=2)
             assert np.max(np.abs(second)) < 1e-8
 
@@ -198,9 +180,7 @@ class TestMaxInfo:
             for t in (1.5, 1.7, 1.9):
                 p = params_at(EVAL_BASE, t)
                 design = build_fasttrack(p, family)
-                vals.append(
-                    max_stage2_info(p.i1, design.rule, design.branch_boundary)
-                )
+                vals.append(max_stage2_info(p, design.rule))
             assert max(vals) - min(vals) < 1e-9
 
 
@@ -210,7 +190,7 @@ class TestMeanInfo:
         # simulated mean over continuing trials times the continuation rate.
         p = params_at(EVAL_BASE, 0.6)
         design = build_fasttrack(p, "fisher")
-        mean = mean_stage2_info(p.i1, design.rule, p.delta, design.branch_boundary)
+        mean = mean_stage2_info(p, design.rule)
         rep = simulate(design, SimConfig(n_reps=200_000, seed=20260823, theta=p.delta))
         assert mean == pytest.approx(rep.mean_i2_hat * rep.p_cond_reg_hat, rel=0.02)
 
@@ -246,8 +226,8 @@ class TestEvaluateDesign:
             assert design.i2_const is None
             assert design.cef is design.rule.cef
             assert design.i2_min == design.rule.i2_min
-            assert design.rule.beta == p.beta
-            assert design.branch_boundary == boundary_z(p.i1, p.delta_rel, p.alpha_c)
+            assert design.rule == AdaptiveConditionalPower(design.i2_min, design.cef)
+            assert design.branch_boundary == p.z_f
             with pytest.raises(dataclasses.FrozenInstanceError):
                 design.i2_const = 1.0
 
@@ -279,65 +259,65 @@ class TestClosedFormFloorKink:
     numeric root search it replaces (Fisher keeps the root search)."""
 
     @staticmethod
-    def numeric_kink(i1, rule, lo, hi):
-        g = lambda z: _adaptive_formula(float(z), i1, rule) - rule.i2_min
+    def numeric_kink(p, rule, lo, hi):
+        g = lambda z: _adaptive_formula(float(z), p, rule) - rule.i2_min
         try:
             return find_root(g, lo, hi)
         except BracketError:
             return None
 
-    def check(self, i1, cef, z_star, lo, hi=12.0):
+    def check(self, p, cef, z_star, lo, hi=12.0):
         """Put the floor where the formula crosses it at ``z_star``."""
-        probe = AdaptiveConditionalPower(i2_min=0.0, cef=cef, beta=BETA)
-        i2_min = float(_adaptive_formula(z_star, i1, probe))
-        rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=BETA)
-        got = _floor_kink(i1, rule, lo, hi)
-        assert got == pytest.approx(self.numeric_kink(i1, rule, lo, hi), abs=1e-9)
+        probe = AdaptiveConditionalPower(i2_min=0.0, cef=cef)
+        i2_min = float(_adaptive_formula(z_star, p, probe))
+        rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef)
+        got = _floor_kink(p, rule, lo, hi)
+        assert got == pytest.approx(self.numeric_kink(p, rule, lo, hi), abs=1e-9)
         assert got == pytest.approx(z_star, abs=1e-9)
 
     def test_constant_family(self):
         p = params_at(EVAL_BASE, 0.6)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        z_f = p.z_f
         cef = constant_cef(ALPHA)
         for z_star in (z_f + 0.1, 2.5, 6.0):
-            self.check(p.i1, cef, z_star, z_f)
+            self.check(p, cef, z_star, z_f)
 
     def test_inverse_normal_below_and_above_cap(self):
         p = params_at(EVAL_BASE, 0.6)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        z_f = p.z_f
         for z0 in (-math.inf, z_f):  # non-binding, binding
             cef = family_cef("inverse_normal", ALPHA, z0)
             cap = cap_kink(cef)
             assert z_f < cap - 0.2
             for z_star in (z_f + 0.05, cap - 0.1, cap + 0.1, cap + 3.0):
-                self.check(p.i1, cef, z_star, z_f)
+                self.check(p, cef, z_star, z_f)
 
     def test_z_combination_both_sides_of_split(self):
         p = params_at(EVAL_BASE, 0.6)
-        z_split = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        z_split = p.z_f
         cef = z_combination_cef(p.i1, 1.5, z_split, ALPHA, 0.1)
         for z_star in (0.4, z_split - 0.05, z_split + 0.05, cap_kink(cef) + 1.0):
-            self.check(p.i1, cef, z_star, 0.2)
+            self.check(p, cef, z_star, 0.2)
         # As in the combination design, which integrates from z_split up.
-        self.check(p.i1, cef, z_split + 0.05, z_split)
+        self.check(p, cef, z_split + 0.05, z_split)
 
     def test_z_combination_floor_inside_jump(self):
         # The formula jumps down across the floor at z_split: both routes
         # settle on the jump (the root search to within its x tolerance).
         p = params_at(EVAL_BASE, 0.6)
-        z_split = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        z_split = p.z_f
         cef = z_combination_cef(p.i1, 1.5, z_split, ALPHA, 0.1)
-        probe = AdaptiveConditionalPower(i2_min=0.0, cef=cef, beta=BETA)
-        below = float(_adaptive_formula(z_split - 1e-12, p.i1, probe))
-        above = float(_adaptive_formula(z_split, p.i1, probe))
-        rule = AdaptiveConditionalPower(i2_min=0.5 * (below + above), cef=cef, beta=BETA)
-        assert _floor_kink(p.i1, rule, 0.2, 12.0) == z_split
-        numeric = self.numeric_kink(p.i1, rule, 0.2, 12.0)
+        probe = AdaptiveConditionalPower(i2_min=0.0, cef=cef)
+        below = float(_adaptive_formula(z_split - 1e-12, p, probe))
+        above = float(_adaptive_formula(z_split, p, probe))
+        rule = AdaptiveConditionalPower(i2_min=0.5 * (below + above), cef=cef)
+        assert _floor_kink(p, rule, 0.2, 12.0) == z_split
+        numeric = self.numeric_kink(p, rule, 0.2, 12.0)
         assert numeric == pytest.approx(z_split, abs=2 * DEFAULT_ROOT.x_tol)
 
     def test_no_crossing_inside_interval(self):
         p = params_at(EVAL_BASE, 0.6)
-        z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+        z_f = p.z_f
         cefs = [
             constant_cef(ALPHA),
             family_cef("inverse_normal", ALPHA, z_f),
@@ -345,6 +325,6 @@ class TestClosedFormFloorKink:
         ]
         for cef in cefs:
             for i2_min, hi in ((500.0, 12.0), (1e-3, 3.0)):  # above / below
-                rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef, beta=BETA)
-                assert _floor_kink(p.i1, rule, z_f, hi) is None
-                assert self.numeric_kink(p.i1, rule, z_f, hi) is None
+                rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef)
+                assert _floor_kink(p, rule, z_f, hi) is None
+                assert self.numeric_kink(p, rule, z_f, hi) is None

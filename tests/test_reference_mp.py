@@ -10,7 +10,6 @@ import reference_mp as ref
 from conftest import COMBO_BASE, EVAL_BASE, params_at, params_near_i1_max
 from fasttrack.cef import constant_cef, family_cef, level_integral
 from fasttrack.combination import build_combination, lower_branch_success, waive_branch
-from fasttrack.design import boundary_z
 from fasttrack.power import build_fasttrack, mean_stage2_info, overall_power
 
 ALPHA = 0.025
@@ -18,7 +17,7 @@ ALPHA = 0.025
 
 def test_level_and_waive_branch_success_match_the_reference():
     p = params_at(EVAL_BASE, 0.6)
-    z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+    z_f = p.z_f
     saturated = family_cef("inverse_normal", ALPHA, 3.0)
     assert saturated.level_used < ALPHA
     checks = [
@@ -43,9 +42,9 @@ def test_level_and_waive_branch_success_match_the_reference():
     # The waive branch where the pilot lands far above z_f (xi = 6, I1 =
     # 0.99 * I1_max): the mass of Z1 below z_f sits just below z_f.
     p = params_near_i1_max({**COMBO_BASE, "xi": 6.0})
-    z_f = boundary_z(p.i1, p.delta_rel, p.alpha_c)
+    z_f = p.z_f
     cef, i2_const = waive_branch(p, "inverse_normal")
-    got = lower_branch_success(i2_const, cef, p.i1, p.delta, z_f)
+    got = lower_branch_success(p, i2_const, cef)
     want = ref.waive_branch_success(ref.inverse_normal(cef.c), i2_const, p.i1, p.delta, z_f)
     assert got == pytest.approx(want, abs=1e-9)
     assert want == pytest.approx(1.0 - p.beta, abs=1e-8)
@@ -73,7 +72,7 @@ def test_upper_branch_power_and_mean_information_match_the_reference():
         want_power, want_info = ref.upper_branch(
             reference, design.i2_min, q.beta, q.i1, q.delta, z_f
         )
-        got_power = overall_power(q.i1, design.rule, q.delta, z_f)
-        got_info = mean_stage2_info(q.i1, design.rule, q.delta, z_f)
+        got_power = overall_power(q, design.rule)
+        got_info = mean_stage2_info(q, design.rule)
         assert got_power == pytest.approx(want_power, abs=1e-10), name
         assert got_info == pytest.approx(want_info, abs=1e-10), name
