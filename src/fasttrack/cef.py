@@ -136,25 +136,22 @@ def eval_cef(cef: CalibratedCef, z1):
     return float(out) if out.ndim == 0 else out
 
 
-def cap_kink(cef: CalibratedCef) -> float:
-    """Abscissa where the family reaches the 0.5 cap (closed form)."""
+def kinks(cef: CalibratedCef) -> list[float]:
+    """Abscissas where A jumps or bends: each piece's start, and its cap
+    a / b where that lies inside the piece; for Fisher, z0 and the cap
+    Phi^{-1}(1 - 2c) where that lies above z0."""
     if cef.pieces is None:
-        if 2.0 * cef.c >= 1.0:
-            return -math.inf
-        if cef.c <= 0.0:
-            return math.inf
-        return std_normal_quantile(1.0 - 2.0 * cef.c)
-    _, a, b = cef.pieces[-1]
-    return a / b if b else math.inf
-
-
-def kinks(cef: CalibratedCef, below: float = math.inf) -> list[float]:
-    """Kinks of A on the pieces that start below ``below``: where A jumps up
-    and where it reaches the cap."""
-    if cef.pieces is None:
-        return [cap_kink(cef), cef.z0]
-    return [x for start, a, b in cef.pieces if start < below
-            for x in (start, a / b if b else math.inf)]
+        if not 0.0 < cef.c < 0.5:  # A is 0, or capped, wherever it is positive
+            return [cef.z0]
+        cap = std_normal_quantile(1.0 - 2.0 * cef.c)
+        return [cef.z0, cap] if cap > cef.z0 else [cef.z0]
+    ends = [start for start, _, _ in cef.pieces[1:]] + [math.inf]
+    out = []
+    for (start, a, b), end in zip(cef.pieces, ends):
+        out.append(start)
+        if b and start < a / b < end:
+            out.append(a / b)
+    return out
 
 
 def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
@@ -170,9 +167,10 @@ def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
     )
 
 
-def calibrate(cef_at: Callable[[float], CalibratedCef], alpha: float, lower: float,
+def calibrate(cef_at: Callable[[float], CalibratedCef], alpha: float,
               lo: float, hi: float) -> CalibratedCef:
-    """The CEF ``cef_at(x)`` whose level integral from ``lower`` is ``alpha``.
+    """The CEF ``cef_at(x)`` whose level integral from its own ``z0`` is
+    ``alpha``.
 
     ``cef_at`` builds a family's CEF from its one free constant x (c, or
     alpha_prime for the z-combination family); the level integral increases
@@ -185,7 +183,7 @@ def calibrate(cef_at: Callable[[float], CalibratedCef], alpha: float, lower: flo
     def at(x: float) -> CalibratedCef:
         if x not in built:
             cef = cef_at(x)
-            built[x] = replace(cef, level_used=level_integral(cef, lower))
+            built[x] = replace(cef, level_used=level_integral(cef, cef.z0))
         return built[x]
 
     # At the upper end the function is everywhere as large as the family
@@ -204,7 +202,8 @@ def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> Cal
     The constant family tests at level alpha, which spends alpha by
     construction, so it computes no level integral.  The z-combination family
     takes its fixed ``i1``, ``i2_const`` and ``z_split`` as keywords and tests
-    at level alpha below the split."""
+    at level alpha below the split.  Both are positive everywhere and ignore
+    ``z0``."""
     if family == "constant":
         return constant_cef(alpha)
     if family == "inverse_normal":
@@ -219,7 +218,7 @@ def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> Cal
     elif family == "z_combination":
         def cef_at(a: float) -> CalibratedCef:
             return z_combination_cef(**fixed, alpha=alpha, alpha_prime=a)
-        return calibrate(cef_at, alpha, z0, alpha, 1.0 - 1e-12)
+        return calibrate(cef_at, alpha, alpha, 1.0 - 1e-12)
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return calibrate(cef_at, alpha, z0, 0.0, 1.0)
+    return calibrate(cef_at, alpha, 0.0, 1.0)

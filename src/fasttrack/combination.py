@@ -73,7 +73,7 @@ def lower_branch_success(
         return cond * np.exp(-0.5 * (z - mean) ** 2 - log_p_lower) / _SQRT_2PI
 
     lo, hi = normal_window(mean, hi=z_f)
-    return integrate(integrand, lo, hi, split_points=cef_mod.kinks(cef, z_f))
+    return integrate(integrand, lo, hi, split_points=cef_mod.kinks(cef))
 
 
 def solve_i2_const(

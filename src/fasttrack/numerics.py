@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -39,15 +39,13 @@ class QuadratureSettings:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_subdivisions: int = 400
-    tail_halfwidth: float = 8.5  # normal_window's cut, in sds, read from DEFAULT_QUAD
+    tail_halfwidth: ClassVar[float] = 8.5  # normal_window's cut, in sds
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be a positive integer")
-        if self.tail_halfwidth < 8:
-            raise ValueError("tail_halfwidth must be at least 8")
 
 
 @dataclass(frozen=True)
@@ -226,22 +224,18 @@ def find_root(
     )
 
 
-def solve_monotone(
-    g: Callable[[float], float],
-    target: float,
-    settings: RootSettings = DEFAULT_ROOT,
-) -> float:
+def solve_monotone(g: Callable[[float], float], target: float) -> float:
     """Smallest x >= 0 with g(x) = target, for non-decreasing g.
 
     If g(0) already meets the target, 0 is returned.  The upper bracket is
     found by doubling steps from 1.  ``g`` is called at most once at any x.
     """
     lo, g_lo = 0.0, g(0.0)
-    if g_lo >= target - settings.f_tol:
+    if g_lo >= target - DEFAULT_ROOT.f_tol:
         return lo
 
     hi, step = 1.0, 1.0
-    for _ in range(settings.max_iter):
+    for _ in range(DEFAULT_ROOT.max_iter):
         g_hi = g(hi)
         if g_hi >= target:
             break
@@ -251,17 +245,16 @@ def solve_monotone(
     else:
         raise BracketError(f"bracket expansion from 0.0 did not reach target {target}")
     return find_root(
-        lambda t: g(t) - target, lo, hi, settings,
-        f_lo=g_lo - target, f_hi=g_hi - target,
+        lambda t: g(t) - target, lo, hi, f_lo=g_lo - target, f_hi=g_hi - target
     )
 
 
 def normal_window(mean: float, lo: float = -math.inf, hi: float = math.inf):
-    """[lo, hi] with its infinite ends cut for a normal density at ``mean``:
-    the upper end tail_halfwidth above the mean, the lower end tail_halfwidth
-    below the nearer of the mean and ``hi``.  An empty window is (lo, lo)."""
-    if math.isinf(hi):
-        hi = mean + DEFAULT_QUAD.tail_halfwidth
-    if math.isinf(lo):
-        lo = min(mean, hi) - DEFAULT_QUAD.tail_halfwidth
+    """[lo, hi] cut to where a normal density at ``mean`` has mass: the upper
+    end to at most tail_halfwidth above the mean, then the lower end to at
+    most tail_halfwidth below the nearer of the mean and that upper end.
+    Finite and infinite ends are cut alike.  An empty window is (lo, lo)."""
+    half = QuadratureSettings.tail_halfwidth
+    hi = min(hi, mean + half)
+    lo = max(lo, min(mean, hi) - half)
     return lo, max(lo, hi)

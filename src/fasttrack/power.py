@@ -92,46 +92,38 @@ class EvaluationResult:
     total_max: float
 
 
-def _adaptive_formula(z1, params: DesignParams, rule: AdaptiveConditionalPower,
-                      q=None):
-    """I1 * (z_beta + q)^2 / z1^2 with q the stage-two critical value
-    Phi^{-1}(1 - A(z1)) (see cef.critical_value), vectorized.
-
-    Callers that already hold q for these z1 pass it in.
-    """
+def stage2_info(z1, params: DesignParams, rule: AdaptiveConditionalPower, q=None):
+    """The stage-two information rule max(I2min, I1 * (z_beta + q)^2 / z1^2)
+    with q the stage-two critical value Phi^{-1}(1 - A(z1)) (see
+    cef.critical_value), vectorized, for z1 >= z_f > 0 (DesignParams keeps
+    z_f positive).  At a zero floor it is the conditional-power formula
+    itself.  Callers that already hold q for these z1 pass it in."""
     z = np.asarray(z1, dtype=float)
     if q is None:
         q = cef_mod.critical_value(rule.cef, z)
     numer = std_normal_quantile(1.0 - params.beta) + q
-    return params.i1 * numer**2 / z**2
-
-
-def stage2_info(z1, params: DesignParams, rule: AdaptiveConditionalPower, q=None):
-    """The stage-two information rule: the formula floored at
-    ``rule.i2_min``, vectorized, for z1 >= z_f > 0 (DesignParams keeps z_f
-    positive).  Callers that already hold q for these z1 pass it in."""
-    return np.maximum(rule.i2_min, _adaptive_formula(z1, params, rule, q))
+    return np.maximum(rule.i2_min, params.i1 * numer**2 / z**2)
 
 
 def _floor_kink(params: DesignParams, rule: AdaptiveConditionalPower,
                 z_lower: float, z_upper: float) -> float | None:
-    """Abscissa where the conditional-power formula crosses the floor.
+    """Abscissa where the conditional-power formula falls to the floor.
 
-    The formula is non-increasing in z1 (A is non-decreasing), so there is at
-    most one crossing on [z_lower, z_upper].  Where the family's quantile is
-    piecewise linear the crossing is solved in closed form; otherwise
-    (Fisher) by a root search.
+    For z1 > 0 the formula is at the floor where slope * z1 = z_beta + q(z1),
+    slope = sqrt(I2min / I1).  The left side increases and q does not (A is
+    non-decreasing), so there is at most one crossing on [z_lower, z_upper].
+    Where the family's critical value is piecewise linear it is solved in
+    closed form; otherwise (Fisher) by a root search on the same equation.
     """
     if rule.i2_min <= 0:
         return None
-    pieces = rule.cef.pieces
-    if pieces is not None:
-        slope = math.sqrt(rule.i2_min / params.i1)
-        z_beta = std_normal_quantile(1.0 - params.beta)
-        return _linear_floor_kink(pieces, slope, z_beta, z_lower, z_upper)
-    g = lambda z: _adaptive_formula(float(z), params, rule) - rule.i2_min
+    slope = math.sqrt(rule.i2_min / params.i1)
+    z_beta = std_normal_quantile(1.0 - params.beta)
+    if rule.cef.pieces is not None:
+        return _linear_floor_kink(rule.cef.pieces, slope, z_beta, z_lower, z_upper)
+    h = lambda z: slope * z - z_beta - cef_mod.critical_value(rule.cef, z)
     try:
-        return find_root(g, z_lower, z_upper)
+        return find_root(h, z_lower, z_upper)
     except BracketError:
         return None
 
@@ -167,13 +159,10 @@ def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
 
 def _splits(params: DesignParams, rule: AdaptiveConditionalPower, z_lower: float,
             z_hi: float) -> list[float]:
-    """Quadrature split points on [z_lower, z_hi]: the CEF cap and the floor
-    kink, where they exist."""
-    splits = [cef_mod.cap_kink(rule.cef)]
+    """Quadrature split points on [z_lower, z_hi]: the CEF's kinks and the
+    floor kink, where it exists."""
     kink = _floor_kink(params, rule, z_lower, z_hi)
-    if kink is not None:
-        splits.append(kink)
-    return splits
+    return cef_mod.kinks(rule.cef) + ([] if kink is None else [kink])
 
 
 def overall_power(params: DesignParams, rule: AdaptiveConditionalPower) -> float:

@@ -106,6 +106,30 @@ def waive_branch_success(cef, i2c, i1, delta, z_split) -> float:
         return float(_quad(f, -mp.inf, z_split, [*kinks, *near]))
 
 
+def _formula(a, i1, beta):
+    """z -> i1 (z_beta + q(z))^2 / z^2 with q = Phi^{-1}(1 - A(z)), the
+    conditional-power formula of the stage-two information."""
+    z_beta = _upper_quantile(beta)
+    return lambda z: i1 * (z_beta + _upper_quantile(a(z))) ** 2 / z**2
+
+
+def floor_kink(cef, i2_min, beta, i1, z_f):
+    """Abscissa above z_f where the conditional-power formula falls to the
+    floor i2_min, found by a root search on the formula; None when it does
+    not lie above the floor at z_f."""
+    a, _ = cef
+    with mp.workdps(DPS):
+        i2_min, z_f = mp.mpf(i2_min), mp.mpf(z_f)
+        formula = _formula(a, mp.mpf(i1), beta)
+        if not (i2_min > 0 and formula(z_f) > i2_min):
+            return None
+        # The formula falls to 0 as z grows, so doubling the distance to z_f
+        # brackets its one crossing of the floor.
+        hi = z_f + 1
+        while formula(hi) > i2_min:
+            hi = z_f + 2 * (hi - z_f)
+        return mp.findroot(lambda z: formula(z) - i2_min, (z_f, hi), solver="anderson")
+
 
 def upper_branch(cef, i2_min, beta, i1, delta, z_f) -> tuple[float, float]:
     """Overall power P_delta(Z1 >= z_f, Z2 >= q(Z1)) and mean stage-two
@@ -113,27 +137,16 @@ def upper_branch(cef, i2_min, beta, i1, delta, z_f) -> tuple[float, float]:
     observed at information I2(z) = max(i2_min, i1 (z_beta + q(z))^2 / z^2)
     with q = Phi^{-1}(1 - A(z)), and Z1 ~ N(delta * sqrt(i1), 1).
 
-    The breakpoints are the CEF's kinks and the floor kink, which is found
-    here by a root search on the formula.
+    The breakpoints are the CEF's kinks and the floor kink (see floor_kink).
     """
     a, kinks = cef
     with mp.workdps(DPS):
         i1, i2_min, z_f = mp.mpf(i1), mp.mpf(i2_min), mp.mpf(z_f)
-        delta, z_beta = mp.mpf(delta), _upper_quantile(beta)
+        delta = mp.mpf(delta)
         mean = delta * mp.sqrt(i1)
-
-        def formula(z):
-            return i1 * (z_beta + _upper_quantile(a(z))) ** 2 / z**2
-
-        points = list(kinks)
-        if i2_min > 0 and formula(z_f) > i2_min:
-            # The formula falls to 0 as z grows, so doubling the distance to
-            # z_f brackets its one crossing of the floor.
-            hi = z_f + 1
-            while formula(hi) > i2_min:
-                hi = z_f + 2 * (hi - z_f)
-            points.append(mp.findroot(lambda z: formula(z) - i2_min, (z_f, hi),
-                                      solver="anderson"))
+        formula = _formula(a, i1, beta)
+        kink = floor_kink(cef, i2_min, beta, i1, z_f)
+        points = list(kinks) + ([] if kink is None else [kink])
 
         # Both integrals run on the same breakpoints, so mp.quad asks for
         # the same nodes: each node's q and I2 are computed once.

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from conftest import COMBO_BASE, SIGMA, i_delta_of, params_at, params_near_i1_max
-from fasttrack.cef import FAMILIES, cap_kink, family_cef, z_combination_cef
+from fasttrack.cef import FAMILIES, eval_cef, family_cef, z_combination_cef
 from fasttrack.combination import (
     branch_metrics,
     build_combination,
@@ -105,7 +105,7 @@ class TestWaiveBranchSizing:
         assert branch_metrics(design).p_success_given_lower == solved
         # Also when the raised level reaches the cap below z_f.
         raised = z_combination_cef(p.i1, design.i2_const, z_f, ALPHA, 0.3)
-        assert cap_kink(raised) < z_f
+        assert eval_cef(raised, z_f) == 0.5
         assert lower_branch_success(p, design.i2_const, raised) == solved
 
     def test_waive_branch_is_the_designs_own(self, combo_designs):

@@ -121,8 +121,6 @@ class TestIntegrate:
             QuadratureSettings(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSettings(max_subdivisions=0)
-        with pytest.raises(ValueError):
-            QuadratureSettings(tail_halfwidth=5.0)
 
 
 class TestRoots:
@@ -161,9 +159,8 @@ class TestSolveMonotone:
         assert x == 0.0
 
     def test_bounded_function_gives_up(self):
-        settings = RootSettings(max_iter=30)
         with pytest.raises(BracketError):
-            solve_monotone(math.tanh, 2.0, settings)
+            solve_monotone(math.tanh, 2.0)
 
 
 def test_normal_window_cuts_each_infinite_end_and_keeps_finite_ones():
@@ -179,6 +176,17 @@ def test_normal_window_cuts_each_infinite_end_and_keeps_finite_ones():
     # A window the cut leaves empty comes back as (lo, lo).
     assert normal_window(0.0, 10.0) == (10.0, 10.0)
     assert normal_window(0.0, 10.0, 3.0) == (10.0, 10.0)
+
+
+def test_normal_window_cuts_finite_ends_beyond_the_tail():
+    half = DEFAULT_QUAD.tail_halfwidth
+    # A finite end more than half from the mean is cut like an infinite one,
+    # so the window always holds the density's peak.
+    assert normal_window(100.0, 0.2) == (100.0 - half, 100.0 + half)
+    assert normal_window(0.0, hi=50.0) == (-half, half)
+    assert normal_window(6324.6, 3162.3) == (6324.6 - half, 6324.6 + half)
+    # An upper end far below the mean is kept; the lower end goes below it.
+    assert normal_window(100.0, -50.0, 2.0) == (2.0 - half, 2.0)
 
 
 class CountingFunction:

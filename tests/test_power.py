@@ -12,10 +12,10 @@ from scipy.special import ndtr, ndtri
 from conftest import EVAL_BASE, i_delta_of, params_at
 from fasttrack.cef import (
     FASTTRACK_FAMILIES,
-    cap_kink,
     constant_cef,
     eval_cef,
     family_cef,
+    kinks,
     z_combination_cef,
 )
 from fasttrack.design import DesignParams, cond_registration_power, derive
@@ -32,7 +32,7 @@ from fasttrack.power import (
     solve_i2_min,
     stage2_info,
 )
-from fasttrack.power import _adaptive_formula, _floor_kink
+from fasttrack.power import _floor_kink
 
 ALPHA, BETA = 0.025, 0.2
 
@@ -104,6 +104,21 @@ class TestOverallPower:
             for x in (0.0, 0.5, 1.0, 2.0, 4.0)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(powers, powers[1:]))
+
+    def test_pilot_far_above_the_boundary(self):
+        # At I1 = 1e7 the pilot mean (6,325) lies thousands of sds above z_f
+        # (3,162): both integrals start at the mean's own tail, not at z_f,
+        # and Z1 / sqrt(I1) sits at delta, so the flat-level design at a zero
+        # floor has the fixed-design power and information.
+        p = DesignParams(i1=1e7, **EVAL_BASE)
+        rule = AdaptiveConditionalPower(0.0, constant_cef(ALPHA))
+        i_fixed = (ndtri(1.0 - BETA) + ndtri(1.0 - ALPHA)) ** 2 / p.delta**2
+        assert overall_power(p, rule) == pytest.approx(0.8, abs=1e-6)
+        assert mean_stage2_info(p, rule) == pytest.approx(i_fixed, rel=1e-5)
+        # So the floor solve finds its target instead of giving up.
+        big = DesignParams(i1=1e8, **EVAL_BASE)
+        design = build_fasttrack(big, "constant")
+        assert overall_power(big, design.rule) == pytest.approx(0.8, abs=1e-6)
 
 
 class TestSolveFloor:
@@ -259,8 +274,12 @@ class TestClosedFormFloorKink:
     numeric root search it replaces (Fisher keeps the root search)."""
 
     @staticmethod
-    def numeric_kink(p, rule, lo, hi):
-        g = lambda z: _adaptive_formula(float(z), p, rule) - rule.i2_min
+    def formula(z, p, cef):
+        """The conditional-power formula: the rule at a zero floor."""
+        return float(stage2_info(z, p, AdaptiveConditionalPower(0.0, cef)))
+
+    def numeric_kink(self, p, rule, lo, hi):
+        g = lambda z: self.formula(float(z), p, rule.cef) - rule.i2_min
         try:
             return find_root(g, lo, hi)
         except BracketError:
@@ -268,8 +287,7 @@ class TestClosedFormFloorKink:
 
     def check(self, p, cef, z_star, lo, hi=12.0):
         """Put the floor where the formula crosses it at ``z_star``."""
-        probe = AdaptiveConditionalPower(i2_min=0.0, cef=cef)
-        i2_min = float(_adaptive_formula(z_star, p, probe))
+        i2_min = self.formula(z_star, p, cef)
         rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef)
         got = _floor_kink(p, rule, lo, hi)
         assert got == pytest.approx(self.numeric_kink(p, rule, lo, hi), abs=1e-9)
@@ -287,7 +305,7 @@ class TestClosedFormFloorKink:
         z_f = p.z_f
         for z0 in (-math.inf, z_f):  # non-binding, binding
             cef = family_cef("inverse_normal", ALPHA, z0)
-            cap = cap_kink(cef)
+            cap = kinks(cef)[-1]
             assert z_f < cap - 0.2
             for z_star in (z_f + 0.05, cap - 0.1, cap + 0.1, cap + 3.0):
                 self.check(p, cef, z_star, z_f)
@@ -296,7 +314,7 @@ class TestClosedFormFloorKink:
         p = params_at(EVAL_BASE, 0.6)
         z_split = p.z_f
         cef = z_combination_cef(p.i1, 1.5, z_split, ALPHA, 0.1)
-        for z_star in (0.4, z_split - 0.05, z_split + 0.05, cap_kink(cef) + 1.0):
+        for z_star in (0.4, z_split - 0.05, z_split + 0.05, kinks(cef)[-1] + 1.0):
             self.check(p, cef, z_star, 0.2)
         # As in the combination design, which integrates from z_split up.
         self.check(p, cef, z_split + 0.05, z_split)
@@ -307,9 +325,8 @@ class TestClosedFormFloorKink:
         p = params_at(EVAL_BASE, 0.6)
         z_split = p.z_f
         cef = z_combination_cef(p.i1, 1.5, z_split, ALPHA, 0.1)
-        probe = AdaptiveConditionalPower(i2_min=0.0, cef=cef)
-        below = float(_adaptive_formula(z_split - 1e-12, p, probe))
-        above = float(_adaptive_formula(z_split, p, probe))
+        below = self.formula(z_split - 1e-12, p, cef)
+        above = self.formula(z_split, p, cef)
         rule = AdaptiveConditionalPower(i2_min=0.5 * (below + above), cef=cef)
         assert _floor_kink(p, rule, 0.2, 12.0) == z_split
         numeric = self.numeric_kink(p, rule, 0.2, 12.0)

@@ -10,7 +10,8 @@ import reference_mp as ref
 from conftest import COMBO_BASE, EVAL_BASE, params_at, params_near_i1_max
 from fasttrack.cef import constant_cef, family_cef, level_integral
 from fasttrack.combination import build_combination, lower_branch_success, waive_branch
-from fasttrack.power import build_fasttrack, mean_stage2_info, overall_power
+from fasttrack.numerics import normal_window
+from fasttrack.power import _floor_kink, build_fasttrack, mean_stage2_info, overall_power
 
 ALPHA = 0.025
 
@@ -50,7 +51,10 @@ def test_level_and_waive_branch_success_match_the_reference():
     assert want == pytest.approx(1.0 - p.beta, abs=1e-8)
 
 
-def test_upper_branch_power_and_mean_information_match_the_reference():
+@pytest.fixture(scope="module")
+def upper_branches():
+    """(name, design, reference CEF) of three upper branches whose rule kinks
+    where the formula meets the floor."""
     p = params_at(EVAL_BASE, 0.6)
     checks = []
     # Binding Fisher, whose floor kink the package finds by a root search,
@@ -66,7 +70,11 @@ def test_upper_branch_power_and_mean_information_match_the_reference():
         cp.i1, combo.i2_const, combo.branch_boundary, ALPHA, combo.cef.alpha_prime
     )
     checks.append(("z-combination", combo, reference))
-    for name, design, reference in checks:
+    return checks
+
+
+def test_upper_branch_power_and_mean_information_match_the_reference(upper_branches):
+    for name, design, reference in upper_branches:
         q, z_f = design.params, design.branch_boundary
         assert design.i2_min > 0, name  # the rule kinks where the formula meets it
         want_power, want_info = ref.upper_branch(
@@ -76,3 +84,16 @@ def test_upper_branch_power_and_mean_information_match_the_reference():
         got_info = mean_stage2_info(q, design.rule)
         assert got_power == pytest.approx(want_power, abs=1e-10), name
         assert got_info == pytest.approx(want_info, abs=1e-10), name
+
+
+def test_floor_kink_matches_the_reference(upper_branches):
+    # On the window the power integrals split: a root search on the formula
+    # at thirty digits against the package's kink (closed-form for the
+    # tables, a root search on z_beta + q(z) = slope * z for Fisher).
+    for name, design, reference in upper_branches:
+        q, z_f = design.params, design.branch_boundary
+        want = ref.floor_kink(reference, design.i2_min, q.beta, q.i1, z_f)
+        window = normal_window(q.delta * math.sqrt(q.i1), z_f)
+        got = _floor_kink(q, design.rule, *window)
+        assert want is not None and got is not None, name
+        assert got == pytest.approx(float(want), abs=1e-9), name
