@@ -86,17 +86,6 @@ def z_combination_cef(
     return CalibratedCef(pieces, alpha_prime=alpha_prime)
 
 
-def atilde_z(z1, level: float, i1: float, i2c: float):
-    """Conditional error function of the fixed-size combined z-test at
-    ``level``, before 0.5-truncation.  Vectorized in ``z1``."""
-    if not (i1 > 0 and i2c > 0):
-        raise ValueError("atilde_z requires positive informations")
-    w1 = math.sqrt(i1 / (i1 + i2c))
-    w2 = math.sqrt(i2c / (i1 + i2c))
-    z_alpha = std_normal_quantile(1.0 - level)
-    return 1.0 - std_normal_cdf((z_alpha - w1 * np.asarray(z1, dtype=float)) / w2)
-
-
 def _fisher_cef(cef: CalibratedCef, z: np.ndarray):
     # Fisher's A.  The survival function underflows for large z; the cap
     # binds well before that, so flooring the denominator never changes A.

@@ -27,7 +27,6 @@ from .numerics import (
     normal_window,
     solve_monotone,
     std_normal_cdf,
-    std_normal_quantile,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -43,13 +42,6 @@ class BranchMetrics:
     overall_power: float
     e_i2_both: float
     max_i2_both: float
-
-
-def naive_inflation(alpha: float, alpha_c: float) -> float:
-    """Overall type I error rate of naively restarting at level alpha after a
-    failed (binding) conditional-registration attempt."""
-    z_f = std_normal_quantile(1.0 - alpha_c)
-    return (1.0 + std_normal_cdf(z_f)) * alpha
 
 
 def lower_branch_success(

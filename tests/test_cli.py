@@ -410,6 +410,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_derive", boom)
         assert cli.main(["derive", "--scenario", path]) == cli.EXIT_NUMERICAL
 
+    def test_nan_root_objective_exit_code(self, write_scenario, tmp_path, monkeypatch):
+        # A NaN level integral reaches calibrate's root search, which raises
+        # FloatingPointError: a numerical failure, not invalid input.
+        import fasttrack.cef as cef_mod
+
+        path = write_scenario()
+        monkeypatch.setattr(cef_mod, "level_integral", lambda cef, lower: math.nan)
+        rc = cli.main(["simulate", "--scenario", path, "--reps", "10",
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == cli.EXIT_NUMERICAL
+
 
 class TestComboPanel:
     def test_panel_columns(self, write_scenario, tmp_path):

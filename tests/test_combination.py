@@ -11,13 +11,13 @@ from fasttrack.combination import (
     build_combination,
     gambling_threshold,
     lower_branch_success,
-    naive_inflation,
     solve_i2_const,
     waive_branch,
 )
 from fasttrack.design import ExampleCost, cond_registration_power, derive
 from fasttrack.numerics import std_normal_cdf, std_normal_quantile
 from fasttrack.power import AdaptiveConditionalPower, evaluate_design
+from reference_formulas import naive_inflation
 
 ALPHA = 0.025
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from fasttrack.numerics import (
@@ -147,6 +148,81 @@ class TestRoots:
             RootSettings(x_tol=-1.0)
         with pytest.raises(ValueError):
             RootSettings(f_tol=0.0)
+        with pytest.raises(ValueError):
+            RootSettings(max_iter=-1)
+
+    def test_exhausted_budget_raises_convergence_error(self):
+        f = CountingFunction(lambda t: t**3 - 2.0)
+        with pytest.raises(ConvergenceError) as exc_info:
+            find_root(f, 0.0, 2.0, RootSettings(max_iter=2))
+        err = exc_info.value
+        assert len(f.xs) == 2 + 2  # both ends, then max_iter steps
+        assert err.best_estimate in f.xs
+        assert 0.0 < err.error_estimate < 1.0
+        # The root lies in the last bracket, [best, best +- 2 * error].
+        assert abs(err.best_estimate - 2.0 ** (1.0 / 3.0)) <= 2.0 * err.error_estimate
+
+    def test_nan_objective_raises_floating_point_error(self):
+        def inside_nan(x):
+            return x - 1.0 if x in (0.0, 3.0) else math.nan
+
+        for f, kwargs in (
+            (inside_nan, {}),
+            (lambda x: np.float64(math.nan), {}),  # at a computed end
+            (lambda x: x, {"f_lo": math.nan}),  # at a known end
+            (lambda x: x - 1.0, {"f_hi": math.nan}),
+            (lambda x: x, {"f_lo": 0.0, "f_hi": math.nan}),  # even beside a root
+        ):
+            with pytest.raises(FloatingPointError):
+                find_root(f, 0.0, 3.0, **kwargs)
+        # The CLI maps ArithmeticError to its numerical-failure exit code.
+        assert issubclass(FloatingPointError, ArithmeticError)
+
+
+class TestBrentMatchesScipy:
+    """find_root is a port of scipy's brentq: for the same bracket and
+    tolerance it evaluates the same points and returns the same float."""
+
+    OBJECTIVES = {
+        "linear": (lambda x: 3.0 * x - 1.0, ((-5.0, 5.0), (0.0, 1.0), (-1e3, 2.0))),
+        "cubic": (
+            lambda x: x**3 - 2.0 * x - 5.0,
+            ((2.0, 3.0), (0.0, 10.0), (0.01, 3.0), (-4.0, 2.5)),
+        ),
+        "ndtr": (lambda z: ndtr(z) - 0.975, ((0.0, 3.0), (-8.0, 8.0), (1.5, 40.0))),
+        "steep": (
+            lambda x: math.tanh(200.0 * (x - 0.3)), ((0.0, 1.0), (-2.0, 0.31), (0.2999, 5.0))
+        ),
+        "flat": (
+            lambda x: (x - 0.7) ** 5, ((0.0, 2.0), (-3.0, 0.8), (0.6, 9.0), (0.1, 10.0))
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("x_tol", (DEFAULT_ROOT.x_tol, 1e-13))
+    def test_same_points_and_root(self, name, x_tol):
+        fn, brackets = self.OBJECTIVES[name]
+        settings = RootSettings(x_tol=x_tol)
+        for lo, hi in brackets:
+            ref = CountingFunction(fn)
+            want = brentq(ref, lo, hi, xtol=x_tol, maxiter=settings.max_iter)
+            for known in ({}, {"f_lo": fn(lo)}, {"f_lo": fn(lo), "f_hi": fn(hi)}):
+                f = CountingFunction(fn)
+                got = find_root(f, lo, hi, settings, **known)
+                assert type(got) is float
+                assert got.hex() == float(want).hex()
+                # brentq evaluates lo, then hi, then the steps.
+                assert f.xs == ref.xs[len(known):]
+                assert all(type(x) is float for x in f.xs)
+
+    def test_same_points_until_the_budget_runs_out(self):
+        fn = self.OBJECTIVES["flat"][0]
+        ref, f = CountingFunction(fn), CountingFunction(fn)
+        with pytest.raises(RuntimeError):
+            brentq(ref, 0.0, 2.0, xtol=DEFAULT_ROOT.x_tol, maxiter=5)
+        with pytest.raises(ConvergenceError):
+            find_root(f, 0.0, 2.0, RootSettings(max_iter=5))
+        assert f.xs == ref.xs
 
 
 class TestSolveMonotone:
