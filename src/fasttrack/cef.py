@@ -128,11 +128,12 @@ def eval_cef(cef: CalibratedCef, z1):
 def kinks(cef: CalibratedCef) -> list[float]:
     """Abscissas where A jumps or bends: each piece's start, and its cap
     a / b where that lies inside the piece; for Fisher, z0 and the cap
-    Phi^{-1}(1 - 2c) where that lies above z0."""
+    -Phi^{-1}(2c) where that lies above z0."""
     if cef.pieces is None:
         if not 0.0 < cef.c < 0.5:  # A is 0, or capped, wherever it is positive
             return [cef.z0]
-        cap = std_normal_quantile(1.0 - 2.0 * cef.c)
+        # Not Phi^{-1}(1 - 2c): 1 - 2c rounds to 1 for c up to 2**-55.
+        cap = -std_normal_quantile(2.0 * cef.c)
         return [cef.z0, cap] if cap > cef.z0 else [cef.z0]
     ends = [start for start, _, _ in cef.pieces[1:]] + [math.inf]
     out = []

@@ -3,7 +3,10 @@
 Every routine here is a pure function.  Integrands passed to
 :func:`integrate` must be elementwise: they take a 1-D array of abscissas and
 return the integrand at each of them, with no dependence of one value on the
-others.  The quadrature evaluates the nodes of several panels in one call.
+others.  The quadrature evaluates the nodes of several panels in one call:
+it starts from panels at most ``PANEL_WIDTH`` (2 sds) wide, so one call
+usually settles an integral over a normal window, and it sums each panel's
+nodes as a row of one array.
 
 :func:`find_root` is a Python port of Brent's method as SciPy implements it
 in ``brentq.c`` (copyright Enthought, Inc. and the SciPy Developers,
@@ -72,6 +75,10 @@ class RootSettings:
 
 DEFAULT_QUAD = QuadratureSettings()
 DEFAULT_ROOT = RootSettings()
+# Widest initial panel of integrate, in sds like tail_halfwidth: every caller
+# integrates a normal density on the z scale, where a G15 rule over 2 sds
+# meets the tolerances in one integrand call.
+PANEL_WIDTH = 2.0
 # find_root's relative x tolerance: scipy brentq's default and smallest rtol.
 _RTOL = 4 * sys.float_info.epsilon
 
@@ -124,20 +131,29 @@ _G15_X, _G15_W = leggauss(15)
 _NODES = np.concatenate((_G15_X, _G7_X))
 
 
-def _panels(f: Callable, cuts: np.ndarray) -> list[tuple[float, float]]:
-    """G15 estimates, each with |G15 - G7| as its error estimate, over the
+def _panels(f: Callable, cuts: np.ndarray) -> tuple[list[float], list[float]]:
+    """G15 estimates, and |G15 - G7| as their error estimates, over the
     consecutive panels between ``cuts``, from one call of ``f`` on the nodes
-    of all of them."""
+    of all of them.  Each panel's weighted sum is a row sum, which does not
+    depend on how many panels share the call."""
     mid = 0.5 * (cuts[:-1] + cuts[1:])
     half = 0.5 * (cuts[1:] - cuts[:-1])
     x = mid[:, None] + half[:, None] * _NODES
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    out = []
-    for h, row in zip(half.tolist(), y):
-        i15 = h * float(np.dot(_G15_W, row[:15]))
-        i7 = h * float(np.dot(_G7_W, row[15:]))
-        out.append((i15, abs(i15 - i7)))
-    return out
+    i15 = half * (y[:, :15] * _G15_W).sum(axis=1)
+    i7 = half * (y[:, 15:] * _G7_W).sum(axis=1)
+    return i15.tolist(), np.abs(i15 - i7).tolist()
+
+
+def _initial_cuts(kinks: list[float], budget: int) -> list[float]:
+    """``kinks`` with each segment between them cut into ceil(width /
+    PANEL_WIDTH) equal panels, at most ``budget`` per segment."""
+    cuts = []
+    for a, b in zip(kinks[:-1], kinks[1:]):
+        n = min(math.ceil((b - a) / PANEL_WIDTH), budget)
+        cuts += [a + (b - a) * (k / n) for k in range(n)]
+    cuts.append(kinks[-1])
+    return cuts
 
 
 def integrate(
@@ -151,7 +167,13 @@ def integrate(
 
     ``f`` is called on a 1-D array holding the nodes of several panels at
     once (all initial panels, then both halves of each bisected panel) and
-    must return the integrand at each node.
+    must return the integrand at each node.  The initial panels cut each
+    segment between lo, the split points and hi into ceil(width /
+    PANEL_WIDTH) equal parts, at most ``max_subdivisions`` of them so that
+    a wide segment cannot ask for more nodes than the budget allows.  The
+    panel with the largest error estimate is then bisected until the summed
+    estimate meets the tolerances, or ConvergenceError is raised once
+    ``max_subdivisions`` panels do not.
 
     The interval must be finite (normal tails are cut by
     :func:`normal_window`); an empty one, lo == hi, integrates to 0.  Known
@@ -165,10 +187,14 @@ def integrate(
     if lo == hi:
         return 0.0
 
-    cuts = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
+    cuts = _initial_cuts(
+        sorted({lo, hi, *(p for p in split_points if lo < p < hi)}),
+        settings.max_subdivisions,
+    )
+    ests, errs = _panels(f, np.array(cuts))
     heap: list[tuple[float, float, float, float]] = []
     total, total_err = 0.0, 0.0
-    for a, b, (est, err) in zip(cuts[:-1], cuts[1:], _panels(f, np.array(cuts))):
+    for a, b, est, err in zip(cuts[:-1], cuts[1:], ests, errs):
         heapq.heappush(heap, (-err, a, b, est))
         total += est
         total_err += err
@@ -187,7 +213,7 @@ def integrate(
         total_err += neg_err  # neg_err == -err
         mid = 0.5 * (a + b)
         halves = _panels(f, np.array((a, mid, b)))
-        for aa, bb, (e, r) in zip((a, mid), (mid, b), halves):
+        for aa, bb, e, r in zip((a, mid), (mid, b), *halves):
             heapq.heappush(heap, (-r, aa, bb, e))
             total += e
             total_err += r

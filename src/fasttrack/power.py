@@ -166,7 +166,8 @@ def _splits(params: DesignParams, rule: AdaptiveConditionalPower, z_lower: float
 
 
 def overall_power(params: DesignParams, rule: AdaptiveConditionalPower) -> float:
-    """Probability of continuing past z_f and rejecting at stage two."""
+    """Probability of continuing past z_f and rejecting at stage two, at most
+    the probability of continuing."""
     delta = params.delta
     mean = delta * math.sqrt(params.i1)
     lo, hi = normal_window(mean, params.z_f)
@@ -178,7 +179,12 @@ def overall_power(params: DesignParams, rule: AdaptiveConditionalPower) -> float
         cond = 1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)
         return cond * std_normal_pdf(z - mean)
 
-    return integrate(integrand, lo, hi, split_points=_splits(params, rule, lo, hi))
+    # Where the conditional power is 1 throughout, the quadrature's rounding
+    # can put the integral an ulp above its ceiling.
+    return min(
+        integrate(integrand, lo, hi, split_points=_splits(params, rule, lo, hi)),
+        cond_registration_power(params),
+    )
 
 
 def solve_i2_min(

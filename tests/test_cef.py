@@ -8,6 +8,7 @@ import pytest
 
 from conftest import COMBO_BASE, EVAL_BASE, params_at
 from fasttrack.cef import (
+    CalibratedCef,
     constant_cef,
     critical_value,
     eval_cef,
@@ -156,8 +157,16 @@ class TestShape:
         assert kinks(raised) == [-math.inf, z_split]
         # Fisher: z0, and the cap only above it.
         fisher = family_cef("fisher", ALPHA, 0.5)
-        assert kinks(fisher) == [0.5, std_normal_quantile(1.0 - 2.0 * fisher.c)]
+        assert kinks(fisher) == [0.5, -std_normal_quantile(2.0 * fisher.c)]
         assert kinks(family_cef("fisher", ALPHA, 3.0)) == [3.0]
+
+    def test_fisher_cap_kink_for_tiny_c(self):
+        # 1 - 2c rounds to 1 here, so the cap is written as -Phi^{-1}(2c).
+        cef = CalibratedCef(None, c=1e-17)
+        z0, cap = kinks(cef)
+        assert z0 == -math.inf
+        assert cap == pytest.approx(8.4129, abs=1e-4)
+        assert std_normal_cdf(-cap) == pytest.approx(2e-17, rel=1e-12)
 
     def test_raised_branch_level_at_least_alpha(self):
         cefs, _ = self._calibrated_all()

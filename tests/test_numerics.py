@@ -8,6 +8,11 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
+from conftest import COMBO_BASE, EVAL_BASE, params_at
+from fasttrack import cef as cef_mod
+from fasttrack import combination as comb_mod
+from fasttrack import power as power_mod
+from fasttrack.cef import FAMILIES, FASTTRACK_FAMILIES
 from fasttrack.numerics import (
     DEFAULT_QUAD,
     DEFAULT_ROOT,
@@ -96,7 +101,9 @@ class TestIntegrate:
 
     def test_convergence_error_carries_estimate(self):
         f = lambda x: np.cos(200.0 * x)
-        for n in (2, 5):
+        # [0, 10] starts from five panels, or from the budget's two: budgets
+        # of 2 and 5 stop before any bisection, one of 12 after seven.
+        for n in (2, 5, 12):
             settings = QuadratureSettings(max_subdivisions=n)
             with pytest.raises(ConvergenceError) as exc_info:
                 integrate(f, 0.0, 10.0, settings)
@@ -328,11 +335,19 @@ def _reference_integrate(f, lo, hi, settings=DEFAULT_QUAD, split_points=()):
     def panel(a, b):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         y = np.asarray(f(np.concatenate((mid + half * g15_x, mid + half * g7_x))))
-        i15 = half * float(np.dot(g15_w, y[:15]))
-        i7 = half * float(np.dot(g7_w, y[15:]))
+        # A one-row array summed by rows, as the batched rule sums each panel.
+        i15 = half * float((y[None, :15] * g15_w).sum(axis=1)[0])
+        i7 = half * float((y[None, 15:] * g7_w).sum(axis=1)[0])
         return i15, abs(i15 - i7)
 
-    cuts = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
+    # Each segment between the kinks cut into ceil(width / 2) equal panels,
+    # at most the budget.
+    kinks = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
+    cuts = []
+    for a, b in zip(kinks[:-1], kinks[1:]):
+        n = min(math.ceil((b - a) / 2.0), settings.max_subdivisions)
+        cuts += [a + (b - a) * (k / n) for k in range(n)]
+    cuts.append(hi)
     heap, total, total_err = [], 0.0, 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         est, err = panel(a, b)
@@ -379,8 +394,35 @@ class TestBatchedPanels:
         f = CountingFunction(self.kinked)
         integrate(f, -1.0, 4.0, split_points=(0.3, 1.7))
         sizes = [np.size(x) for x in f.xs]
-        assert sizes[0] == 3 * 22  # the three kink-split panels at once
+        # The initial panels at once: [-1, 0.3] and [0.3, 1.7] whole, and
+        # [1.7, 4] in two halves, none of them wider than 2.
+        assert sizes[0] == 4 * 22
         assert all(n == 2 * 22 for n in sizes[1:])  # both halves of a bisection
+
+    def test_paper_designs_settle_in_about_one_call_per_integral(self, monkeypatch):
+        # Building and evaluating the seven paper designs integrates on
+        # normal windows only; panels at most two sds wide meet the
+        # tolerances from the first integrand call almost everywhere.
+        counts = {"integrals": 0, "calls": 0}
+
+        def counted(f, *args, **kwargs):
+            def f_counted(x):
+                counts["calls"] += 1
+                return f(x)
+
+            counts["integrals"] += 1
+            return integrate(f_counted, *args, **kwargs)
+
+        for module in (cef_mod, power_mod, comb_mod):
+            monkeypatch.setattr(module, "integrate", counted)
+        p = params_at(EVAL_BASE, 0.6)
+        for family in FASTTRACK_FAMILIES:
+            power_mod.evaluate_design(p, power_mod.build_fasttrack(p, family).rule)
+        p = params_at(COMBO_BASE, 0.5)
+        for family in FAMILIES:
+            comb_mod.branch_metrics(comb_mod.build_combination(p, family))
+        assert counts["integrals"] > 100
+        assert counts["calls"] <= 1.05 * counts["integrals"], counts
 
 
 class TestNormalInputForms:

@@ -10,6 +10,7 @@ import reference_mp as ref
 from conftest import COMBO_BASE, EVAL_BASE, params_at, params_near_i1_max
 from fasttrack.cef import constant_cef, family_cef, level_integral
 from fasttrack.combination import build_combination, lower_branch_success, waive_branch
+from fasttrack.design import DesignParams
 from fasttrack.numerics import normal_window
 from fasttrack.power import _floor_kink, build_fasttrack, mean_stage2_info, overall_power
 
@@ -97,3 +98,53 @@ def test_floor_kink_matches_the_reference(upper_branches):
         got = _floor_kink(q, design.rule, *window)
         assert want is not None and got is not None, name
         assert got == pytest.approx(float(want), abs=1e-9), name
+
+
+# Designs away from the paper scenarios, one per mode: cases 6, 1 and 29 of
+# the benchmark's ``draw_cases(seed=1, batch=0, n=100)``, whose parameters
+# are drawn from the whole valid domain.  Each has a positive upper-branch
+# floor, so the rule kinks where the formula meets it.
+DRAWN = {
+    "binding inverse normal": ("fasttrack_binding", "inverse_normal", dict(
+        alpha=0.007805731061744403, alpha_c=0.20237158321014653,
+        beta=0.2631582096201642, delta_rel=1.389411527156426,
+        xi=1.6708867565463326, i1=2.617441687508917)),
+    "non-binding Fisher": ("fasttrack_nonbinding", "fisher", dict(
+        alpha=0.02341396113661226, alpha_c=0.18443202844096446,
+        beta=0.056889778310767095, delta_rel=1.6302696630122098,
+        xi=2.619347762282001, i1=0.730761254988223)),
+    "combination z-combination": ("combination", "z_combination", dict(
+        alpha=0.03225574168950669, alpha_c=0.2519464602225876,
+        beta=0.20757943886086955, delta_rel=1.0440452855867726,
+        xi=2.5888618073367713, i1=0.37619096945354696)),
+}
+
+
+@pytest.mark.parametrize("name", DRAWN)
+def test_drawn_designs_match_the_reference(name):
+    mode, family, values = DRAWN[name]
+    p = DesignParams(**values)
+    if mode == "combination":
+        design = build_combination(p, family)
+    else:
+        design = build_fasttrack(p, family, binding=mode == "fasttrack_binding")
+    cef, z_f = design.cef, design.branch_boundary
+    if family == "z_combination":
+        reference = ref.z_combination(
+            p.i1, design.i2_const, z_f, p.alpha, cef.alpha_prime
+        )
+    elif family == "fisher":
+        reference = ref.fisher(cef.c, cef.z0)
+    else:
+        reference = ref.inverse_normal(cef.c, cef.z0)
+    want = ref.level_integral(reference, cef.z0)
+    assert level_integral(cef, cef.z0) == pytest.approx(want, abs=1e-10)
+    want_power, want_info = ref.upper_branch(
+        reference, design.i2_min, p.beta, p.i1, p.delta, z_f
+    )
+    assert overall_power(p, design.rule) == pytest.approx(want_power, abs=1e-10)
+    assert mean_stage2_info(p, design.rule) == pytest.approx(want_info, abs=1e-10)
+    if mode == "combination":
+        want = ref.waive_branch_success(reference, design.i2_const, p.i1, p.delta, z_f)
+        got = lower_branch_success(p, design.i2_const, cef)
+        assert got == pytest.approx(want, abs=1e-10)
