@@ -1,13 +1,18 @@
-"""Closed-form references that the tests compare the package against.
+"""References that the tests compare the package against.
 
 No command prints these; they are textbook formulas from the paper, kept here
-so that the package holds only what a command reaches.
+so that the package holds only what a command reaches, and the one-pass form
+of the Monte Carlo oracle that its spans are checked against.
 """
 
 import math
 
 import numpy as np
+from numpy.random import Generator, Philox
 
+from fasttrack import cef as cef_mod
+from fasttrack import power as power_mod
+from fasttrack.montecarlo import SimReport
 from fasttrack.numerics import std_normal_cdf, std_normal_quantile
 
 
@@ -27,3 +32,53 @@ def naive_inflation(alpha: float, alpha_c: float) -> float:
     failed (binding) conditional-registration attempt."""
     z_f = std_normal_quantile(1.0 - alpha_c)
     return (1.0 + std_normal_cdf(z_f)) * alpha
+
+
+def simulate_one_stream(design, cfg, substream: int = 0):
+    """``montecarlo.simulate`` as one sequential pass over the Philox stream
+    of (seed, substream): stage one's n draws, then the adaptive branch's,
+    then the waive branch's, each branch scattered into full-length arrays.
+    The package's spans must reproduce it exactly."""
+    gen = Generator(Philox(key=cfg.seed + (substream << 64)))
+
+    def normal(mean, n):
+        u = gen.random(n)
+        np.clip(u, 1e-300, None, out=u)
+        return std_normal_quantile(u) + mean
+
+    params = design.params
+    n = cfg.n_reps
+    z1 = normal(cfg.theta * math.sqrt(params.i1), n)
+    upper = z1 >= design.branch_boundary
+    i2 = np.zeros(n)
+    reject = np.zeros(n, dtype=bool)
+    rule = design.rule
+    branches = [(upper, None)]
+    if design.i2_const is not None:
+        branches.append((~upper, design.i2_const))
+    for branch, i2_const in branches:
+        z = z1[branch]
+        q = cef_mod.critical_value(rule.cef, z)
+        if i2_const is None:
+            info = power_mod.stage2_info(z, params, rule, q)
+        else:
+            info = i2_const
+        z2 = normal(cfg.theta * np.sqrt(info), q.size)
+        reject[branch] = z2 >= q
+        i2[branch] = info
+
+    def se(p):
+        return math.sqrt(p * (1.0 - p) / n)
+
+    p_cond = float(upper.mean())
+    p_rej = float(reject.mean())
+    used = i2[i2 > 0]
+    return SimReport(
+        p_cond_reg_hat=p_cond,
+        p_cond_reg_se=se(p_cond),
+        p_reject_hat=p_rej,
+        p_reject_se=se(p_rej),
+        mean_i2_hat=float(used.mean()) if used.size else 0.0,
+        max_i2_observed=float(i2.max()),
+        n_reps=n,
+    )

@@ -2,15 +2,18 @@
 independence and quick statistical sanity checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import COMBO_BASE, EVAL_BASE, params_at
+from fasttrack import montecarlo as mc_mod
 from fasttrack.combination import branch_metrics, build_combination
 from fasttrack.design import cond_registration_power
 from fasttrack.montecarlo import SimConfig, SimReport, simulate
 from fasttrack.power import build_fasttrack, stage2_info
+from reference_formulas import simulate_one_stream
 
 REPS = 200_000
 SEED = 20260823
@@ -96,6 +99,46 @@ class TestDeterminism:
             assert simulate(combo_design, cfg) == report, theta
 
 
+class TestSpans:
+    """``simulate`` cuts the replications into spans of ``_CHUNK`` that read
+    their own positions of the stream; it must equal one sequential pass."""
+
+    @pytest.mark.parametrize("name", ["fasttrack_design", "combo_design"])
+    @pytest.mark.parametrize("theta", [-5.0, "delta", 5.0])
+    def test_equals_one_stream_across_spans(self, request, name, theta):
+        # 3 spans and 5 more: the stage-two offsets are multiples neither of
+        # the Philox block of 4 nor of the span.  theta = -5 empties the
+        # adaptive branch, theta = 5 the lower one.
+        design = request.getfixturevalue(name)
+        theta = design.params.delta if theta == "delta" else theta
+        cfg = SimConfig(n_reps=3 * mc_mod._CHUNK + 5, seed=SEED, theta=theta)
+        assert simulate(design, cfg, substream=1) == simulate_one_stream(
+            design, cfg, substream=1
+        )
+
+    @pytest.mark.parametrize("chunk, n", [(1, 203), (4099, 20_000)])
+    def test_small_spans_equal_one_stream(self, monkeypatch, fasttrack_design,
+                                          combo_design, chunk, n):
+        monkeypatch.setattr(mc_mod, "_CHUNK", chunk)
+        for design in (fasttrack_design, combo_design):
+            cfg = SimConfig(n_reps=n, seed=SEED, theta=design.params.delta)
+            assert simulate(design, cfg) == simulate_one_stream(design, cfg)
+
+    def test_more_threads_than_cores(self, monkeypatch, combo_design):
+        # The threads write disjoint slices of one information array; a lost
+        # or misplaced write would move the mean or the maximum.
+        monkeypatch.setattr(mc_mod, "_CHUNK", 97)
+        monkeypatch.setattr(mc_mod, "_workers", lambda: 8)
+        cfg = SimConfig(n_reps=5_000, seed=SEED, theta=0.5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate(combo_design, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == simulate_one_stream(combo_design, cfg)
+
+
 class TestStatisticalSanity:
     def test_type_one_error_fasttrack(self, fasttrack_design):
         rep = simulate(
@@ -160,6 +203,23 @@ class TestInvariants:
             SimConfig(n_reps=0, seed=1, theta=0.0)
         with pytest.raises(ValueError):
             SimConfig(n_reps=10, seed=-1, theta=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", 1.9), ("seed", True), ("seed", "1"),
+        ("n_reps", 1000.0), ("n_reps", True),
+    ])
+    def test_config_rejects_non_integers(self, field, value):
+        # A float seed would run another seed's stream: with substream 1 the
+        # key 1.5 + 2**64 rounds to 2**64, which is seed 0's.
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{"n_reps": 10, "seed": 1, "theta": 0.0, field: value})
+
+    def test_numpy_integers_run_as_ints(self, fasttrack_design):
+        cfg = SimConfig(n_reps=np.int64(300), seed=np.uint64(7), theta=0.5)
+        assert cfg == SimConfig(n_reps=300, seed=7, theta=0.5)
+        assert simulate(fasttrack_design, cfg, substream=1) == simulate(
+            fasttrack_design, SimConfig(n_reps=300, seed=7, theta=0.5), substream=1
+        )
 
     def test_seed_fits_the_philox_key(self, fasttrack_design):
         # Seeds fill the low 64 bits of the key and substreams the high
