@@ -13,16 +13,27 @@ a rejection always requires a non-negative second-stage estimate.
 A CEF is the table of its stage-two critical value, a ``CalibratedCef``.
 ``family_cef`` writes each named family's table and solves its one free
 constant with ``calibrate``; ``constant_cef`` and ``z_combination_cef`` build
-the two tables that are also used at a given level.
+the two tables that are also used at a given level.  ``critical_value`` reads
+a CEF at an array of abscissas; Fisher's it also reads at one Python float in
+float arithmetic, which is what the Fisher floor-kink root search steps on.
+
+Inside a ``calibration_scope`` ``family_cef`` returns a calibration it has
+already made for the same (family, alpha, z0), instead of solving it again.
+The CLI's ``curve`` command enters one scope, since neighbouring grid points
+share calibrations; outside a scope nothing is kept, so every single design
+build calibrates afresh.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .numerics import (
     find_root,
@@ -94,12 +105,27 @@ def _fisher_cef(cef: CalibratedCef, z: np.ndarray):
     return a if cef.z0 == -math.inf else np.where(z >= cef.z0, a, 0.0)
 
 
+def _critical_value_at(cef: CalibratedCef, z: float) -> float:
+    # Fisher's critical_value at one float, step for step in the array
+    # path's arithmetic; ndtr and ndtri take infinite z and p in [0, 1] as
+    # the array path does.
+    denom = max(1.0 - float(ndtr(z)), 1e-300)
+    a = min(cef.c / denom, _CAP)
+    if cef.z0 != -math.inf and not z >= cef.z0:
+        a = 0.0
+    return float(ndtri(1.0 - a))
+
+
 def critical_value(cef: CalibratedCef, z1):
     """Stage-two critical value q(z) = Phi^{-1}(1 - A(z)), vectorized.
 
     Infinite where A is 0 and 0 where A is capped.  The table families read
-    it off ``cef.pieces``; Fisher's goes through A.
+    it off ``cef.pieces``; Fisher's goes through A.  Fisher's at a Python
+    float is read in float arithmetic, without numpy's per-call cost, and
+    gives the same float as a one-element array.
     """
+    if cef.pieces is None and isinstance(z1, float):
+        return _critical_value_at(cef, z1)
     z = np.asarray(z1, dtype=float)
     if cef.pieces is None:
         q = std_normal_quantile(np.asarray(1.0 - _fisher_cef(cef, z)))
@@ -184,6 +210,23 @@ def calibrate(cef_at: Callable[[float], CalibratedCef], alpha: float,
     return at(find_root(lambda x: at(x).level_used - alpha, lo, hi, f_hi=excess))
 
 
+# The calibrations of the current calibration_scope, by (family, alpha,
+# z0); None outside a scope.
+_CALIBRATIONS: ContextVar[dict | None] = ContextVar("calibrations", default=None)
+
+
+@contextmanager
+def calibration_scope() -> Iterator[None]:
+    """Within the block ``family_cef`` calibrates each (family, alpha, z0)
+    once and returns that calibration again when asked for the same key.
+    Calibrating is deterministic, so a reused CEF equals a new one."""
+    token = _CALIBRATIONS.set({})
+    try:
+        yield
+    finally:
+        _CALIBRATIONS.reset(token)
+
+
 def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> CalibratedCef:
     """The named family's CEF, zero below ``z0`` and calibrated so that the
     level integral from ``z0`` equals ``alpha``: the one place each family's
@@ -193,7 +236,9 @@ def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> Cal
     construction, so it computes no level integral.  The z-combination family
     takes its fixed ``i1``, ``i2_const`` and ``z_split`` as keywords and tests
     at level alpha below the split.  Both are positive everywhere and ignore
-    ``z0``."""
+    ``z0``.  Inside a :func:`calibration_scope` the inverse-normal and Fisher
+    calibrations are reused; the z-combination family's, which depends on
+    ``fixed``, never is."""
     if family == "constant":
         return constant_cef(alpha)
     if family == "inverse_normal":
@@ -211,4 +256,10 @@ def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> Cal
         return calibrate(cef_at, alpha, alpha, 1.0 - 1e-12)
     else:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return calibrate(cef_at, alpha, 0.0, 1.0)
+    calibrations = _CALIBRATIONS.get()
+    if calibrations is None:
+        return calibrate(cef_at, alpha, 0.0, 1.0)
+    key = (family, alpha, z0)
+    if key not in calibrations:
+        calibrations[key] = calibrate(cef_at, alpha, 0.0, 1.0)
+    return calibrations[key]

@@ -16,7 +16,7 @@ from dataclasses import astuple, fields, replace
 from . import combination as comb_mod
 from . import montecarlo as mc_mod
 from . import power as power_mod
-from .cef import FAMILIES, FASTTRACK_FAMILIES
+from .cef import FAMILIES, FASTTRACK_FAMILIES, calibration_scope
 from .design import DerivedDesign, ExampleCost, cond_registration_power, derive
 from .numerics import BracketError, ConvergenceError
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -179,7 +179,10 @@ def cmd_curve(kind: str, scenario: Scenario, grid_step: float, out_path: str) ->
     if combination is not None and combination != (scenario.mode == "combination"):
         need = "mode = combination" if combination else "a fasttrack mode"
         raise ScenarioError(f"kind {kind!r} requires {need}")
-    rows = [row(scenario, base, kind, x) for x in grid(base, grid_step)]
+    # Grid points that share a calibration (same family, alpha and z0)
+    # solve it once.
+    with calibration_scope():
+        rows = [row(scenario, base, kind, x) for x in grid(base, grid_step)]
     _write_csv(out_path, columns, rows)
     return EXIT_OK
 

@@ -108,13 +108,18 @@ def waive_branch(
     return cef, solve_i2_const(p, lambda i2c: cef)
 
 
+def upper_floor(params: DesignParams, cef: cef_mod.CalibratedCef) -> float:
+    """The upper-branch floor I2min of an apply-or-waive design: overall
+    power (1 - beta) * P(Z1 >= z_f), conditional success 1 - beta."""
+    target = (1.0 - params.beta) * cond_registration_power(params)
+    return power_mod.solve_i2_min(params, cef, target)
+
+
 def build_combination(params: DesignParams, family: str) -> power_mod.Design:
     """Build an apply-or-waive design for one conditional error family: the
     waive branch (see :func:`waive_branch`), then the upper-branch floor."""
     cef, i2_const = waive_branch(params, family)
-    target = (1.0 - params.beta) * cond_registration_power(params)
-    i2_min = power_mod.solve_i2_min(params, cef, target)
-    rule = power_mod.AdaptiveConditionalPower(i2_min, cef)
+    rule = power_mod.AdaptiveConditionalPower(upper_floor(params, cef), cef)
     return power_mod.Design(params, family, rule, i2_const)
 
 
@@ -147,16 +152,21 @@ def gambling_threshold(params: DesignParams, family: str) -> float:
 
     The excess of the formula maximum (the rule read at a zero floor) over
     the floor is scanned on a t-grid and the bracketed sign change refined by
-    bisection.  Returns 0 when the branch is never constant.
+    bisection.  Returns 0 when the branch is never constant.  Each point
+    solves only the upper-branch CEF and floor that the excess reads: the
+    waive branch's I2_const enters only the z-combination family's CEF, and
+    every other family's CEF does not depend on I1, so it is made once per
+    scan.
     """
     base = derive(params)
     i_delta = base.i_delta
+    cef = None if family == "z_combination" else cef_mod.family_cef(family, params.alpha)
 
     def excess(t_xi: float) -> float:
         p = replace(params, i1=t_xi * i_delta)
-        d = build_combination(p, family)
-        formula = replace(d.rule, i2_min=0.0)
-        return power_mod.max_stage2_info(p, formula) - d.i2_min
+        upper = waive_branch(p, family)[0] if cef is None else cef
+        formula = power_mod.AdaptiveConditionalPower(0.0, upper)
+        return power_mod.max_stage2_info(p, formula) - upper_floor(p, upper)
 
     t_max = base.i1_max / i_delta
     t = _SCAN_STEP

@@ -54,6 +54,9 @@ class SimConfig:
             raise ValueError("n_reps must be positive")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
+        # A NaN theta would compare false everywhere and report no rejection.
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
 
 
 @dataclass(frozen=True)

@@ -192,13 +192,17 @@ def integrate(
         settings.max_subdivisions,
     )
     ests, errs = _panels(f, np.array(cuts))
-    heap: list[tuple[float, float, float, float]] = []
     total, total_err = 0.0, 0.0
-    for a, b, est, err in zip(cuts[:-1], cuts[1:], ests, errs):
-        heapq.heappush(heap, (-err, a, b, est))
+    for est, err in zip(ests, errs):
         total += est
         total_err += err
+    if total_err <= max(settings.abs_tol, settings.rel_tol * abs(total)):
+        return total  # the initial panels settle almost every integral
 
+    # Largest error first.  heappop takes the smallest entry however the heap
+    # was built, so heapify pops in the order that pushing each panel did.
+    heap = [(-err, a, b, est) for a, b, est, err in zip(cuts[:-1], cuts[1:], ests, errs)]
+    heapq.heapify(heap)
     n_panels = len(heap)
     while total_err > max(settings.abs_tol, settings.rel_tol * abs(total)):
         if n_panels >= settings.max_subdivisions:

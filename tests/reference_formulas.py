@@ -1,19 +1,23 @@
 """References that the tests compare the package against.
 
 No command prints these; they are textbook formulas from the paper, kept here
-so that the package holds only what a command reaches, and the one-pass form
-of the Monte Carlo oracle that its spans are checked against.
+so that the package holds only what a command reaches, the one-pass form of
+the Monte Carlo oracle that its spans are checked against, and the gambling
+threshold scan that builds a whole design at every point.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from fasttrack import cef as cef_mod
+from fasttrack import combination as comb_mod
 from fasttrack import power as power_mod
+from fasttrack.design import derive
 from fasttrack.montecarlo import SimReport
-from fasttrack.numerics import std_normal_cdf, std_normal_quantile
+from fasttrack.numerics import find_root, std_normal_cdf, std_normal_quantile
 
 
 def atilde_z(z1, level: float, i1: float, i2c: float):
@@ -82,3 +86,28 @@ def simulate_one_stream(design, cfg, substream: int = 0):
         max_i2_observed=float(i2.max()),
         n_reps=n,
     )
+
+
+def gambling_threshold_full_builds(params, family: str) -> float:
+    """``combination.gambling_threshold`` with a whole apply-or-waive design
+    built at each point of the scan, waive branch included, and every CEF
+    calibrated anew."""
+    i_delta = derive(params).i_delta
+
+    def excess(t_xi: float) -> float:
+        p = replace(params, i1=t_xi * i_delta)
+        d = comb_mod.build_combination(p, family)
+        formula = replace(d.rule, i2_min=0.0)
+        return power_mod.max_stage2_info(p, formula) - d.i2_min
+
+    t_max = derive(params).i1_max / i_delta
+    step = comb_mod._SCAN_STEP
+    t = step
+    if excess(t) > 0:
+        return 0.0
+    while t < t_max:
+        t_next = min(t + step, t_max)
+        if excess(t_next) > 0:
+            return find_root(excess, t, t_next, comb_mod._REFINE)
+        t = t_next
+    return 0.0

@@ -1,7 +1,7 @@
 """Thirty-digit reference values for the level integral and the waive-branch
 success of a conditional error function, and for the upper branch's overall
-power and mean stage-two information, computed from a design's constants
-alone.
+power, mean and maximum stage-two information, computed from a design's
+constants alone.
 
 Each CEF is written here from its definition, as a function z -> A(z) at
 mpmath precision together with its kinks, and integrated with ``mp.quad``
@@ -129,6 +129,15 @@ def floor_kink(cef, i2_min, beta, i1, z_f):
         while formula(hi) > i2_min:
             hi = z_f + 2 * (hi - z_f)
         return mp.findroot(lambda z: formula(z) - i2_min, (z_f, hi), solver="anderson")
+
+
+def max_stage2_info(cef, i2_min, beta, i1, z_f) -> float:
+    """Largest stage-two information of the upper branch, max(i2_min,
+    formula(z_f)): the formula falls as z grows (see floor_kink)."""
+    a, _ = cef
+    with mp.workdps(DPS):
+        formula = _formula(a, mp.mpf(i1), beta)
+        return float(max(mp.mpf(i2_min), formula(mp.mpf(z_f))))
 
 
 def upper_branch(cef, i2_min, beta, i1, delta, z_f) -> tuple[float, float]:

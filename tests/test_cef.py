@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import COMBO_BASE, EVAL_BASE, params_at
+from fasttrack import cli
 from fasttrack.cef import (
     CalibratedCef,
+    calibration_scope,
     constant_cef,
     critical_value,
     eval_cef,
@@ -20,6 +22,7 @@ from fasttrack.cef import (
 from fasttrack.combination import build_combination
 from fasttrack.design import derive
 from fasttrack.numerics import find_root, std_normal_cdf, std_normal_quantile
+from fasttrack.power import build_fasttrack
 from reference_formulas import atilde_z
 
 ALPHA = 0.025
@@ -275,6 +278,25 @@ class TestCriticalValueTable:
                 assert type(q) is float and type(eval_cef(cef, z)) is float
                 assert q == critical_value(cef, np.array([z]))[0]
 
+    def test_float_path_equals_the_array_path_bit_for_bit(self):
+        cases, z_f = self._table_cefs()
+        cefs = [cef for cef, _ in cases]
+        cefs += [family_cef("fisher", ALPHA), family_cef("fisher", ALPHA, z_f),
+                 CalibratedCef(None, c=1e-17), CalibratedCef(None, z0=z_f, c=1e-17)]
+        for cef in cefs:
+            # Each piece start or z0, each cap, one ulp either side of them.
+            bends = [x for x in [cef.z0, *kinks(cef)] if math.isfinite(x)]
+            zs = [-math.inf, -40.0, 5.0, 40.0, math.inf]
+            zs += [f(x) for x in bends
+                   for f in (lambda x: x, lambda x: math.nextafter(x, -math.inf),
+                             lambda x: math.nextafter(x, math.inf))]
+            for z in zs:
+                with np.errstate(invalid="ignore"):  # 0 * inf in a flat piece
+                    got = critical_value(cef, z)
+                    want = critical_value(cef, np.array([z]))[0]
+                assert type(got) is float
+                assert np.float64(got).tobytes() == want.tobytes(), (cef, z, got, want)
+
     def test_fisher_has_no_table(self):
         cef = family_cef("fisher", ALPHA, 0.5)
         z = np.linspace(-10.0, 10.0, 4001)
@@ -353,3 +375,61 @@ class TestCalibrationReuse:
             monkeypatch.undo()
             assert len(seen) == len(set(seen)) > 0
             assert got.level_used == level_integral(got, lower)
+
+
+class TestCalibrationScope:
+    @staticmethod
+    def count_calibrations(monkeypatch):
+        """Record (family, alpha, z0) of each inverse-normal and Fisher
+        calibration; the z-combination family's start at lo = alpha."""
+        import fasttrack.cef as cef_mod
+
+        seen = []
+        calibrate = cef_mod.calibrate
+
+        def counted(cef_at, alpha, lo, hi):
+            cef = calibrate(cef_at, alpha, lo, hi)
+            if lo == 0.0:
+                seen.append(("fisher" if cef.pieces is None else "inverse_normal",
+                             alpha, cef.z0))
+            return cef
+
+        monkeypatch.setattr(cef_mod, "calibrate", counted)
+        return seen
+
+    def test_one_calibration_per_key_within_a_curve(self, monkeypatch, write_scenario,
+                                                    tmp_path):
+        seen = self.count_calibrations(monkeypatch)
+        out = tmp_path / "c.csv"
+        for kind, scenario in (
+            ("i2_min", write_scenario("fasttrack.txt")),
+            ("i2_const", write_scenario("combination.txt", delta_rel=1.4, xi=1.25,
+                                        t_xi_i1=0.5, mode="combination")),
+        ):
+            seen.clear()
+            argv = ["curve", "--scenario", scenario, "--kind", kind, "--out", str(out),
+                    "--grid-step", "0.05"]
+            assert cli.main(argv) == cli.EXIT_OK
+            rows = len(out.read_text().splitlines()) - 1
+            assert len(seen) == len(set(seen)) > 0, kind
+            if kind == "i2_const":
+                # Both non-binding calibrations serve every row.
+                assert rows > 2 and len(seen) == 2
+
+    def test_no_reuse_outside_a_scope(self, monkeypatch):
+        seen = self.count_calibrations(monkeypatch)
+        p = params_at(EVAL_BASE, 0.6)
+        first = build_fasttrack(p, "fisher")
+        second = build_fasttrack(p, "fisher")
+        assert len(seen) == 2 and seen[0] == seen[1]
+        assert first == second
+
+    def test_reuse_returns_the_same_calibration(self):
+        p = params_at(EVAL_BASE, 0.6)
+        fresh = family_cef("inverse_normal", ALPHA, p.z_f)
+        with calibration_scope():
+            once = family_cef("inverse_normal", ALPHA, p.z_f)
+            assert family_cef("inverse_normal", ALPHA, p.z_f) is once
+            assert family_cef("inverse_normal", ALPHA, -math.inf) is not once
+        assert once == fresh
+        assert family_cef("inverse_normal", ALPHA, p.z_f) is not once

@@ -17,7 +17,7 @@ from fasttrack.combination import (
 from fasttrack.design import ExampleCost, cond_registration_power, derive
 from fasttrack.numerics import std_normal_cdf, std_normal_quantile
 from fasttrack.power import AdaptiveConditionalPower, evaluate_design
-from reference_formulas import naive_inflation
+from reference_formulas import gambling_threshold_full_builds, naive_inflation
 
 ALPHA = 0.025
 
@@ -198,6 +198,13 @@ class TestGamblingThresholds:
         }
         for family, want in expected.items():
             assert gambling_threshold(p, family) == pytest.approx(want, abs=2e-3)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equals_the_scan_of_full_builds(self, family):
+        # The scan solves only what its excess reads, and calibrates each
+        # CEF once; the threshold is the same float.
+        p = params_at(COMBO_BASE, 0.5)
+        assert gambling_threshold(p, family) == gambling_threshold_full_builds(p, family)
 
 
 class TestMonotonicity:

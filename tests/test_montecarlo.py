@@ -204,6 +204,12 @@ class TestInvariants:
         with pytest.raises(ValueError):
             SimConfig(n_reps=10, seed=-1, theta=0.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_config_rejects_non_finite_theta(self, theta):
+        # NaN compares false everywhere: simulate would report no rejection.
+        with pytest.raises(ValueError, match="theta"):
+            SimConfig(n_reps=10, seed=1, theta=theta)
+
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("seed", 1.9), ("seed", True), ("seed", "1"),
         ("n_reps", 1000.0), ("n_reps", True),

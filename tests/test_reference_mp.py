@@ -1,6 +1,6 @@
-"""The level integral, the waive-branch success and the upper branch's power
-and mean stage-two information against thirty-digit references computed from
-each design's constants alone (see reference_mp)."""
+"""The level integral, the waive-branch success and the upper branch's power,
+mean and maximum stage-two information against thirty-digit references
+computed from each design's constants alone (see reference_mp)."""
 
 import math
 
@@ -8,11 +8,23 @@ import pytest
 
 import reference_mp as ref
 from conftest import COMBO_BASE, EVAL_BASE, params_at, params_near_i1_max
-from fasttrack.cef import constant_cef, family_cef, level_integral
+from fasttrack.cef import (
+    FAMILIES,
+    FASTTRACK_FAMILIES,
+    constant_cef,
+    family_cef,
+    level_integral,
+)
 from fasttrack.combination import build_combination, lower_branch_success, waive_branch
 from fasttrack.design import DesignParams
 from fasttrack.numerics import normal_window
-from fasttrack.power import _floor_kink, build_fasttrack, mean_stage2_info, overall_power
+from fasttrack.power import (
+    _floor_kink,
+    build_fasttrack,
+    max_stage2_info,
+    mean_stage2_info,
+    overall_power,
+)
 
 ALPHA = 0.025
 
@@ -120,23 +132,34 @@ DRAWN = {
 }
 
 
-@pytest.mark.parametrize("name", DRAWN)
-def test_drawn_designs_match_the_reference(name):
+def _drawn_design(name):
     mode, family, values = DRAWN[name]
     p = DesignParams(**values)
     if mode == "combination":
-        design = build_combination(p, family)
-    else:
-        design = build_fasttrack(p, family, binding=mode == "fasttrack_binding")
-    cef, z_f = design.cef, design.branch_boundary
-    if family == "z_combination":
-        reference = ref.z_combination(
-            p.i1, design.i2_const, z_f, p.alpha, cef.alpha_prime
+        return build_combination(p, family)
+    return build_fasttrack(p, family, binding=mode == "fasttrack_binding")
+
+
+def _reference_cef(design):
+    """The reference CEF of a built design, from its constants."""
+    p, cef = design.params, design.cef
+    if design.family == "constant":
+        return ref.constant(p.alpha)
+    if design.family == "z_combination":
+        return ref.z_combination(
+            p.i1, design.i2_const, design.branch_boundary, p.alpha, cef.alpha_prime
         )
-    elif family == "fisher":
-        reference = ref.fisher(cef.c, cef.z0)
-    else:
-        reference = ref.inverse_normal(cef.c, cef.z0)
+    if design.family == "fisher":
+        return ref.fisher(cef.c, cef.z0)
+    return ref.inverse_normal(cef.c, cef.z0)
+
+
+@pytest.mark.parametrize("name", DRAWN)
+def test_drawn_designs_match_the_reference(name):
+    design = _drawn_design(name)
+    mode = DRAWN[name][0]
+    p, cef, z_f = design.params, design.cef, design.branch_boundary
+    reference = _reference_cef(design)
     want = ref.level_integral(reference, cef.z0)
     assert level_integral(cef, cef.z0) == pytest.approx(want, abs=1e-10)
     want_power, want_info = ref.upper_branch(
@@ -148,3 +171,20 @@ def test_drawn_designs_match_the_reference(name):
         want = ref.waive_branch_success(reference, design.i2_const, p.i1, p.delta, z_f)
         got = lower_branch_success(p, design.i2_const, cef)
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_max_stage2_info_matches_the_reference():
+    # The seven paper designs (three fast-track, four combination) and the
+    # drawn ones: max(I2min, formula(z_f)) at thirty digits.
+    p = params_at(EVAL_BASE, 0.6)
+    designs = [build_fasttrack(p, family) for family in FASTTRACK_FAMILIES]
+    p = params_at(COMBO_BASE, 0.5)
+    designs += [build_combination(p, family) for family in FAMILIES]
+    designs += [_drawn_design(name) for name in DRAWN]
+    for design in designs:
+        q = design.params
+        want = ref.max_stage2_info(
+            _reference_cef(design), design.i2_min, q.beta, q.i1, design.branch_boundary
+        )
+        got = max_stage2_info(q, design.rule)
+        assert got == pytest.approx(want, rel=1e-10, abs=0), (design.family, q)
