@@ -132,7 +132,8 @@ def critical_value(cef: CalibratedCef, z1):
     else:
         q = math.inf
         for start, a, b in cef.pieces:
-            piece = np.maximum(a - b * z, 0.0)
+            # A flat piece without b * z, which is NaN at z = +-inf.
+            piece = np.maximum(a - b * z if b else np.full(z.shape, a), 0.0)
             q = piece if start == -math.inf else np.where(z >= start, piece, q)
     return float(q) if q.ndim == 0 else q
 

@@ -136,8 +136,10 @@ def _fasttrack_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float)
 
 
 def _i2_const_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
+    # I2_const alone: the z-combination alpha_prime is not calibrated.
     p = scenario.design_params(i1=t * base.i_delta)
-    return [t] + [comb_mod.waive_branch(p, f)[1] / base.i_delta for f in FAMILIES]
+    return [t] + [comb_mod.solve_i2_const(p, comb_mod.waive_test(p, f)) / base.i_delta
+                  for f in FAMILIES]
 
 
 def _combo_panel_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):

@@ -21,7 +21,6 @@ from . import cef as cef_mod
 from . import power as power_mod
 from .design import DesignParams, cond_registration_power, derive
 from .numerics import (
-    RootSettings,
     find_root,
     integrate,
     normal_window,
@@ -84,28 +83,36 @@ def solve_i2_const(
     return solve_monotone(success, 1.0 - params.beta)
 
 
+def waive_test(
+    params: DesignParams, family: str
+) -> Callable[[float], cef_mod.CalibratedCef]:
+    """``cef_at(i2c)`` for :func:`solve_i2_const`: the fixed-size combined
+    z-test at level alpha for the z-combination family, otherwise the
+    family's CEF with a non-binding lower bound, whatever the information."""
+    p = params
+    if family == "z_combination":
+        return lambda i2c: cef_mod.z_combination_cef(p.i1, i2c, p.z_f, p.alpha, p.alpha)
+    cef = cef_mod.family_cef(family, p.alpha)
+    return lambda i2c: cef
+
+
 def waive_branch(
     params: DesignParams, family: str
 ) -> tuple[cef_mod.CalibratedCef, float]:
     """The calibrated CEF and the waive-branch information I2_const of the
     apply-or-waive design for one conditional error family.
 
-    For the z-combination family the waive branch tests with the fixed-size
-    combined test at level alpha, whose CEF depends on the information:
-    I2_const is solved with it first, then alpha_prime is calibrated so the
-    level condition holds with equality.  The other families build the CEF
-    with a non-binding lower bound first, then solve I2_const.
+    I2_const is solved with :func:`waive_test` first.  For the z-combination
+    family alpha_prime is then calibrated so the level condition holds with
+    equality; the other families' CEF is their waive-branch test.
     """
     p = params
-    if family == "z_combination":
-        def fixed_test(i2c: float) -> cef_mod.CalibratedCef:
-            return cef_mod.z_combination_cef(p.i1, i2c, p.z_f, p.alpha, p.alpha)
-
-        i2_const = solve_i2_const(p, fixed_test)
-        cef = cef_mod.family_cef(family, p.alpha, i1=p.i1, i2_const=i2_const, z_split=p.z_f)
-        return cef, i2_const
-    cef = cef_mod.family_cef(family, p.alpha)
-    return cef, solve_i2_const(p, lambda i2c: cef)
+    test = waive_test(p, family)
+    i2_const = solve_i2_const(p, test)
+    if family != "z_combination":
+        return test(i2_const), i2_const
+    cef = cef_mod.family_cef(family, p.alpha, i1=p.i1, i2_const=i2_const, z_split=p.z_f)
+    return cef, i2_const
 
 
 def upper_floor(params: DesignParams, cef: cef_mod.CalibratedCef) -> float:
@@ -140,9 +147,9 @@ def branch_metrics(design: power_mod.Design) -> BranchMetrics:
     )
 
 
-# The t-grid step of gambling_threshold's scan and its refinement settings.
+# The t-grid step of gambling_threshold's scan and its refinement's x_tol.
 _SCAN_STEP = 0.01
-_REFINE = RootSettings(x_tol=5e-4)
+_REFINE_X_TOL = 5e-4
 
 
 def gambling_threshold(params: DesignParams, family: str) -> float:
@@ -175,6 +182,6 @@ def gambling_threshold(params: DesignParams, family: str) -> float:
     while t < t_max:
         t_next = min(t + _SCAN_STEP, t_max)
         if excess(t_next) > 0:
-            return find_root(excess, t, t_next, _REFINE)
+            return find_root(excess, t, t_next, _REFINE_X_TOL)
         t = t_next
     return 0.0

@@ -17,7 +17,6 @@ with its default relative tolerance.
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -58,23 +57,12 @@ class QuadratureSettings:
             raise ValueError("max_subdivisions must be a positive integer")
 
 
-@dataclass(frozen=True)
-class RootSettings:
-    """Tolerances and budget for bracketing root searches."""
-
-    x_tol: float = 1e-9
-    f_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.x_tol > 0 and self.f_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be a non-negative integer")
-
-
 DEFAULT_QUAD = QuadratureSettings()
-DEFAULT_ROOT = RootSettings()
+# Bracketing root searches: the default absolute x tolerance, the |f| at
+# which an end of the bracket is the root, and the evaluation budget.
+X_TOL = 1e-9
+F_TOL = 1e-10
+MAX_ITER = 200
 # Widest initial panel of integrate, in sds like tail_halfwidth: every caller
 # integrates a normal density on the z scale, where a G15 rule over 2 sds
 # meets the tolerances in one integrand call.
@@ -131,18 +119,18 @@ _G15_X, _G15_W = leggauss(15)
 _NODES = np.concatenate((_G15_X, _G7_X))
 
 
-def _panels(f: Callable, cuts: np.ndarray) -> tuple[list[float], list[float]]:
+def _panels(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """G15 estimates, and |G15 - G7| as their error estimates, over the
-    consecutive panels between ``cuts``, from one call of ``f`` on the nodes
-    of all of them.  Each panel's weighted sum is a row sum, which does not
-    depend on how many panels share the call."""
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    half = 0.5 * (cuts[1:] - cuts[:-1])
+    panels [a[i], b[i]], from one call of ``f`` on the nodes of all of them.
+    Each panel's weighted sum is a row sum, which does not depend on how many
+    panels share the call."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     i15 = half * (y[:, :15] * _G15_W).sum(axis=1)
     i7 = half * (y[:, 15:] * _G7_W).sum(axis=1)
-    return i15.tolist(), np.abs(i15 - i7).tolist()
+    return i15, np.abs(i15 - i7)
 
 
 def _initial_cuts(kinks: list[float], budget: int) -> list[float]:
@@ -166,14 +154,16 @@ def integrate(
     """Adaptive panel quadrature of an elementwise integrand on [lo, hi].
 
     ``f`` is called on a 1-D array holding the nodes of several panels at
-    once (all initial panels, then both halves of each bisected panel) and
-    must return the integrand at each node.  The initial panels cut each
-    segment between lo, the split points and hi into ceil(width /
-    PANEL_WIDTH) equal parts, at most ``max_subdivisions`` of them so that
-    a wide segment cannot ask for more nodes than the budget allows.  The
-    panel with the largest error estimate is then bisected until the summed
-    estimate meets the tolerances, or ConvergenceError is raised once
-    ``max_subdivisions`` panels do not.
+    once (all initial panels, then both halves of each panel bisected in a
+    round) and must return the integrand at each node.  The initial panels
+    cut each segment between lo, the split points and hi into ceil(width /
+    PANEL_WIDTH) equal parts, at most ``max_subdivisions`` of them so that a
+    wide segment cannot ask for more nodes than the budget allows.  Each
+    round sums the panels left to right; it returns once the summed error
+    estimate meets the tolerances, raises ConvergenceError once
+    ``max_subdivisions`` panels do not, and otherwise bisects every panel
+    whose error estimate is at least the mean, the worst one always.  A
+    non-finite sum raises FloatingPointError.
 
     The interval must be finite (normal tails are cut by
     :func:`normal_window`); an empty one, lo == hi, integrates to 0.  Known
@@ -187,42 +177,38 @@ def integrate(
     if lo == hi:
         return 0.0
 
-    cuts = _initial_cuts(
+    cuts = np.array(_initial_cuts(
         sorted({lo, hi, *(p for p in split_points if lo < p < hi)}),
         settings.max_subdivisions,
-    )
-    ests, errs = _panels(f, np.array(cuts))
-    total, total_err = 0.0, 0.0
-    for est, err in zip(ests, errs):
-        total += est
-        total_err += err
-    if total_err <= max(settings.abs_tol, settings.rel_tol * abs(total)):
-        return total  # the initial panels settle almost every integral
-
-    # Largest error first.  heappop takes the smallest entry however the heap
-    # was built, so heapify pops in the order that pushing each panel did.
-    heap = [(-err, a, b, est) for a, b, est, err in zip(cuts[:-1], cuts[1:], ests, errs)]
-    heapq.heapify(heap)
-    n_panels = len(heap)
-    while total_err > max(settings.abs_tol, settings.rel_tol * abs(total)):
-        if n_panels >= settings.max_subdivisions:
+    ))
+    ests, errs = _panels(f, cuts[:-1], cuts[1:])
+    while True:
+        # A Python loop: ndarray.sum is pairwise, and the builtin sum of
+        # floats is compensated from Python 3.12 on.
+        total, total_err = 0.0, 0.0
+        for est, err in zip(ests.tolist(), errs.tolist()):
+            total += est
+            total_err += err
+        if not (math.isfinite(total) and math.isfinite(total_err)):
+            raise FloatingPointError(f"integral on [{lo}, {hi}] is not finite "
+                                     f"(estimate {total!r}, error {total_err!r})")
+        if total_err <= max(settings.abs_tol, settings.rel_tol * abs(total)):
+            return total
+        if len(ests) >= settings.max_subdivisions:
             raise ConvergenceError(
-                f"quadrature used {n_panels} panels without reaching tolerance "
+                f"quadrature used {len(ests)} panels without reaching tolerance "
                 f"(estimate {total!r}, error {total_err!r})",
                 best_estimate=total,
                 error_estimate=total_err,
             )
-        neg_err, a, b, est = heapq.heappop(heap)
-        total -= est
-        total_err += neg_err  # neg_err == -err
-        mid = 0.5 * (a + b)
-        halves = _panels(f, np.array((a, mid, b)))
-        for aa, bb, e, r in zip((a, mid), (mid, b), *halves):
-            heapq.heappush(heap, (-r, aa, bb, e))
-            total += e
-            total_err += r
-        n_panels += 1
-    return total
+        split = errs >= total_err / len(errs)
+        split[np.argmax(errs)] = True
+        mid = 0.5 * (cuts[:-1][split] + cuts[1:][split])
+        cuts = np.insert(cuts, np.flatnonzero(split) + 1, mid)
+        # A bisected panel's entries, repeated, are those of its two halves.
+        n = split + 1
+        ests, errs, split = np.repeat(ests, n), np.repeat(errs, n), np.repeat(split, n)
+        ests[split], errs[split] = _panels(f, cuts[:-1][split], cuts[1:][split])
 
 
 def _not_nan(x: float, fx) -> float:
@@ -237,7 +223,7 @@ def find_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    settings: RootSettings = DEFAULT_ROOT,
+    x_tol: float = X_TOL,
     f_lo: float | None = None,
     f_hi: float | None = None,
 ) -> float:
@@ -246,21 +232,21 @@ def find_root(
 
     ``f_lo`` and ``f_hi``, when given, are the already known values f(lo)
     and f(hi); ``f`` is then not called at that end.  Either way ``f`` is
-    called at most once at each end.  An end with |f| <= f_tol is the root.
+    called at most once at each end.  An end with |f| <= F_TOL is the root.
     Otherwise the search stops once the root is bracketed to within
-    x_tol + 4 eps |x|, the stopping rule of scipy's ``brentq``.
+    ``x_tol`` + 4 eps |x|, the stopping rule of scipy's ``brentq``.
 
     Raises BracketError if f(lo) and f(hi) have the same sign,
     FloatingPointError if f is NaN at any point, the ends included, and
-    ConvergenceError if ``max_iter`` evaluations inside the bracket do not
+    ConvergenceError if MAX_ITER evaluations inside the bracket do not
     converge.
     """
     lo, hi = float(lo), float(hi)
     f_lo = _not_nan(lo, f(lo) if f_lo is None else f_lo)
     f_hi = _not_nan(hi, f(hi) if f_hi is None else f_hi)
-    if abs(f_lo) <= settings.f_tol:
+    if abs(f_lo) <= F_TOL:
         return lo
-    if abs(f_hi) <= settings.f_tol:
+    if abs(f_hi) <= F_TOL:
         return hi
     if (f_lo < 0) == (f_hi < 0):
         raise BracketError(
@@ -272,7 +258,7 @@ def find_root(
     # iterate; scur and spre are the last two steps.
     xpre, xcur, fpre, fcur = lo, hi, f_lo, f_hi
     xblk = fblk = spre = scur = 0.0
-    for i in range(settings.max_iter + 1):
+    for i in range(MAX_ITER + 1):
         if (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -280,11 +266,11 @@ def find_root(
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (settings.x_tol + _RTOL * abs(xcur)) / 2
+        delta = (x_tol + _RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
-        if i == settings.max_iter:
+        if i == MAX_ITER:
             raise ConvergenceError(
                 f"root search made {i} evaluations without converging "
                 f"(estimate {xcur!r}, bracket half-width {abs(sbis)!r})",
@@ -323,11 +309,11 @@ def solve_monotone(g: Callable[[float], float], target: float) -> float:
     found by doubling steps from 1.  ``g`` is called at most once at any x.
     """
     lo, g_lo = 0.0, g(0.0)
-    if g_lo >= target - DEFAULT_ROOT.f_tol:
+    if g_lo >= target - F_TOL:
         return lo
 
     hi, step = 1.0, 1.0
-    for _ in range(DEFAULT_ROOT.max_iter):
+    for _ in range(MAX_ITER):
         g_hi = g(hi)
         if g_hi >= target:
             break

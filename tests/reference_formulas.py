@@ -108,6 +108,6 @@ def gambling_threshold_full_builds(params, family: str) -> float:
     while t < t_max:
         t_next = min(t + step, t_max)
         if excess(t_next) > 0:
-            return find_root(excess, t, t_next, comb_mod._REFINE)
+            return find_root(excess, t, t_next, comb_mod._REFINE_X_TOL)
         t = t_next
     return 0.0

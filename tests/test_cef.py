@@ -2,6 +2,7 @@
 calibration to the overall one-sided level."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,7 +59,7 @@ class TestCalibrationConstants:
     @pytest.mark.xfail(
         strict=True,
         reason=(
-            "calibrate solves c with DEFAULT_ROOT's absolute tolerances (x_tol "
+            "calibrate solves c with find_root's absolute tolerances (x_tol "
             "1e-9 on c, f_tol 1e-10 on the level): non-binding Fisher at "
             "alpha = 1e-7 spends alpha * (1 + 1.03e-2)"
         ),
@@ -291,11 +292,27 @@ class TestCriticalValueTable:
                    for f in (lambda x: x, lambda x: math.nextafter(x, -math.inf),
                              lambda x: math.nextafter(x, math.inf))]
             for z in zs:
-                with np.errstate(invalid="ignore"):  # 0 * inf in a flat piece
-                    got = critical_value(cef, z)
-                    want = critical_value(cef, np.array([z]))[0]
+                got = critical_value(cef, z)
+                want = critical_value(cef, np.array([z]))[0]
                 assert type(got) is float
                 assert np.float64(got).tobytes() == want.tobytes(), (cef, z, got, want)
+
+    def test_infinite_z_reads_the_limits_without_warnings(self):
+        cases, z_f = self._table_cefs()
+        cefs = [cef for cef, _ in cases]
+        cefs += [family_cef("fisher", ALPHA), family_cef("fisher", ALPHA, z_f)]
+        z = np.array([-math.inf, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cef in cefs:
+                q, a = critical_value(cef, z), eval_cef(cef, z)
+                assert not np.any(np.isnan(q)), cef
+                # The limits of A at the far finite ends.
+                assert np.array_equal(a, eval_cef(cef, np.array([-1e300, 1e300]))), cef
+            # The flat piece is its level's critical value at every z.
+            for level in (ALPHA, 0.7):
+                q = critical_value(constant_cef(level), z)
+                assert np.all(q == std_normal_quantile(1.0 - min(level, 0.5)))
 
     def test_fisher_has_no_table(self):
         cef = family_cef("fisher", ALPHA, 0.5)

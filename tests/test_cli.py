@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SIGMA
+from fasttrack import cef as cef_mod
 from fasttrack import cli
 from fasttrack.numerics import ConvergenceError
 
@@ -203,6 +204,24 @@ class TestCurves:
         assert float(rows[-1][0]) == 17.0  # 0.965 * I1_max
         for row in rows:
             assert float(row[col]) == pytest.approx(1.0, abs=1e-9), row
+
+    @pytest.mark.parametrize("step", (0.5, 0.1, 0.02))
+    def test_i2_const_curve_calibrates_each_family_once(self, step, tmp_path,
+                                                       monkeypatch):
+        # The inverse-normal and Fisher CEFs, once for the whole grid; the
+        # z-combination alpha_prime, which the curve does not print, never.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return calibrate(*args)
+
+        calibrate = cef_mod.calibrate
+        monkeypatch.setattr(cef_mod, "calibrate", counted)
+        rc = cli.main(["curve", "--scenario", COMBINATION, "--kind", "i2_const",
+                       "--out", str(tmp_path / "c.csv"), "--grid-step", str(step)])
+        assert rc == cli.EXIT_OK
+        assert len(calls) == 2
 
     def test_csv_roundtrip_is_exact(self, write_scenario, tmp_path):
         # Parsing the emitted CSV and re-rendering it at 10 significant
@@ -413,8 +432,6 @@ class TestExitCodes:
     def test_nan_root_objective_exit_code(self, write_scenario, tmp_path, monkeypatch):
         # A NaN level integral reaches calibrate's root search, which raises
         # FloatingPointError: a numerical failure, not invalid input.
-        import fasttrack.cef as cef_mod
-
         path = write_scenario()
         monkeypatch.setattr(cef_mod, "level_integral", lambda cef, lower: math.nan)
         rc = cli.main(["simulate", "--scenario", path, "--reps", "10",

@@ -5,21 +5,23 @@ import math
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from conftest import COMBO_BASE, EVAL_BASE, params_at
 from fasttrack import cef as cef_mod
 from fasttrack import combination as comb_mod
+from fasttrack import numerics
 from fasttrack import power as power_mod
 from fasttrack.cef import FAMILIES, FASTTRACK_FAMILIES
 from fasttrack.numerics import (
     DEFAULT_QUAD,
-    DEFAULT_ROOT,
+    X_TOL,
     BracketError,
     ConvergenceError,
     QuadratureSettings,
-    RootSettings,
     find_root,
     integrate,
     normal_window,
@@ -102,7 +104,8 @@ class TestIntegrate:
     def test_convergence_error_carries_estimate(self):
         f = lambda x: np.cos(200.0 * x)
         # [0, 10] starts from five panels, or from the budget's two: budgets
-        # of 2 and 5 stop before any bisection, one of 12 after seven.
+        # of 2 and 5 stop before any bisection, one of 12 after three rounds
+        # that bisect 2, 3 and 7 panels, at 17 panels.
         for n in (2, 5, 12):
             settings = QuadratureSettings(max_subdivisions=n)
             with pytest.raises(ConvergenceError) as exc_info:
@@ -115,6 +118,20 @@ class TestIntegrate:
             _, (total, total_err) = _reference_integrate(f, 0.0, 10.0, settings)
             assert err.best_estimate == total
             assert err.error_estimate == total_err
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(FloatingPointError):
+            integrate(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
+        # An infinite node makes G15 - G7 inf - inf, which numpy warns of
+        # before integrate raises.
+        with np.errstate(invalid="ignore"):
+            for f in (
+                lambda x: np.where(x > 0.5, np.inf, 1.0),
+                lambda x: np.where(x > 0.5, -np.inf, 1.0),
+                lambda x: np.where(x > 0.5, np.inf, -np.inf),
+            ):
+                with pytest.raises(FloatingPointError):
+                    integrate(f, 0.0, 1.0)
 
     def test_empty_interval_integrates_to_zero(self):
         assert integrate(std_normal_pdf, 1.0, 1.0) == 0.0
@@ -150,18 +167,11 @@ class TestRoots:
         with pytest.raises(BracketError):
             find_root(lambda x: x * x + 1.0, 0.0, 1.0)
 
-    def test_root_settings_validation(self):
-        with pytest.raises(ValueError):
-            RootSettings(x_tol=-1.0)
-        with pytest.raises(ValueError):
-            RootSettings(f_tol=0.0)
-        with pytest.raises(ValueError):
-            RootSettings(max_iter=-1)
-
-    def test_exhausted_budget_raises_convergence_error(self):
+    def test_exhausted_budget_raises_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_ITER", 2)
         f = CountingFunction(lambda t: t**3 - 2.0)
         with pytest.raises(ConvergenceError) as exc_info:
-            find_root(f, 0.0, 2.0, RootSettings(max_iter=2))
+            find_root(f, 0.0, 2.0)
         err = exc_info.value
         assert len(f.xs) == 2 + 2  # both ends, then max_iter steps
         assert err.best_estimate in f.xs
@@ -206,29 +216,29 @@ class TestBrentMatchesScipy:
     }
 
     @pytest.mark.parametrize("name", sorted(OBJECTIVES))
-    @pytest.mark.parametrize("x_tol", (DEFAULT_ROOT.x_tol, 1e-13))
+    @pytest.mark.parametrize("x_tol", (X_TOL, 1e-13))
     def test_same_points_and_root(self, name, x_tol):
         fn, brackets = self.OBJECTIVES[name]
-        settings = RootSettings(x_tol=x_tol)
         for lo, hi in brackets:
             ref = CountingFunction(fn)
-            want = brentq(ref, lo, hi, xtol=x_tol, maxiter=settings.max_iter)
+            want = brentq(ref, lo, hi, xtol=x_tol, maxiter=numerics.MAX_ITER)
             for known in ({}, {"f_lo": fn(lo)}, {"f_lo": fn(lo), "f_hi": fn(hi)}):
                 f = CountingFunction(fn)
-                got = find_root(f, lo, hi, settings, **known)
+                got = find_root(f, lo, hi, x_tol, **known)
                 assert type(got) is float
                 assert got.hex() == float(want).hex()
                 # brentq evaluates lo, then hi, then the steps.
                 assert f.xs == ref.xs[len(known):]
                 assert all(type(x) is float for x in f.xs)
 
-    def test_same_points_until_the_budget_runs_out(self):
+    def test_same_points_until_the_budget_runs_out(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_ITER", 5)
         fn = self.OBJECTIVES["flat"][0]
         ref, f = CountingFunction(fn), CountingFunction(fn)
         with pytest.raises(RuntimeError):
-            brentq(ref, 0.0, 2.0, xtol=DEFAULT_ROOT.x_tol, maxiter=5)
+            brentq(ref, 0.0, 2.0, xtol=X_TOL, maxiter=5)
         with pytest.raises(ConvergenceError):
-            find_root(f, 0.0, 2.0, RootSettings(max_iter=5))
+            find_root(f, 0.0, 2.0)
         assert f.xs == ref.xs
 
 
@@ -326,9 +336,9 @@ class TestEvaluationReuse:
 
 def _reference_integrate(f, lo, hi, settings=DEFAULT_QUAD, split_points=()):
     """The adaptive rule evaluated one panel per integrand call: the panel
-    order, sums and stopping rule that the batched integrator must repeat."""
-    import heapq
-
+    order, sums and stopping rule that the batched integrator must repeat.
+    Returns (integral, None), or (None, (estimate, error)) where the budget
+    runs out."""
     g7_x, g7_w = np.polynomial.legendre.leggauss(7)
     g15_x, g15_w = np.polynomial.legendre.leggauss(15)
 
@@ -338,7 +348,7 @@ def _reference_integrate(f, lo, hi, settings=DEFAULT_QUAD, split_points=()):
         # A one-row array summed by rows, as the batched rule sums each panel.
         i15 = half * float((y[None, :15] * g15_w).sum(axis=1)[0])
         i7 = half * float((y[None, 15:] * g7_w).sum(axis=1)[0])
-        return i15, abs(i15 - i7)
+        return [a, b, i15, abs(i15 - i7)]
 
     # Each segment between the kinks cut into ceil(width / 2) equal panels,
     # at most the budget.
@@ -348,27 +358,30 @@ def _reference_integrate(f, lo, hi, settings=DEFAULT_QUAD, split_points=()):
         n = min(math.ceil((b - a) / 2.0), settings.max_subdivisions)
         cuts += [a + (b - a) * (k / n) for k in range(n)]
     cuts.append(hi)
-    heap, total, total_err = [], 0.0, 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        est, err = panel(a, b)
-        heapq.heappush(heap, (-err, a, b, est))
-        total += est
-        total_err += err
-    n_panels = len(heap)
-    while total_err > max(settings.abs_tol, settings.rel_tol * abs(total)):
-        if n_panels >= settings.max_subdivisions:
+    panels = [panel(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+    while True:
+        total, total_err = 0.0, 0.0
+        for _, _, est, err in panels:
+            total += est
+            total_err += err
+        if not (math.isfinite(total) and math.isfinite(total_err)):
+            raise FloatingPointError(total, total_err)
+        if total_err <= max(settings.abs_tol, settings.rel_tol * abs(total)):
+            return total, None
+        if len(panels) >= settings.max_subdivisions:
             return None, (total, total_err)
-        neg_err, a, b, est = heapq.heappop(heap)
-        total -= est
-        total_err += neg_err
-        mid = 0.5 * (a + b)
-        for aa, bb in ((a, mid), (mid, b)):
-            e, r = panel(aa, bb)
-            heapq.heappush(heap, (-r, aa, bb, e))
-            total += e
-            total_err += r
-        n_panels += 1
-    return total, None
+        # Every panel at or above the mean error, and the worst one, in
+        # halves, left to right.
+        mean = total_err / len(panels)
+        worst = max(range(len(panels)), key=lambda i: (panels[i][3], -i))
+        refined = []
+        for i, (a, b, est, err) in enumerate(panels):
+            if err >= mean or i == worst:
+                mid = 0.5 * (a + b)
+                refined += [panel(a, mid), panel(mid, b)]
+            else:
+                refined.append([a, b, est, err])
+        panels = refined
 
 
 class TestBatchedPanels:
@@ -397,7 +410,13 @@ class TestBatchedPanels:
         # The initial panels at once: [-1, 0.3] and [0.3, 1.7] whole, and
         # [1.7, 4] in two halves, none of them wider than 2.
         assert sizes[0] == 4 * 22
-        assert all(n == 2 * 22 for n in sizes[1:])  # both halves of a bisection
+        # Then both halves of each panel a round bisects, ...
+        assert all(n % (2 * 22) == 0 for n in sizes[1:])
+        assert max(sizes[1:]) > 2 * 22
+        # ... which are the panels the one-panel-per-call rule evaluates.
+        ref = CountingFunction(self.kinked)
+        _reference_integrate(ref, -1.0, 4.0, split_points=(0.3, 1.7))
+        assert np.array_equal(np.concatenate(f.xs), np.concatenate(ref.xs))
 
     def test_paper_designs_settle_in_about_one_call_per_integral(self, monkeypatch):
         # Building and evaluating the seven paper designs integrates on
@@ -468,3 +487,49 @@ class TestNormalInputForms:
             self.same(std_normal_cdf(x), self.old_cdf(x))
             self.same(std_normal_quantile(p), self.old_quantile(p))
             self.same(std_normal_pdf(x), self.old_pdf(x))
+
+
+def _piecewise(kinks, jumps, slopes, wave):
+    """A smooth wave plus, at each kink, a jump and a bend."""
+    def f(x):
+        y = wave[0] * np.cos(wave[1] * x) * np.exp(-0.5 * x * x)
+        for k, jump, slope in zip(kinks, jumps, slopes):
+            y = y + jump * (x > k) + slope * np.abs(x - k)
+        return y
+
+    return f
+
+
+_coef = st.floats(-3.0, 3.0)
+
+
+class TestRefinementProperty:
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=150)
+    @hypothesis.given(
+        lo=st.floats(-6.0, 6.0),
+        width=st.floats(1e-3, 12.0),
+        kinks=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=3),
+        jumps=st.lists(_coef, min_size=3, max_size=3),
+        slopes=st.lists(_coef, min_size=3, max_size=3),
+        wave=st.tuples(_coef, st.floats(0.0, 30.0)),
+        passed=st.lists(st.booleans(), min_size=3, max_size=3),
+        extra=st.lists(st.floats(-7.0, 7.0), max_size=2),
+        budget=st.integers(1, 60),
+    )
+    def test_equals_the_one_panel_reference(
+        self, lo, width, kinks, jumps, slopes, wave, passed, extra, budget
+    ):
+        # Random piecewise-smooth integrands, with some of their kinks and
+        # some other points as split points, under random budgets.
+        f = _piecewise(kinks, jumps, slopes, wave)
+        hi = lo + width
+        splits = [k for k, p in zip(kinks, passed) if p] + extra
+        quad = QuadratureSettings(max_subdivisions=budget)
+        want, failed = _reference_integrate(f, lo, hi, quad, splits)
+        if want is not None:
+            assert integrate(f, lo, hi, quad, splits) == want
+        else:
+            with pytest.raises(ConvergenceError) as exc_info:
+                integrate(f, lo, hi, quad, splits)
+            err = exc_info.value
+            assert (err.best_estimate, err.error_estimate) == failed

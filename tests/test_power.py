@@ -20,7 +20,7 @@ from fasttrack.cef import (
 )
 from fasttrack.design import DesignParams, cond_registration_power, derive
 from fasttrack.montecarlo import SimConfig, simulate
-from fasttrack.numerics import DEFAULT_ROOT, BracketError, find_root
+from fasttrack.numerics import X_TOL, BracketError, find_root
 from fasttrack.power import (
     AdaptiveConditionalPower,
     InfeasiblePowerError,
@@ -330,7 +330,7 @@ class TestClosedFormFloorKink:
         rule = AdaptiveConditionalPower(i2_min=0.5 * (below + above), cef=cef)
         assert _floor_kink(p, rule, 0.2, 12.0) == z_split
         numeric = self.numeric_kink(p, rule, 0.2, 12.0)
-        assert numeric == pytest.approx(z_split, abs=2 * DEFAULT_ROOT.x_tol)
+        assert numeric == pytest.approx(z_split, abs=2 * X_TOL)
 
     def test_no_crossing_inside_interval(self):
         p = params_at(EVAL_BASE, 0.6)
