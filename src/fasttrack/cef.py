@@ -12,16 +12,17 @@ a rejection always requires a non-negative second-stage estimate.
 
 A CEF is the table of its stage-two critical value, a ``CalibratedCef``.
 ``family_cef`` writes each named family's table and solves its one free
-constant with ``calibrate``; ``constant_cef`` and ``z_combination_cef`` build
-the two tables that are also used at a given level.  ``critical_value`` reads
-a CEF at an array of abscissas; Fisher's it also reads at one Python float in
-float arithmetic, which is what the Fisher floor-kink root search steps on.
+constant with ``calibrate``, or in closed form for Fisher's product test;
+``constant_cef`` and ``z_combination_cef`` build the two tables that are also
+used at a given level.  ``critical_value`` reads a CEF at an array of
+abscissas; Fisher's it also reads at one Python float in float arithmetic,
+which is what the Fisher floor-kink root search steps on.
 
-Inside a ``calibration_scope`` ``family_cef`` returns a calibration it has
-already made for the same (family, alpha, z0), instead of solving it again.
-The CLI's ``curve`` command enters one scope, since neighbouring grid points
-share calibrations; outside a scope nothing is kept, so every single design
-build calibrates afresh.
+Inside a ``calibration_scope`` ``family_cef`` returns an inverse-normal
+calibration it has already made for the same (alpha, z0), instead of solving
+it again.  The CLI's ``curve`` command enters one scope, since neighbouring
+grid points share calibrations; outside a scope nothing is kept, so every
+single design build calibrates afresh.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import lambertw, ndtr, ndtri
 
 from .numerics import (
     find_root,
@@ -58,8 +59,8 @@ class CalibratedCef:
 
     ``pieces`` holds q = max(a - b*z, 0) from each ``(start, a, b)`` up to
     the next start, infinite (A = 0) below the first; the max with 0 is the
-    0.5 cap.  It is None for Fisher's product test, A = min(c / (1 - Phi(z)),
-    0.5) from ``z0`` on.  ``c`` is c_I(z0) or c_F(z0) of the two
+    0.5 cap.  It is None for Fisher's product test, A = min(c / Phi(-z), 0.5)
+    from ``z0`` on.  ``c`` is c_I(z0) or c_F(z0) of the two
     combination-test families, ``alpha_prime`` the raised upper-branch level
     of the z-combination family, and ``level_used`` the level integral
     achieved at calibration (below alpha only when the family saturates).
@@ -98,9 +99,11 @@ def z_combination_cef(
 
 
 def _fisher_cef(cef: CalibratedCef, z: np.ndarray):
-    # Fisher's A.  The survival function underflows for large z; the cap
-    # binds well before that, so flooring the denominator never changes A.
-    denom = np.maximum(1.0 - std_normal_cdf(z), 1e-300)
+    # Fisher's A, with the survival function Phi(-z), which keeps its
+    # relative precision in the upper tail where 1 - Phi(z) cancels.  It
+    # underflows for large z; the cap binds well before that, so flooring the
+    # denominator never changes A.
+    denom = np.maximum(std_normal_cdf(-z), 1e-300)
     a = np.minimum(cef.c / denom, _CAP)
     return a if cef.z0 == -math.inf else np.where(z >= cef.z0, a, 0.0)
 
@@ -109,26 +112,26 @@ def _critical_value_at(cef: CalibratedCef, z: float) -> float:
     # Fisher's critical_value at one float, step for step in the array
     # path's arithmetic; ndtr and ndtri take infinite z and p in [0, 1] as
     # the array path does.
-    denom = max(1.0 - float(ndtr(z)), 1e-300)
+    denom = max(float(ndtr(-z)), 1e-300)
     a = min(cef.c / denom, _CAP)
     if cef.z0 != -math.inf and not z >= cef.z0:
         a = 0.0
-    return float(ndtri(1.0 - a))
+    return -float(ndtri(a))
 
 
 def critical_value(cef: CalibratedCef, z1):
     """Stage-two critical value q(z) = Phi^{-1}(1 - A(z)), vectorized.
 
     Infinite where A is 0 and 0 where A is capped.  The table families read
-    it off ``cef.pieces``; Fisher's goes through A.  Fisher's at a Python
-    float is read in float arithmetic, without numpy's per-call cost, and
-    gives the same float as a one-element array.
+    it off ``cef.pieces``; Fisher's goes through A, as -Phi^{-1}(A).
+    Fisher's at a Python float is read in float arithmetic, without numpy's
+    per-call cost, and gives the same float as a one-element array.
     """
     if cef.pieces is None and isinstance(z1, float):
         return _critical_value_at(cef, z1)
     z = np.asarray(z1, dtype=float)
     if cef.pieces is None:
-        q = std_normal_quantile(np.asarray(1.0 - _fisher_cef(cef, z)))
+        q = -std_normal_quantile(np.asarray(_fisher_cef(cef, z)))
     else:
         q = math.inf
         for start, a, b in cef.pieces:
@@ -211,16 +214,43 @@ def calibrate(cef_at: Callable[[float], CalibratedCef], alpha: float,
     return at(find_root(lambda x: at(x).level_used - alpha, lo, hi, f_hi=excess))
 
 
-# The calibrations of the current calibration_scope, by (family, alpha,
-# z0); None outside a scope.
+def _fisher_family_cef(alpha: float, z0: float) -> CalibratedCef:
+    # Fisher's product test with a stopping bound (Bauer & Koehne 1994) in
+    # closed form.  In u = Phi(-z) the level integral from z0 is the integral
+    # of min(c / u, 0.5) over [0, S], S = Phi(-z0): c (1 + ln(S / 2c)) when
+    # 2c < S, else S / 2.  With 2c / S = exp(1 + w) the level condition reads
+    # w exp(w) = -2 alpha / (e S), whose root below -1 is the lower branch
+    # W_{-1} of Lambert's W.  When S / 2 <= alpha even A = 0.5 from z0 on
+    # cannot spend alpha: the family saturates at c = 1.
+    s = float(ndtr(-z0))
+    if 0.5 * s <= alpha:
+        return CalibratedCef(None, z0=z0, c=1.0, level_used=0.5 * s)
+    # Within 1e-6 of saturation W_{-1} is its series at the branch point
+    # -1/e, in p = -sqrt(2 d), d = 1 - 2 alpha / S: scipy's lambertw there
+    # overspends alpha by up to d relative.
+    d = (s - 2.0 * alpha) / s
+    if d < 1e-6:
+        p = -math.sqrt(2.0 * d)
+        w = -1.0 + p * (1.0 + p * (-1 / 3 + p * (11 / 72 + p * (
+            -43 / 540 + p * 769 / 17280))))
+    else:
+        w = lambertw(-2.0 * alpha / (math.e * s), -1).real
+    c = 0.5 * s * math.exp(1.0 + w)
+    level = c * (1.0 + math.log(s / (2.0 * c)))
+    return CalibratedCef(None, z0=z0, c=c, level_used=level)
+
+
+# The inverse-normal calibrations of the current calibration_scope, by
+# (alpha, z0); None outside a scope.
 _CALIBRATIONS: ContextVar[dict | None] = ContextVar("calibrations", default=None)
 
 
 @contextmanager
 def calibration_scope() -> Iterator[None]:
-    """Within the block ``family_cef`` calibrates each (family, alpha, z0)
-    once and returns that calibration again when asked for the same key.
-    Calibrating is deterministic, so a reused CEF equals a new one."""
+    """Within the block ``family_cef`` calibrates each inverse-normal
+    (alpha, z0) once and returns that calibration again when asked for the
+    same key.  Calibrating is deterministic, so a reused CEF equals a new
+    one."""
     token = _CALIBRATIONS.set({})
     try:
         yield
@@ -234,33 +264,34 @@ def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> Cal
     critical-value table is written.
 
     The constant family tests at level alpha, which spends alpha by
-    construction, so it computes no level integral.  The z-combination family
-    takes its fixed ``i1``, ``i2_const`` and ``z_split`` as keywords and tests
-    at level alpha below the split.  Both are positive everywhere and ignore
-    ``z0``.  Inside a :func:`calibration_scope` the inverse-normal and Fisher
-    calibrations are reused; the z-combination family's, which depends on
-    ``fixed``, never is."""
+    construction, so it computes no level integral.  Fisher's level
+    integral is elementary, and its constant c is solved in closed form.  The
+    z-combination family takes its fixed ``i1``, ``i2_const`` and ``z_split``
+    as keywords and tests at level alpha below the split.  Both are positive
+    everywhere and ignore ``z0``.  Inside a :func:`calibration_scope` the
+    inverse-normal calibrations are reused; the z-combination family's, which
+    depends on ``fixed``, never is."""
     if family == "constant":
         return constant_cef(alpha)
-    if family == "inverse_normal":
-        def cef_at(c: float) -> CalibratedCef:
-            # c is clamped so the bracket ends c = 0, 1 give the A == 0 and
-            # A == 0.5 extremes instead of failing.
-            q = std_normal_quantile(1.0 - min(max(c, 1e-16), 1.0 - 1e-16))
-            return CalibratedCef(((z0, q / _SQRT_HALF, 1.0),), z0=z0, c=c)
-    elif family == "fisher":
-        def cef_at(c: float) -> CalibratedCef:
-            return CalibratedCef(None, z0=z0, c=c)
-    elif family == "z_combination":
+    if family == "fisher":
+        return _fisher_family_cef(alpha, z0)
+    if family == "z_combination":
         def cef_at(a: float) -> CalibratedCef:
             return z_combination_cef(**fixed, alpha=alpha, alpha_prime=a)
         return calibrate(cef_at, alpha, alpha, 1.0 - 1e-12)
-    else:
+    if family != "inverse_normal":
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+    def cef_at(c: float) -> CalibratedCef:
+        # c is clamped so the bracket ends c = 0, 1 give the A == 0 and
+        # A == 0.5 extremes instead of failing.
+        q = std_normal_quantile(1.0 - min(max(c, 1e-16), 1.0 - 1e-16))
+        return CalibratedCef(((z0, q / _SQRT_HALF, 1.0),), z0=z0, c=c)
+
     calibrations = _CALIBRATIONS.get()
     if calibrations is None:
         return calibrate(cef_at, alpha, 0.0, 1.0)
-    key = (family, alpha, z0)
+    key = (alpha, z0)
     if key not in calibrations:
         calibrations[key] = calibrate(cef_at, alpha, 0.0, 1.0)
     return calibrations[key]

@@ -26,6 +26,7 @@ from .numerics import (
     normal_window,
     solve_monotone,
     std_normal_cdf,
+    std_normal_quantile,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -73,7 +74,19 @@ def solve_i2_const(
     """Fixed stage-two information giving conditional success 1-beta on the
     waive branch, where ``cef_at(i2c)`` is the CEF tested at information
     ``i2c``.  The conditional success probability is increasing in the
-    information, so a monotone solve applies."""
+    information, so a monotone solve applies.
+
+    A flat CEF (one piece with b = 0, the constant family's) tests at one
+    critical value q whatever Z1, so its success 1 - Phi(q - delta
+    sqrt(i2c)) is 1 - beta at i2c = ((q + z_beta) / delta)^2, I_delta for
+    the level-alpha test, with no root search.  Whether a waive test is
+    flat does not depend on the information, so one CEF tells.
+    """
+    pieces = cef_at(1.0).pieces
+    if pieces is not None and len(pieces) == 1 and pieces[0][2] == 0.0:
+        q = max(pieces[0][1], 0.0)
+        z_beta = std_normal_quantile(1.0 - params.beta)
+        return (q + z_beta) ** 2 / params.delta**2
 
     def success(i2c: float) -> float:
         if i2c <= 0:

@@ -162,8 +162,9 @@ def integrate(
     round sums the panels left to right; it returns once the summed error
     estimate meets the tolerances, raises ConvergenceError once
     ``max_subdivisions`` panels do not, and otherwise bisects every panel
-    whose error estimate is at least the mean, the worst one always.  A
-    non-finite sum raises FloatingPointError.
+    whose error estimate is at least the mean, the worst one always, but no
+    more than the budget has room for, worst first.  A non-finite sum raises
+    FloatingPointError.
 
     The interval must be finite (normal tails are cut by
     :func:`normal_window`); an empty one, lo == hi, integrates to 0.  Known
@@ -203,6 +204,12 @@ def integrate(
             )
         split = errs >= total_err / len(errs)
         split[np.argmax(errs)] = True
+        room = settings.max_subdivisions - len(errs)
+        if np.count_nonzero(split) > room:
+            # Only the worst panels, left to right among equals, so that the
+            # panels never outnumber the budget.
+            split[:] = False
+            split[np.argsort(-errs, kind="stable")[:room]] = True
         mid = 0.5 * (cuts[:-1][split] + cuts[1:][split])
         cuts = np.insert(cuts, np.flatnonzero(split) + 1, mid)
         # A bisected panel's entries, repeated, are those of its two halves.

@@ -77,11 +77,26 @@ def _quad(f, lo, hi, points):
     return mp.quad(f, [lo, *inner, hi])
 
 
+def level_integral_mp(cef, lower=-mp.inf, dps=DPS):
+    """Integral of A(z) phi(z) from ``lower`` to infinity, as an mpf of
+    ``dps`` digits."""
+    a, kinks = cef
+    with mp.workdps(dps):
+        return _quad(lambda z: a(z) * mp.npdf(z), mp.mpf(lower), mp.inf, kinks)
+
+
 def level_integral(cef, lower=-mp.inf) -> float:
     """Integral of A(z) phi(z) from ``lower`` to infinity."""
-    a, kinks = cef
+    return float(level_integral_mp(cef, lower))
+
+
+def fisher_level(c, z0=-mp.inf):
+    """Fisher's level integral from ``z0`` in closed form (Bauer & Koehne
+    1994), as an mpf of DPS digits: with S = 1 - Phi(z0), c (1 + ln(S / 2c))
+    when 2c < S, else S / 2."""
     with mp.workdps(DPS):
-        return float(_quad(lambda z: a(z) * mp.npdf(z), mp.mpf(lower), mp.inf, kinks))
+        c, s = mp.mpf(c), mp.ncdf(-mp.mpf(z0))
+        return c * (1 + mp.log(s / (2 * c))) if 2 * c < s else s / 2
 
 
 def waive_branch_success(cef, i2c, i1, delta, z_split) -> float:

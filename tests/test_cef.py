@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from conftest import COMBO_BASE, EVAL_BASE, params_at
 from fasttrack import cli
@@ -25,6 +26,7 @@ from fasttrack.design import derive
 from fasttrack.numerics import find_root, std_normal_cdf, std_normal_quantile
 from fasttrack.power import build_fasttrack
 from reference_formulas import atilde_z
+from reference_mp import fisher_level
 
 ALPHA = 0.025
 
@@ -56,20 +58,41 @@ class TestCalibrationConstants:
             cef = family_cef(family, ALPHA, z_f)
             assert level_integral(cef, z_f) == pytest.approx(ALPHA, abs=1e-8)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "calibrate solves c with find_root's absolute tolerances (x_tol "
-            "1e-9 on c, f_tol 1e-10 on the level): non-binding Fisher at "
-            "alpha = 1e-7 spends alpha * (1 + 1.03e-2)"
-        ),
-    )
     def test_small_alpha_level_to_six_digits(self):
         alpha = 1e-7
         rel = family_cef("fisher", alpha).level_used / alpha - 1.0
         assert abs(rel) <= 1e-6, (
             f"level_used / alpha - 1 = {rel:.3g} (measured +1.03e-2)"
         )
+
+    @pytest.mark.parametrize("z0", [-math.inf, 1.04, 2.0, 3.0])
+    def test_fisher_closed_form_spends_alpha(self, z0):
+        # Fisher's c is solved in closed form, to the last digits of alpha
+        # also at levels where a root search on c stops at its absolute
+        # tolerance; the 30-digit closed form checks the c itself.
+        s = float(ndtr(-z0))
+        for alpha in (0.025, 1e-3, 1e-5, 1e-7, 1e-9, 1e-12):
+            cef = family_cef("fisher", alpha, z0)
+            if 2.0 * alpha >= s:
+                assert cef.c == 1.0 and cef.level_used == 0.5 * s
+                continue
+            assert 0.0 < cef.c < 0.5 * s
+            assert abs(cef.level_used / alpha - 1.0) <= 1e-14, alpha
+            assert abs(float(fisher_level(cef.c, z0)) / alpha - 1.0) <= 1e-14, alpha
+
+    @pytest.mark.parametrize("z0", [-math.inf, 1.5, 8.6])
+    def test_fisher_closed_form_near_saturation(self, z0):
+        # At the saturation level (1 - Phi(z0)) / 2 the family saturates at
+        # c = 1; a relative d below it, it spends alpha.
+        s = float(ndtr(-z0))
+        cef = family_cef("fisher", 0.5 * s, z0)
+        assert cef.c == 1.0 and cef.level_used == 0.5 * s
+        for d in (1e-3, 1e-5, 1e-6, 1e-7, 1e-9, 1e-12, 1e-15):
+            alpha = 0.5 * s * (1.0 - d)
+            cef = family_cef("fisher", alpha, z0)
+            assert cef.c < 0.5 * s
+            assert abs(cef.level_used / alpha - 1.0) <= 1e-14, d
+            assert abs(float(fisher_level(cef.c, z0)) / alpha - 1.0) <= 1e-14, d
 
     def test_saturation_records_achieved_level(self):
         # A futility bound so extreme that even the 0.5-capped extreme of the
@@ -320,7 +343,8 @@ class TestCriticalValueTable:
         assert cef.pieces is None
         a = eval_cef(cef, z)
         q = critical_value(cef, z)
-        assert np.array_equal(q, std_normal_quantile(1.0 - a))
+        # Read in survival form: q = -Phi^{-1}(A), not Phi^{-1}(1 - A).
+        assert np.array_equal(q, -std_normal_quantile(a))
 
     def test_constant_family_spends_alpha_by_construction(self):
         cef = family_cef("constant", ALPHA)
@@ -377,6 +401,7 @@ class TestCalibrationReuse:
             ("inverse_normal", -math.inf, {}, "c"),
             ("fisher", z_f, {}, "c"),
             ("inverse_normal", 3.0, {}, "c"),  # saturates
+            ("fisher", 3.0, {}, "c"),  # saturates
             ("z_combination", -math.inf,
              dict(i1=p.i1, i2_const=2.0, z_split=z_f), "alpha_prime"),
         ]
@@ -390,15 +415,23 @@ class TestCalibrationReuse:
             monkeypatch.setattr(cef_mod, "level_integral", counted)
             got = family_cef(family, ALPHA, lower, **fixed)
             monkeypatch.undo()
-            assert len(seen) == len(set(seen)) > 0
-            assert got.level_used == level_integral(got, lower)
+            if family == "fisher":
+                # Solved in closed form: no level integral at all, and the
+                # level used is Fisher's level formula at c.
+                assert seen == []
+                want = float(fisher_level(got.c, lower))
+                assert got.level_used == pytest.approx(want, rel=1e-14, abs=0.0)
+            else:
+                assert len(seen) == len(set(seen)) > 0
+                assert got.level_used == level_integral(got, lower)
 
 
 class TestCalibrationScope:
     @staticmethod
     def count_calibrations(monkeypatch):
-        """Record (family, alpha, z0) of each inverse-normal and Fisher
-        calibration; the z-combination family's start at lo = alpha."""
+        """Record (alpha, z0) of each inverse-normal calibration, the one
+        family calibration_scope keeps; the z-combination family's start at
+        lo = alpha, and Fisher's c is solved without calibrate."""
         import fasttrack.cef as cef_mod
 
         seen = []
@@ -407,8 +440,7 @@ class TestCalibrationScope:
         def counted(cef_at, alpha, lo, hi):
             cef = calibrate(cef_at, alpha, lo, hi)
             if lo == 0.0:
-                seen.append(("fisher" if cef.pieces is None else "inverse_normal",
-                             alpha, cef.z0))
+                seen.append((alpha, cef.z0))
             return cef
 
         monkeypatch.setattr(cef_mod, "calibrate", counted)
@@ -430,14 +462,14 @@ class TestCalibrationScope:
             rows = len(out.read_text().splitlines()) - 1
             assert len(seen) == len(set(seen)) > 0, kind
             if kind == "i2_const":
-                # Both non-binding calibrations serve every row.
-                assert rows > 2 and len(seen) == 2
+                # The one non-binding calibration serves every row.
+                assert rows > 2 and len(seen) == 1
 
     def test_no_reuse_outside_a_scope(self, monkeypatch):
         seen = self.count_calibrations(monkeypatch)
         p = params_at(EVAL_BASE, 0.6)
-        first = build_fasttrack(p, "fisher")
-        second = build_fasttrack(p, "fisher")
+        first = build_fasttrack(p, "inverse_normal")
+        second = build_fasttrack(p, "inverse_normal")
         assert len(seen) == 2 and seen[0] == seen[1]
         assert first == second
 

@@ -16,6 +16,7 @@ BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 FROZEN = Path(__file__).resolve().parent / "data"
 FASTTRACK = str(BENCH_DATA / "fasttrack_binding_fisher.txt")
 COMBINATION = str(BENCH_DATA / "combination_example.txt")
+TINY_ALPHA_FISHER = str(FROZEN / "tiny_alpha_fisher.txt")
 
 # Outputs recorded before cli printed each command from one record:
 # case -> (argv, whether it also takes --out).  The case's stdout is in
@@ -208,8 +209,9 @@ class TestCurves:
     @pytest.mark.parametrize("step", (0.5, 0.1, 0.02))
     def test_i2_const_curve_calibrates_each_family_once(self, step, tmp_path,
                                                        monkeypatch):
-        # The inverse-normal and Fisher CEFs, once for the whole grid; the
-        # z-combination alpha_prime, which the curve does not print, never.
+        # The inverse-normal CEF, once for the whole grid; Fisher's c, solved
+        # in closed form, and the z-combination alpha_prime, which the curve
+        # does not print, never.
         calls = []
 
         def counted(*args):
@@ -221,7 +223,7 @@ class TestCurves:
         rc = cli.main(["curve", "--scenario", COMBINATION, "--kind", "i2_const",
                        "--out", str(tmp_path / "c.csv"), "--grid-step", str(step)])
         assert rc == cli.EXIT_OK
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_csv_roundtrip_is_exact(self, write_scenario, tmp_path):
         # Parsing the emitted CSV and re-rendering it at 10 significant
@@ -341,6 +343,20 @@ class TestSimulate:
         )
         assert rc == cli.EXIT_OK
 
+    def test_tiny_alpha_fisher_combination(self, tmp_path):
+        # Fisher's c solved in closed form at alpha = 1e-15 and its A read
+        # through the survival function: the waive branch reaches 1 - beta,
+        # and so does the whole design.
+        out = str(tmp_path / "s.csv")
+        rc = cli.main(["simulate", "--scenario", TINY_ALPHA_FISHER, "--out", out,
+                       "--reps", "10000"])
+        assert rc == cli.EXIT_OK
+        header, rows = read_csv(out)
+        null_row, alt_row = (dict(zip(header, row)) for row in rows)
+        assert float(null_row["p_reject_hat"]) == 0.0
+        se = float(alt_row["p_reject_se"])
+        assert float(alt_row["p_reject_hat"]) == pytest.approx(0.8, abs=4 * se)
+
     def test_pilot_below_i1_min_is_infeasible(self, write_scenario, tmp_path,
                                               capsys):
         # t_xi 0.01 lies below I1_min: no floor reaches power 1 - beta.
@@ -431,8 +447,9 @@ class TestExitCodes:
 
     def test_nan_root_objective_exit_code(self, write_scenario, tmp_path, monkeypatch):
         # A NaN level integral reaches calibrate's root search, which raises
-        # FloatingPointError: a numerical failure, not invalid input.
-        path = write_scenario()
+        # FloatingPointError: a numerical failure, not invalid input.  Fisher
+        # is solved without a level integral; inverse normal calibrates.
+        path = write_scenario(family="inverse_normal")
         monkeypatch.setattr(cef_mod, "level_integral", lambda cef, lower: math.nan)
         rc = cli.main(["simulate", "--scenario", path, "--reps", "10",
                        "--out", str(tmp_path / "s.csv")])

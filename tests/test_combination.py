@@ -72,14 +72,6 @@ class TestWaiveBranchSizing:
         solved = solve_i2_const(p, lambda _: design.cef)
         assert solved == pytest.approx(i_fixed, abs=1e-7)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "solve_i2_const stops at the root search's absolute x tolerance "
-            "(1e-9, in information units): at xi = 8 and I1 = 0.99 * I1_max, "
-            "where I_delta = 0.0626, I2_const / I_delta is 1 + 2.45e-9"
-        ),
-    )
     def test_flat_level_information_to_ten_digits_at_small_i_delta(self):
         base = {**COMBO_BASE, "xi": 8.0}
         _, i2_const = waive_branch(params_near_i1_max(base), "constant")

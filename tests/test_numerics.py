@@ -105,12 +105,14 @@ class TestIntegrate:
         f = lambda x: np.cos(200.0 * x)
         # [0, 10] starts from five panels, or from the budget's two: budgets
         # of 2 and 5 stop before any bisection, one of 12 after three rounds
-        # that bisect 2, 3 and 7 panels, at 17 panels.
+        # that bisect 2, 3 and, of the 7 at or above the mean error, the 2
+        # worst, at 12 panels.
         for n in (2, 5, 12):
             settings = QuadratureSettings(max_subdivisions=n)
             with pytest.raises(ConvergenceError) as exc_info:
                 integrate(f, 0.0, 10.0, settings)
             err = exc_info.value
+            assert f"quadrature used {n} panels" in str(err)
             assert math.isfinite(err.best_estimate)
             assert err.error_estimate > 0
             # The estimates at the point of failure, as the one-panel-per-call
@@ -371,12 +373,18 @@ def _reference_integrate(f, lo, hi, settings=DEFAULT_QUAD, split_points=()):
         if len(panels) >= settings.max_subdivisions:
             return None, (total, total_err)
         # Every panel at or above the mean error, and the worst one, in
-        # halves, left to right.
+        # halves, left to right; where those outnumber the panels the budget
+        # has room for, only that many of the worst, left first among equals.
         mean = total_err / len(panels)
         worst = max(range(len(panels)), key=lambda i: (panels[i][3], -i))
+        chosen = {i for i, p in enumerate(panels) if p[3] >= mean or i == worst}
+        room = settings.max_subdivisions - len(panels)
+        if len(chosen) > room:
+            by_error = sorted(range(len(panels)), key=lambda i: (-panels[i][3], i))
+            chosen = set(by_error[:room])
         refined = []
         for i, (a, b, est, err) in enumerate(panels):
-            if err >= mean or i == worst:
+            if i in chosen:
                 mid = 0.5 * (a + b)
                 refined += [panel(a, mid), panel(mid, b)]
             else:

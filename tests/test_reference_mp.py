@@ -5,6 +5,7 @@ computed from each design's constants alone (see reference_mp)."""
 import math
 
 import pytest
+from mpmath import mp
 
 import reference_mp as ref
 from conftest import COMBO_BASE, EVAL_BASE, params_at, params_near_i1_max
@@ -62,6 +63,20 @@ def test_level_and_waive_branch_success_match_the_reference():
     want = ref.waive_branch_success(ref.inverse_normal(cef.c), i2_const, p.i1, p.delta, z_f)
     assert got == pytest.approx(want, abs=1e-9)
     assert want == pytest.approx(1.0 - p.beta, abs=1e-8)
+
+
+@pytest.mark.parametrize("c, z0", [
+    (4.35e-3, -math.inf), (1.37e-4, 1.04), (3.64e-14, 2.0), (8.11e-9, 3.0),
+    (1e-2, 2.2),  # 2c above 1 - Phi(z0): A is capped from z0 on
+])
+def test_fisher_level_integral_is_the_closed_form(c, z0):
+    # The closed form family_cef solves Fisher's c with.  On the segment
+    # from z0 to the cap mp.quad keeps only about 22 of DPS digits at
+    # c = 3.64e-14, so it integrates with ten guard digits.
+    with mp.workdps(ref.DPS):
+        got = ref.level_integral_mp(ref.fisher(c, z0), z0, dps=ref.DPS + 10)
+        want = ref.fisher_level(c, z0)
+        assert abs(got / want - 1) <= mp.mpf(10) ** (1 - ref.DPS), (got, want)
 
 
 @pytest.fixture(scope="module")
