@@ -31,7 +31,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import lambertw, ndtr, ndtri
@@ -39,6 +39,7 @@ from scipy.special import lambertw, ndtr, ndtri
 from .numerics import (
     find_root,
     integrate,
+    integrate_many,
     normal_window,
     std_normal_cdf,
     std_normal_pdf,
@@ -105,7 +106,7 @@ def _fisher_cef(cef: CalibratedCef, z: np.ndarray):
     # denominator never changes A.
     denom = np.maximum(std_normal_cdf(-z), 1e-300)
     a = np.minimum(cef.c / denom, _CAP)
-    return a if cef.z0 == -math.inf else np.where(z >= cef.z0, a, 0.0)
+    return a if _is(cef.z0, -math.inf) else np.where(z >= cef.z0, a, 0.0)
 
 
 def _critical_value_at(cef: CalibratedCef, z: float) -> float:
@@ -136,9 +137,34 @@ def critical_value(cef: CalibratedCef, z1):
         q = math.inf
         for start, a, b in cef.pieces:
             # A flat piece without b * z, which is NaN at z = +-inf.
-            piece = np.maximum(a - b * z if b else np.full(z.shape, a), 0.0)
-            q = piece if start == -math.inf else np.where(z >= start, piece, q)
+            piece = np.maximum(np.full(z.shape, a) if _is(b, 0.0) else a - b * z, 0.0)
+            q = piece if _is(start, -math.inf) else np.where(z >= start, piece, q)
     return float(q) if q.ndim == 0 else q
+
+
+def _is(constant, value: float) -> bool:  # never true of a per-node array
+    return not isinstance(constant, np.ndarray) and constant == value
+
+
+def _gather(values: Sequence, k):
+    """``values[k]``, each node's window's constant, a float or a CEF (with
+    as many pieces as the others).  A float all windows share stays that
+    float, so tests against it still apply."""
+    first = values[0]
+    if isinstance(first, CalibratedCef):
+        pieces = first.pieces and tuple(tuple(_gather(col, k) for col in zip(*piece))
+                                        for piece in zip(*(c.pieces for c in values)))
+        return CalibratedCef(pieces, z0=_gather([c.z0 for c in values], k),
+                             c=_gather([c.c for c in values], k))
+    return first if all(v == first for v in values) else np.array(values)[k]
+
+
+def integrate_each(make: Callable, branches: Sequence[tuple]) -> list[float]:
+    """``integrate_many`` of ``make(*constants)`` over each (window, constants)
+    of ``branches``, every integral the float ``integrate`` gives for it."""
+    columns = list(zip(*(constants for _, constants in branches)))
+    return integrate_many(lambda z, k: make(*(_gather(c, k) for c in columns))(z),
+                          [window for window, _ in branches])
 
 
 def eval_cef(cef: CalibratedCef, z1):

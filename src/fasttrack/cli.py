@@ -118,28 +118,27 @@ _FASTTRACK_STATS = {
 }
 
 
-def _fasttrack_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
-    """One statistic per fast-track family; INFEASIBLE where no floor
-    reaches the power target."""
-    p = scenario.design_params(i1=t * base.i_delta)
-    row = [t]
-    for family in FASTTRACK_FAMILIES:
-        try:
-            d = power_mod.build_fasttrack(
-                p, family, binding=scenario.mode == "fasttrack_binding"
-            )
-        except power_mod.InfeasiblePowerError:
-            row.append(INFEASIBLE)
-        else:
-            row.append(_FASTTRACK_STATS[kind](d) / base.i_delta)
-    return row
+def _pointwise(row):
+    return lambda scenario, base, kind, xs: [row(scenario, base, kind, x) for x in xs]
 
 
-def _i2_const_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
+def _fasttrack_rows(scenario: Scenario, base: DerivedDesign, kind: str, ts: list):
+    """One statistic per fast-track family, each family's column built at
+    once; INFEASIBLE where no floor reaches the power target."""
+    params = [scenario.design_params(i1=t * base.i_delta) for t in ts]
+    binding = scenario.mode == "fasttrack_binding"
+    columns = [[INFEASIBLE if d is None else _FASTTRACK_STATS[kind](d) / base.i_delta
+                for d in power_mod.build_fasttrack_many(params, family, binding)]
+               for family in FASTTRACK_FAMILIES]
+    return [list(row) for row in zip(ts, *columns)]
+
+
+def _i2_const_rows(scenario: Scenario, base: DerivedDesign, kind: str, ts: list):
     # I2_const alone: the z-combination alpha_prime is not calibrated.
-    p = scenario.design_params(i1=t * base.i_delta)
-    return [t] + [comb_mod.solve_i2_const(p, comb_mod.waive_test(p, f)) / base.i_delta
-                  for f in FAMILIES]
+    params = [scenario.design_params(i1=t * base.i_delta) for t in ts]
+    tests = {f: [comb_mod.waive_test(p, f) for p in params] for f in FAMILIES}
+    columns = [comb_mod.solve_i2_const_many(params, tests[f]) for f in FAMILIES]
+    return [[t, *(x / base.i_delta for x in row)] for t, *row in zip(ts, *columns)]
 
 
 def _combo_panel_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
@@ -150,25 +149,27 @@ def _combo_panel_row(scenario: Scenario, base: DerivedDesign, kind: str, t: floa
 
 
 # kind -> (mode = combination required: True, False, or None for either;
-#          abscissas; CSV columns; row at one abscissa)
+#          abscissas; CSV columns; rows at the abscissas)
 _CURVES = {
     "alpha_rel": (None, lambda base, step: _grid(step, 1.0, step),
-                  ["t_rel_i1", "alpha_rel"], _alpha_rel_row),
-    "i1_min_trel": (None, _xi_grid, ["xi", "t_i1_min", "t_i1_max"], _i1_bounds_row),
-    "i1_min_txi": (None, _xi_grid, ["xi", "t_i1_min", "t_i1_max"], _i1_bounds_row),
+                  ["t_rel_i1", "alpha_rel"], _pointwise(_alpha_rel_row)),
+    "i1_min_trel": (None, _xi_grid, ["xi", "t_i1_min", "t_i1_max"],
+                    _pointwise(_i1_bounds_row)),
+    "i1_min_txi": (None, _xi_grid, ["xi", "t_i1_min", "t_i1_max"],
+                   _pointwise(_i1_bounds_row)),
     **{
         kind: (False, _t_grid,
                ["t_xi_i1"] + [f"t_xi_{kind}_{f}" for f in FASTTRACK_FAMILIES],
-               _fasttrack_row)
+               _fasttrack_rows)
         for kind in _FASTTRACK_STATS
     },
     "i2_const": (True, _t_grid,
                  ["t_xi_i1"] + [f"t_xi_i2_const_{f}" for f in FAMILIES],
-                 _i2_const_row),
+                 _i2_const_rows),
     "combo_panel": (True, _t_grid,
                     ["t_xi_i1", "t_xi_i2_const", "t_xi_i2_min", "t_xi_i2_max",
                      "p_cond_reg"],
-                    _combo_panel_row),
+                    _pointwise(_combo_panel_row)),
 }
 CURVE_KINDS = tuple(_CURVES)
 
@@ -177,14 +178,14 @@ def cmd_curve(kind: str, scenario: Scenario, grid_step: float, out_path: str) ->
     base = derive(scenario.design_params())
     if kind not in _CURVES:
         raise ScenarioError(f"unknown curve kind {kind!r}")
-    combination, grid, columns, row = _CURVES[kind]
+    combination, grid, columns, rows_at = _CURVES[kind]
     if combination is not None and combination != (scenario.mode == "combination"):
         need = "mode = combination" if combination else "a fasttrack mode"
         raise ScenarioError(f"kind {kind!r} requires {need}")
     # Grid points that share a calibration (same family, alpha and z0)
     # solve it once.
     with calibration_scope():
-        rows = [row(scenario, base, kind, x) for x in grid(base, grid_step)]
+        rows = rows_at(scenario, base, kind, grid(base, grid_step))
     _write_csv(out_path, columns, rows)
     return EXIT_OK
 

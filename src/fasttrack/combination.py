@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -23,6 +23,8 @@ from .design import DesignParams, cond_registration_power, derive
 from .numerics import (
     find_root,
     integrate,
+    lockstep,
+    monotone_search,
     normal_window,
     solve_monotone,
     std_normal_cdf,
@@ -44,6 +46,22 @@ class BranchMetrics:
     max_i2_both: float
 
 
+def _waive_window(params: DesignParams, i2c: float, cef: cef_mod.CalibratedCef):
+    """The window below z_f of the waive-branch success, and its constants."""
+    mean = params.delta * math.sqrt(params.i1)
+    constants = (params.delta, i2c, cef, mean, log_ndtr(params.z_f - mean))
+    return (*normal_window(mean, hi=params.z_f), cef_mod.kinks(cef)), constants
+
+
+def _success_integrand(delta, i2c, cef, mean, log_p_lower):
+    """Conditional success at ``i2c`` times the density of Z1 < z_f."""
+    def integrand(z):
+        q = cef_mod.critical_value(cef, z)
+        cond = 1.0 - std_normal_cdf(q - np.sqrt(i2c) * delta)
+        return cond * np.exp(-0.5 * (z - mean) ** 2 - log_p_lower) / _SQRT_2PI
+    return integrand
+
+
 def lower_branch_success(
     params: DesignParams, i2c: float, cef: cef_mod.CalibratedCef
 ) -> float:
@@ -55,17 +73,12 @@ def lower_branch_success(
     mean lies far above.  Only the pieces of ``cef`` that start below z_f
     enter: never the z-combination family's raised level.
     """
-    delta, z_f = params.delta, params.z_f
-    mean = delta * math.sqrt(params.i1)
-    log_p_lower = log_ndtr(z_f - mean)
+    (lo, hi, splits), constants = _waive_window(params, i2c, cef)
+    return integrate(_success_integrand(*constants), lo, hi, split_points=splits)
 
-    def integrand(z):
-        q = cef_mod.critical_value(cef, z)
-        cond = 1.0 - std_normal_cdf(q - math.sqrt(i2c) * delta)
-        return cond * np.exp(-0.5 * (z - mean) ** 2 - log_p_lower) / _SQRT_2PI
 
-    lo, hi = normal_window(mean, hi=z_f)
-    return integrate(integrand, lo, hi, split_points=cef_mod.kinks(cef))
+def _is_flat(cef: cef_mod.CalibratedCef) -> bool:
+    return cef.pieces is not None and len(cef.pieces) == 1 and cef.pieces[0][2] == 0.0
 
 
 def solve_i2_const(
@@ -82,9 +95,9 @@ def solve_i2_const(
     the level-alpha test, with no root search.  Whether a waive test is
     flat does not depend on the information, so one CEF tells.
     """
-    pieces = cef_at(1.0).pieces
-    if pieces is not None and len(pieces) == 1 and pieces[0][2] == 0.0:
-        q = max(pieces[0][1], 0.0)
+    cef = cef_at(1.0)
+    if _is_flat(cef):
+        q = max(cef.pieces[0][1], 0.0)
         z_beta = std_normal_quantile(1.0 - params.beta)
         return (q + z_beta) ** 2 / params.delta**2
 
@@ -94,6 +107,22 @@ def solve_i2_const(
         return lower_branch_success(params, i2c, cef_at(i2c))
 
     return solve_monotone(success, 1.0 - params.beta)
+
+
+def solve_i2_const_many(params: Sequence[DesignParams], cef_ats: Sequence) -> list[float]:
+    """:func:`solve_i2_const` of many designs in lockstep, each round
+    integrating every unfinished design's waive-branch success in one call."""
+    flat = [_is_flat(cef_at(1.0)) for cef_at in cef_ats]
+    searches = [None if f else monotone_search(1.0 - p.beta) for p, f in zip(params, flat)]
+
+    def successes(js: list[int], i2cs: list[float]) -> list[float]:
+        branches = [_waive_window(params[j], x, cef_ats[j](x))
+                    for j, x in zip(js, i2cs) if x > 0]
+        found = iter(cef_mod.integrate_each(_success_integrand, branches))
+        return [next(found) if x > 0 else 0.0 for x in i2cs]
+
+    return [solve_i2_const(p, cef_at) if f else x for p, cef_at, f, x in
+            zip(params, cef_ats, flat, lockstep(searches, successes))]
 
 
 def waive_test(

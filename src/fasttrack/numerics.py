@@ -6,13 +6,17 @@ return the integrand at each of them, with no dependence of one value on the
 others.  The quadrature evaluates the nodes of several panels in one call:
 it starts from panels at most ``PANEL_WIDTH`` (2 sds) wide, so one call
 usually settles an integral over a normal window, and it sums each panel's
-nodes as a row of one array.
+nodes as a row of one array; :func:`integrate_many` does so for many
+integrals at once, each the float :func:`integrate` returns for it.
 
 :func:`find_root` is a Python port of Brent's method as SciPy implements it
 in ``brentq.c`` (copyright Enthought, Inc. and the SciPy Developers,
 BSD-3-Clause licence).  It keeps that code's arithmetic order, so it
 evaluates the same points and returns the same float as scipy's ``brentq``
-with its default relative tolerance.
+with its default relative tolerance.  Brent's method and the doubling search
+of :func:`solve_monotone` are written once, as generators that yield the
+abscissas they need; :func:`lockstep` drives many of them with one
+evaluation call per round.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from itertools import accumulate
+from typing import Callable, ClassVar, Generator, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -133,15 +138,18 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     return i15, np.abs(i15 - i7)
 
 
-def _initial_cuts(kinks: list[float], budget: int) -> list[float]:
-    """``kinks`` with each segment between them cut into ceil(width /
-    PANEL_WIDTH) equal panels, at most ``budget`` per segment."""
+def _initial_cuts(lo: float, hi: float, split_points: Sequence[float], budget: int):
+    """lo, the split points inside (lo, hi) and hi, each segment between them
+    cut into ceil(width / PANEL_WIDTH) equal panels, at most ``budget``."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"integrate requires finite lo <= hi, got [{lo}, {hi}]")
+    kinks = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
     cuts = []
     for a, b in zip(kinks[:-1], kinks[1:]):
         n = min(math.ceil((b - a) / PANEL_WIDTH), budget)
         cuts += [a + (b - a) * (k / n) for k in range(n)]
     cuts.append(kinks[-1])
-    return cuts
+    return np.array(cuts)
 
 
 def integrate(
@@ -173,16 +181,31 @@ def integrate(
     (lo, hi), infinite or NaN ones included, are ignored, so callers need not
     filter them.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"integrate requires finite lo <= hi, got [{lo}, {hi}]")
-    if lo == hi:
-        return 0.0
+    cuts = _initial_cuts(lo, hi, split_points, settings.max_subdivisions)
+    return _refine(f, cuts, *_panels(f, cuts[:-1], cuts[1:]), settings) if lo < hi else 0.0
 
-    cuts = np.array(_initial_cuts(
-        sorted({lo, hi, *(p for p in split_points if lo < p < hi)}),
-        settings.max_subdivisions,
-    ))
-    ests, errs = _panels(f, cuts[:-1], cuts[1:])
+
+def integrate_many(f: Callable, windows: Sequence[tuple],
+                   settings: QuadratureSettings = DEFAULT_QUAD) -> list[float]:
+    """:func:`integrate` on each (lo, hi, split_points) of ``windows``, the
+    initial panels of all in one call ``f(x, k)``, ``k`` the window of each
+    node or one int for all; a window that misses its tolerance then refines
+    alone in the same loop, to the float :func:`integrate` returns."""
+    cuts = [_initial_cuts(lo, hi, splits, settings.max_subdivisions)
+            for lo, hi, splits in windows]
+    sizes = [len(c) - 1 for c in cuts]
+    k = np.repeat(np.arange(len(cuts)), np.multiply(sizes, _NODES.size)) if sizes[1:] else 0
+    a = np.concatenate([c[:-1] for c in cuts] or [[]])
+    b = np.concatenate([c[1:] for c in cuts] or [[]])
+    # Only empty windows make no integrand call.
+    ests, errs = _panels(lambda x: f(x, k), a, b) if len(a) else (a, a)
+    ends = [0, *accumulate(sizes)]
+    return [_refine(lambda x, i=i: f(x, i), c, ests[lo:hi], errs[lo:hi], settings)
+            for i, (c, lo, hi) in enumerate(zip(cuts, ends, ends[1:]))]
+
+
+def _refine(f: Callable, cuts, ests, errs, settings: QuadratureSettings) -> float:
+    """:func:`integrate`'s rounds from its initial panels between ``cuts``."""
     while True:
         # A Python loop: ndarray.sum is pairwise, and the builtin sum of
         # floats is compensated from Python 3.12 on.
@@ -191,8 +214,8 @@ def integrate(
             total += est
             total_err += err
         if not (math.isfinite(total) and math.isfinite(total_err)):
-            raise FloatingPointError(f"integral on [{lo}, {hi}] is not finite "
-                                     f"(estimate {total!r}, error {total_err!r})")
+            raise FloatingPointError(f"integral on [{cuts[0]}, {cuts[-1]}] is not "
+                                     f"finite (estimate {total!r}, error {total_err!r})")
         if total_err <= max(settings.abs_tol, settings.rel_tol * abs(total)):
             return total
         if len(ests) >= settings.max_subdivisions:
@@ -226,6 +249,35 @@ def _not_nan(x: float, fx) -> float:
     return fx
 
 
+def _run(search: Generator, f: Callable):
+    """The result of one search, sent f at each abscissa it yields."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def lockstep(searches: Sequence[Generator], evaluate: Callable) -> list:
+    """The results of many searches (:func:`root_search`, :func:`monotone_search`;
+    None is skipped) driven together: each round makes one call ``evaluate(indices,
+    xs)`` on the abscissas the unfinished searches, by index, wait on, and sends
+    each its value, so each returns what it would alone; a raise stops all."""
+    out = [None] * len(searches)
+    pending = {i: None for i, search in enumerate(searches) if search is not None}
+    while pending:
+        waiting = {}
+        for i, value in pending.items():
+            try:
+                waiting[i] = searches[i].send(value)
+            except StopIteration as stop:
+                out[i] = stop.value
+        values = evaluate(list(waiting), list(waiting.values())) if waiting else []
+        pending = dict(zip(waiting, values))
+    return out
+
+
 def find_root(
     f: Callable[[float], float],
     lo: float,
@@ -248,9 +300,16 @@ def find_root(
     ConvergenceError if MAX_ITER evaluations inside the bracket do not
     converge.
     """
+    return _run(root_search(lo, hi, x_tol, f_lo, f_hi), f)
+
+
+def root_search(lo: float, hi: float, x_tol: float = X_TOL, g_lo: float | None = None,
+                g_hi: float | None = None, target: float = 0.0) -> Generator:
+    """:func:`find_root` of g - ``target`` as a generator: it yields each x
+    it needs, is sent g(x) and returns the root; g_lo, g_hi are known ends."""
     lo, hi = float(lo), float(hi)
-    f_lo = _not_nan(lo, f(lo) if f_lo is None else f_lo)
-    f_hi = _not_nan(hi, f(hi) if f_hi is None else f_hi)
+    f_lo = _not_nan(lo, ((yield lo) if g_lo is None else g_lo) - target)
+    f_hi = _not_nan(hi, ((yield hi) if g_hi is None else g_hi) - target)
     if abs(f_lo) <= F_TOL:
         return lo
     if abs(f_hi) <= F_TOL:
@@ -306,7 +365,7 @@ def find_root(
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = _not_nan(xcur, f(xcur))
+        fcur = _not_nan(xcur, (yield xcur) - target)
 
 
 def solve_monotone(g: Callable[[float], float], target: float) -> float:
@@ -315,13 +374,18 @@ def solve_monotone(g: Callable[[float], float], target: float) -> float:
     If g(0) already meets the target, 0 is returned.  The upper bracket is
     found by doubling steps from 1.  ``g`` is called at most once at any x.
     """
-    lo, g_lo = 0.0, g(0.0)
+    return _run(monotone_search(target), g)
+
+
+def monotone_search(target: float) -> Generator:
+    """:func:`solve_monotone` as a generator, like :func:`root_search`."""
+    lo, g_lo = 0.0, (yield 0.0)
     if g_lo >= target - F_TOL:
         return lo
 
     hi, step = 1.0, 1.0
     for _ in range(MAX_ITER):
-        g_hi = g(hi)
+        g_hi = yield hi
         if g_hi >= target:
             break
         lo, g_lo = hi, g_hi
@@ -329,9 +393,7 @@ def solve_monotone(g: Callable[[float], float], target: float) -> float:
         hi = lo + step
     else:
         raise BracketError(f"bracket expansion from 0.0 did not reach target {target}")
-    return find_root(
-        lambda t: g(t) - target, lo, hi, f_lo=g_lo - target, f_hi=g_hi - target
-    )
+    return (yield from root_search(lo, hi, X_TOL, g_lo, g_hi, target))
 
 
 def normal_window(mean: float, lo: float = -math.inf, hi: float = math.inf):

@@ -26,6 +26,8 @@ from .numerics import (
     BracketError,
     find_root,
     integrate,
+    lockstep,
+    monotone_search,
     normal_window,
     solve_monotone,
     std_normal_cdf,
@@ -98,11 +100,15 @@ def stage2_info(z1, params: DesignParams, rule: AdaptiveConditionalPower, q=None
     cef.critical_value), vectorized, for z1 >= z_f > 0 (DesignParams keeps
     z_f positive).  At a zero floor it is the conditional-power formula
     itself.  Callers that already hold q for these z1 pass it in."""
+    return _stage2_info(z1, rule.cef, rule.i2_min, params.i1, params.beta, q)
+
+
+def _stage2_info(z1, cef, i2_min, i1, beta, q=None):  # constants may be per-node arrays
     z = np.asarray(z1, dtype=float)
     if q is None:
-        q = cef_mod.critical_value(rule.cef, z)
-    numer = std_normal_quantile(1.0 - params.beta) + q
-    return np.maximum(rule.i2_min, params.i1 * numer**2 / z**2)
+        q = cef_mod.critical_value(cef, z)
+    numer = std_normal_quantile(1.0 - beta) + q
+    return np.maximum(i2_min, i1 * numer**2 / z**2)
 
 
 def _floor_kink(params: DesignParams, rule: AdaptiveConditionalPower,
@@ -165,24 +171,31 @@ def _splits(params: DesignParams, rule: AdaptiveConditionalPower, z_lower: float
     return cef_mod.kinks(rule.cef) + ([] if kink is None else [kink])
 
 
+def _branch(params: DesignParams, rule: AdaptiveConditionalPower):
+    """The window over Z1 >= z_f of a design's integrals, and its constants."""
+    mean = params.delta * math.sqrt(params.i1)
+    lo, hi = normal_window(mean, params.z_f)
+    constants = (rule.cef, rule.i2_min, params.i1, params.beta, params.delta, mean)
+    return (lo, hi, _splits(params, rule, lo, hi)), constants
+
+
+def _power_integrand(cef, i2_min, i1, beta, delta, mean):
+    """The overall-power integrand: conditional power times the density of Z1."""
+    def integrand(z):
+        q = cef_mod.critical_value(cef, z)
+        i2 = _stage2_info(z, cef, i2_min, i1, beta, q)
+        return (1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)) * std_normal_pdf(z - mean)
+    return integrand
+
+
 def overall_power(params: DesignParams, rule: AdaptiveConditionalPower) -> float:
     """Probability of continuing past z_f and rejecting at stage two, at most
     the probability of continuing."""
-    delta = params.delta
-    mean = delta * math.sqrt(params.i1)
-    lo, hi = normal_window(mean, params.z_f)
-    cef = rule.cef
-
-    def integrand(z):
-        q = cef_mod.critical_value(cef, z)
-        i2 = stage2_info(z, params, rule, q)
-        cond = 1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)
-        return cond * std_normal_pdf(z - mean)
-
+    (lo, hi, splits), constants = _branch(params, rule)
     # Where the conditional power is 1 throughout, the quadrature's rounding
     # can put the integral an ulp above its ceiling.
     return min(
-        integrate(integrand, lo, hi, split_points=_splits(params, rule, lo, hi)),
+        integrate(_power_integrand(*constants), lo, hi, split_points=splits),
         cond_registration_power(params),
     )
 
@@ -250,6 +263,25 @@ def build_fasttrack(
     cef = cef_mod.family_cef(family, params.alpha, z0)
     i2_min = solve_i2_min(params, cef, 1.0 - params.beta)
     return Design(params, family, AdaptiveConditionalPower(i2_min, cef))
+
+
+def build_fasttrack_many(params: list[DesignParams], family: str,
+                         binding: bool = True) -> list[Design | None]:
+    """:func:`build_fasttrack` of many designs of one fast-track family, None
+    where it raises InfeasiblePowerError, the floors solved in lockstep."""
+    cefs = [cef_mod.family_cef(family, p.alpha, p.z_f if binding else -math.inf)
+            for p in params]
+    searches = [monotone_search(1.0 - p.beta) if 1.0 - p.beta < cond_registration_power(p)
+                else None for p in params]
+
+    def powers(js: list[int], i2_mins: list[float]) -> list[float]:
+        branches = [_branch(params[j], AdaptiveConditionalPower(x, cefs[j]))
+                    for j, x in zip(js, i2_mins)]
+        return [min(v, cond_registration_power(params[j])) for j, v in
+                zip(js, cef_mod.integrate_each(_power_integrand, branches))]
+
+    return [None if x is None else Design(p, family, AdaptiveConditionalPower(x, cef))
+            for p, cef, x in zip(params, cefs, lockstep(searches, powers))]
 
 
 def evaluate_design(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import pointwise_curve
 from conftest import SIGMA
 from fasttrack import cef as cef_mod
 from fasttrack import cli
@@ -279,6 +280,30 @@ class TestCurves:
                     assert g == w
                 else:
                     assert float(g) == pytest.approx(float(w), abs=1e-7)
+
+
+class TestLockstepCurves:
+    """``curve`` solves each family's column over the whole grid in lockstep;
+    its CSV is byte for byte the one built one grid point at a time, the
+    infeasible cells included."""
+
+    @pytest.mark.parametrize("kind, scenario", [
+        *((kind, "fasttrack_binding_fisher.txt") for kind in pointwise_curve.STATS),
+        ("i2_min", "nonbinding"),
+        ("i2_const", "combination_example.txt"),
+    ])
+    def test_equals_the_pointwise_build(self, kind, scenario, write_scenario, tmp_path):
+        if scenario == "nonbinding":  # the bench scenario, with z0 = -inf
+            path = write_scenario(mode="fasttrack_nonbinding")
+        else:
+            path = str(BENCH_DATA / scenario)
+        out, want = tmp_path / "curve.csv", tmp_path / "pointwise.csv"
+        rc = cli.main(["curve", "--scenario", path, "--kind", kind, "--out", str(out),
+                       "--grid-step", "0.05"])
+        assert rc == cli.EXIT_OK
+        pointwise_curve.write(path, kind, str(want), 0.05)
+        assert cli.INFEASIBLE in want.read_text() or kind == "i2_const"
+        assert out.read_bytes() == want.read_bytes()
 
 
 class TestTable:

@@ -6,7 +6,10 @@ compares each design's calibrated constants, its floor and its operating
 characteristics within 1e-10 relative, for both reference settings at three
 pilot sizes and every mode and family.  A change meant to move these numbers
 regenerates the file with ``PYTHONPATH=src python tests/test_design_constants.py``
-and says why in CHANGES.md.
+and says why in CHANGES.md.  That rewrites only the designs that fail this
+check, and designs new to ``KEYS``, and prints each rewritten key with the
+largest relative move among its values; the last bits of the other designs'
+values stay as frozen, so that a change's moves stay visible.
 """
 
 import dataclasses
@@ -89,6 +92,36 @@ def test_design_constants_unchanged(key, frozen):
             )
 
 
+def largest_move(want, got) -> tuple[float, bool]:
+    """The largest relative move |got - want| / max(|got|, |want|) among the
+    values of a design, inf where a value appears, disappears or turns
+    infeasible, and whether every value passes the check above."""
+    if want == "infeasible" or got == "infeasible" or got.keys() != want.keys():
+        return (0.0, True) if got == want else (math.inf, False)
+    move, passes = 0.0, True
+    for name, value in want.items():
+        if value is None or got[name] is None:
+            if value is not got[name]:
+                return math.inf, False
+            continue
+        if got[name] != value:
+            move = max(move, abs(got[name] - value) / max(abs(got[name]), abs(value)))
+        passes = passes and math.isclose(got[name], value, rel_tol=1e-10, abs_tol=0.0)
+    return move, passes
+
+
 if __name__ == "__main__":
-    table = {key: design_constants(key) for key in KEYS}
-    FROZEN.write_text(json.dumps(table, indent=1) + "\n")
+    table = json.loads(FROZEN.read_text())
+    rewritten = False
+    for key in KEYS:
+        got = design_constants(key)
+        if key not in table:
+            print(f"{key}: new")
+        else:
+            move, passes = largest_move(table[key], got)
+            if passes:
+                continue
+            print(f"{key}: largest relative move {move:.3g}")
+        table[key], rewritten = got, True
+    if rewritten or sorted(table) != sorted(KEYS):
+        FROZEN.write_text(json.dumps({key: table[key] for key in KEYS}, indent=1) + "\n")

@@ -22,9 +22,14 @@ from fasttrack.numerics import (
     BracketError,
     ConvergenceError,
     QuadratureSettings,
+    F_TOL,
     find_root,
     integrate,
+    integrate_many,
+    lockstep,
+    monotone_search,
     normal_window,
+    root_search,
     solve_monotone,
     std_normal_cdf,
     std_normal_pdf,
@@ -541,3 +546,185 @@ class TestRefinementProperty:
                 integrate(f, lo, hi, quad, splits)
             err = exc_info.value
             assert (err.best_estimate, err.error_estimate) == failed
+
+
+# The batch properties below skip the shrink phase: on a scratch copy with a
+# broken lockstep or integrate_many, shrinking a failing batch ran for
+# minutes and grew to hundreds of MB, and a batch of at most ten searches or
+# five windows reads well unshrunk.
+_BATCH_SETTINGS = hypothesis.settings(
+    derandomize=True, deadline=None, max_examples=100,
+    phases=[hypothesis.Phase.explicit, hypothesis.Phase.reuse, hypothesis.Phase.generate],
+)
+
+
+def _recorded(fns, searches):
+    """lockstep over ``searches``, search i evaluating ``fns[i]``; returns
+    the abscissas each search was evaluated at (a raise is re-raised with
+    them attached as ``err.points``)."""
+    points = [[] for _ in fns]
+
+    def evaluate(indices, xs):
+        assert len(set(indices)) == len(indices)
+        for i, x in zip(indices, xs):
+            points[i].append(x)
+        return [fns[i](x) for i, x in zip(indices, xs)]
+
+    try:
+        return lockstep(searches, evaluate), points
+    except Exception as err:
+        err.points = points
+        raise
+
+
+class TestLockstepProperty:
+    """lockstep drives each search through the points, in the order, and to
+    the float that it reaches alone, in a batch of Brent and monotone
+    searches."""
+
+    _brent = st.tuples(
+        st.floats(-5.0, 5.0),  # root
+        st.floats(0.0, 8.0), st.floats(0.0, 8.0),  # its distance to lo and hi
+        st.floats(1e-3, 4.0), st.floats(0.0, 2.0),  # slope and cubic term
+        st.booleans(),  # decreasing instead
+        st.sampled_from((X_TOL, 1e-13)),
+        st.sampled_from(("", "lo", "hi", "both")),  # known end values
+    )
+    _monotone = st.tuples(
+        st.floats(0.0, 60.0),  # solution
+        st.floats(1e-2, 5.0), st.floats(0.5, 3.0),  # scale and power
+        st.floats(-2.0, 2.0),  # g(0)
+    )
+
+    @staticmethod
+    def brent(root, d_lo, d_hi, slope, cube, decreasing, x_tol, known):
+        sign = -1.0 if decreasing else 1.0
+        f = lambda x: sign * (slope * (x - root) + cube * (x - root) ** 3)
+        lo, hi = root - d_lo, root + d_hi
+        ends = {"f_lo": f(lo) if known in ("lo", "both") else None,
+                "f_hi": f(hi) if known in ("hi", "both") else None}
+        return (f, lambda g: find_root(g, lo, hi, x_tol, **ends),
+                lambda: root_search(lo, hi, x_tol, ends["f_lo"], ends["f_hi"]))
+
+    @staticmethod
+    def monotone(solution, scale, power, g0):
+        g = lambda x: g0 + scale * x**power
+        target = g(solution)
+        return g, lambda h: solve_monotone(h, target), lambda: monotone_search(target)
+
+    @_BATCH_SETTINGS
+    @hypothesis.given(brents=st.lists(_brent, max_size=4),
+                      monotones=st.lists(_monotone, max_size=4),
+                      order=st.randoms(use_true_random=False))
+    def test_same_points_and_floats_as_alone(self, brents, monotones, order):
+        cases = [self.brent(*b) for b in brents] + [self.monotone(*m) for m in monotones]
+        # An end within F_TOL of the root, and a g(0) that meets the target.
+        cases.append((lambda x: x + 0.5 * F_TOL, lambda g: find_root(g, 0.0, 3.0),
+                      lambda: root_search(0.0, 3.0)))
+        cases.append(self.monotone(0.0, 1.0, 1.0, 0.3))
+        order.shuffle(cases)
+        fns = [f for f, _, _ in cases]
+        got, points = _recorded(fns, [search() for _, _, search in cases])
+        for (f, alone, _), x, xs in zip(cases, got, points):
+            ref = CountingFunction(f)
+            want = alone(ref)
+            assert type(x) is float and x.hex() == want.hex()
+            assert xs == ref.xs
+
+        # A bracket without a sign change raises BracketError, as alone;
+        # up to then every search has stepped as it would alone.
+        bad = (lambda x: x * x + 1.0, 0.0, 1.0)
+        with pytest.raises(BracketError):
+            find_root(*bad)
+        searches = [search() for _, _, search in cases] + [root_search(*bad[1:])]
+        with pytest.raises(BracketError) as exc_info:
+            _recorded(fns + [bad[0]], searches)
+        for (f, alone, _), xs in zip(cases, exc_info.value.points):
+            ref = CountingFunction(f)
+            alone(ref)
+            assert xs == ref.xs[:len(xs)]
+
+    def test_none_is_skipped_and_no_search_makes_no_call(self):
+        def evaluate(indices, xs):
+            assert indices == [1]
+            return [x - 1.0 for x in xs]
+
+        assert lockstep([None, root_search(0.0, 3.0), None], evaluate) == [None, 1.0, None]
+        assert lockstep([], None) == [] and lockstep([None], None) == [None]
+
+
+def _by_window(fs, calls=None):
+    """An integrate_many integrand that evaluates ``fs[k]`` at the nodes of
+    window k, recording each call's size in ``calls``."""
+    def f(x, k):
+        if calls is not None:
+            calls.append(np.size(x))
+        k = np.broadcast_to(k, x.shape)
+        y = np.empty_like(x)
+        for j in set(k.tolist()):
+            y[k == j] = fs[j](x[k == j])
+        return y
+
+    return f
+
+
+class TestIntegrateManyProperty:
+    """integrate_many returns, window by window, the floats integrate
+    returns, and raises where the first window that fails raises."""
+
+    _window = st.tuples(
+        st.floats(-6.0, 6.0),  # lo
+        st.sampled_from((0.0, 1e-3, 0.5, 3.0, 12.0)),  # width; 0 is empty
+        st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=3),  # kinks
+        st.lists(_coef, min_size=3, max_size=3),  # jumps
+        st.lists(_coef, min_size=3, max_size=3),  # slopes
+        st.tuples(_coef, st.floats(0.0, 30.0)),  # wave
+    )
+
+    @_BATCH_SETTINGS
+    @hypothesis.given(windows=st.lists(_window, min_size=1, max_size=5),
+                      budget=st.sampled_from((3, 12, 60, 400)))
+    def test_equals_integrate_window_by_window(self, windows, budget):
+        fs = [_piecewise(kinks, jumps, slopes, wave)
+              for _, _, kinks, jumps, slopes, wave in windows]
+        spans = [(lo, lo + width, kinks[:2]) for lo, width, kinks, *_ in windows]
+        quad = QuadratureSettings(max_subdivisions=budget)
+        want, failed = [], None
+        for g, (lo, hi, splits) in zip(fs, spans):
+            try:
+                want.append(integrate(g, lo, hi, quad, splits))
+            except ConvergenceError as err:
+                failed = err
+                break
+        if failed is None:
+            got = integrate_many(_by_window(fs), spans, quad)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        else:
+            with pytest.raises(ConvergenceError) as exc_info:
+                integrate_many(_by_window(fs), spans, quad)
+            err = exc_info.value
+            assert (err.best_estimate, err.error_estimate) == (
+                failed.best_estimate, failed.error_estimate)
+
+    def test_empty_refining_and_failing_windows(self):
+        wave = _piecewise([0.3], [1.0], [2.0], (1.0, 25.0))
+        cos200 = lambda x: np.cos(200.0 * x)
+        calls = []
+        got = integrate_many(_by_window([np.exp, wave], calls),
+                             [(1.0, 1.0, ()), (-2.0, 2.0, (0.3,))])
+        assert got == [0.0, integrate(wave, -2.0, 2.0, split_points=(0.3,))]
+        # One call for both windows' initial panels, then the wave window's
+        # rounds alone, each on both halves of the panels it bisects.
+        assert len(calls) > 1 and all(n % 44 == 0 for n in calls[1:])
+        # The first window that fails raises, with the estimates it reaches
+        # alone.
+        quad = QuadratureSettings(max_subdivisions=12)
+        with pytest.raises(ConvergenceError) as exc_info:
+            integrate_many(_by_window([np.exp, cos200, wave]),
+                           [(1.0, 1.0, ()), (0.0, 10.0, ()), (-2.0, 2.0, (0.3,))], quad)
+        with pytest.raises(ConvergenceError) as alone:
+            integrate(cos200, 0.0, 10.0, quad)
+        got, want = exc_info.value, alone.value
+        assert (got.best_estimate, got.error_estimate) == (want.best_estimate,
+                                                           want.error_estimate)
+        assert integrate_many(_by_window([]), []) == []
