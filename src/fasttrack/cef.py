@@ -18,29 +18,30 @@ used at a given level.  ``critical_value`` reads a CEF at an array of
 abscissas; Fisher's it also reads at one Python float in float arithmetic,
 which is what the Fisher floor-kink root search steps on.
 
-Inside a ``calibration_scope`` ``family_cef`` returns an inverse-normal
-calibration it has already made for the same (alpha, z0), instead of solving
-it again.  The CLI's ``curve`` command enters one scope, since neighbouring
-grid points share calibrations; outside a scope nothing is kept, so every
-single design build calibrates afresh.
+``family_cefs`` makes the CEFs of a whole grid column at once: it calibrates
+each distinct design once, and runs the calibrations' root searches
+(``calibration_search``) in lockstep, every round integrating the level of
+each waiting CEF in one integrand call.  A single design build calibrates
+afresh through ``calibrate``, the same search run alone.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 from scipy.special import lambertw, ndtr, ndtri
 
 from .numerics import (
-    find_root,
+    X_TOL,
     integrate,
     integrate_many,
+    lockstep,
     normal_window,
+    root_search,
+    run_search,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -156,7 +157,12 @@ def _gather(values: Sequence, k):
                                         for piece in zip(*(c.pieces for c in values)))
         return CalibratedCef(pieces, z0=_gather([c.z0 for c in values], k),
                              c=_gather([c.c for c in values], k))
-    return first if all(v == first for v in values) else np.array(values)[k]
+    return first if values.count(first) == len(values) else np.array(values)[k]
+
+
+def critical_values(cefs: Sequence[CalibratedCef], z) -> np.ndarray:
+    """``critical_value`` of each of ``cefs`` at its entry of ``z``, in one call."""
+    return critical_value(_gather(cefs, np.arange(len(cefs))), np.asarray(z, dtype=float))
 
 
 def integrate_each(make: Callable, branches: Sequence[tuple]) -> list[float]:
@@ -200,44 +206,53 @@ def kinks(cef: CalibratedCef) -> list[float]:
     return out
 
 
+def _level_integrand(cef: CalibratedCef):
+    return lambda z: eval_cef(cef, z) * std_normal_pdf(z)
+
+
 def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
     """Value of the level condition integral from ``lower`` to infinity.
 
     There is no early rejection, so the integral is the whole type I error
     rate of the design.
     """
-    return integrate(
-        lambda z: eval_cef(cef, z) * std_normal_pdf(z),
-        *normal_window(0.0, lower),
-        split_points=kinks(cef),
-    )
+    return integrate(_level_integrand(cef), *normal_window(0.0, lower),
+                     split_points=kinks(cef))
 
 
 def calibrate(cef_at: Callable[[float], CalibratedCef], alpha: float,
               lo: float, hi: float) -> CalibratedCef:
+    """:func:`calibration_search` run alone, each level by :func:`level_integral`."""
+    return run_search(calibration_search(cef_at, alpha, lo, hi),
+                      lambda cef: level_integral(cef, cef.z0))
+
+
+def calibration_search(cef_at: Callable[[float], CalibratedCef], alpha: float,
+                       lo: float, hi: float) -> Generator:
     """The CEF ``cef_at(x)`` whose level integral from its own ``z0`` is
-    ``alpha``.
+    ``alpha``, as a search that yields each CEF whose level it needs and is
+    sent that level.
 
     ``cef_at`` builds a family's CEF from its one free constant x (c, or
     alpha_prime for the z-combination family); the level integral increases
     strictly in x on [lo, hi].  When even the CEF at ``hi`` cannot reach
     ``alpha`` the calibration saturates and records the achieved
-    ``level_used`` instead of failing.  Each x is built and integrated once.
+    ``level_used`` instead of failing.  Each x is integrated once.
     """
-    built: dict[float, CalibratedCef] = {}
-
-    def at(x: float) -> CalibratedCef:
-        if x not in built:
-            cef = cef_at(x)
-            built[x] = replace(cef, level_used=level_integral(cef, cef.z0))
-        return built[x]
-
+    levels = {hi: (yield cef_at(hi))}
     # At the upper end the function is everywhere as large as the family
     # allows; if that still stays below the target, the calibration saturates.
-    excess = at(hi).level_used - alpha
-    if excess <= 0:
-        return at(hi)
-    return at(find_root(lambda x: at(x).level_used - alpha, lo, hi, f_hi=excess))
+    if levels[hi] - alpha <= 0:
+        return replace(cef_at(hi), level_used=levels[hi])
+    search = root_search(lo, hi, X_TOL, g_hi=levels[hi], target=alpha)
+    try:
+        x = next(search)
+        while True:
+            if x not in levels:
+                levels[x] = yield cef_at(x)
+            x = search.send(levels[x])
+    except StopIteration as stop:
+        return replace(cef_at(stop.value), level_used=levels[stop.value])
 
 
 def _fisher_family_cef(alpha: float, z0: float) -> CalibratedCef:
@@ -266,22 +281,26 @@ def _fisher_family_cef(alpha: float, z0: float) -> CalibratedCef:
     return CalibratedCef(None, z0=z0, c=c, level_used=level)
 
 
-# The inverse-normal calibrations of the current calibration_scope, by
-# (alpha, z0); None outside a scope.
-_CALIBRATIONS: ContextVar[dict | None] = ContextVar("calibrations", default=None)
+def _calibration(family: str, alpha: float, z0: float, fixed: dict):
+    """The named family's CEF when it has a closed form, else the
+    (cef_at, alpha, lo, hi) that :func:`calibrate` solves."""
+    if family == "constant":
+        return constant_cef(alpha)
+    if family == "fisher":
+        return _fisher_family_cef(alpha, z0)
+    if family == "z_combination":
+        def cef_at(a: float) -> CalibratedCef:
+            return z_combination_cef(**fixed, alpha=alpha, alpha_prime=a)
+        return cef_at, alpha, alpha, 1.0 - 1e-12
+    if family != "inverse_normal":
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
-
-@contextmanager
-def calibration_scope() -> Iterator[None]:
-    """Within the block ``family_cef`` calibrates each inverse-normal
-    (alpha, z0) once and returns that calibration again when asked for the
-    same key.  Calibrating is deterministic, so a reused CEF equals a new
-    one."""
-    token = _CALIBRATIONS.set({})
-    try:
-        yield
-    finally:
-        _CALIBRATIONS.reset(token)
+    def cef_at(c: float) -> CalibratedCef:
+        # c is clamped so the bracket ends c = 0, 1 give the A == 0 and
+        # A == 0.5 extremes instead of failing.
+        q = std_normal_quantile(1.0 - min(max(c, 1e-16), 1.0 - 1e-16))
+        return CalibratedCef(((z0, q / _SQRT_HALF, 1.0),), z0=z0, c=c)
+    return cef_at, alpha, 0.0, 1.0
 
 
 def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> CalibratedCef:
@@ -294,30 +313,22 @@ def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> Cal
     integral is elementary, and its constant c is solved in closed form.  The
     z-combination family takes its fixed ``i1``, ``i2_const`` and ``z_split``
     as keywords and tests at level alpha below the split.  Both are positive
-    everywhere and ignore ``z0``.  Inside a :func:`calibration_scope` the
-    inverse-normal calibrations are reused; the z-combination family's, which
-    depends on ``fixed``, never is."""
-    if family == "constant":
-        return constant_cef(alpha)
-    if family == "fisher":
-        return _fisher_family_cef(alpha, z0)
-    if family == "z_combination":
-        def cef_at(a: float) -> CalibratedCef:
-            return z_combination_cef(**fixed, alpha=alpha, alpha_prime=a)
-        return calibrate(cef_at, alpha, alpha, 1.0 - 1e-12)
-    if family != "inverse_normal":
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    everywhere and ignore ``z0``."""
+    solved = _calibration(family, alpha, z0, fixed)
+    return solved if isinstance(solved, CalibratedCef) else calibrate(*solved)
 
-    def cef_at(c: float) -> CalibratedCef:
-        # c is clamped so the bracket ends c = 0, 1 give the A == 0 and
-        # A == 0.5 extremes instead of failing.
-        q = std_normal_quantile(1.0 - min(max(c, 1e-16), 1.0 - 1e-16))
-        return CalibratedCef(((z0, q / _SQRT_HALF, 1.0),), z0=z0, c=c)
 
-    calibrations = _CALIBRATIONS.get()
-    if calibrations is None:
-        return calibrate(cef_at, alpha, 0.0, 1.0)
-    key = (alpha, z0)
-    if key not in calibrations:
-        calibrations[key] = calibrate(cef_at, alpha, 0.0, 1.0)
-    return calibrations[key]
+def family_cefs(family: str, alphas: Sequence[float], z0s: Sequence[float] | None = None,
+                **fixed: Sequence[float]) -> list[CalibratedCef]:
+    """:func:`family_cef` of each design i of a column, at ``alphas[i]``,
+    ``z0s[i]`` (-inf without ``z0s``) and the i-th entry of each of ``fixed``:
+    each distinct design calibrated once, the searches in lockstep."""
+    keys = list(zip(alphas, z0s or [-math.inf] * len(alphas), *fixed.values()))
+    solved = {key: _calibration(family, *key[:2], dict(zip(fixed, key[2:])))
+              for key in keys}
+    searched = [key for key, cef in solved.items() if not isinstance(cef, CalibratedCef)]
+    levels = lambda _, cefs: integrate_each(_level_integrand, [
+        ((*normal_window(0.0, cef.z0), kinks(cef)), (cef,)) for cef in cefs])
+    solved.update(zip(searched, lockstep([calibration_search(*solved[key])
+                                          for key in searched], levels)))
+    return [solved[key] for key in keys]

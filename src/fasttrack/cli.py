@@ -16,7 +16,7 @@ from dataclasses import astuple, fields, replace
 from . import combination as comb_mod
 from . import montecarlo as mc_mod
 from . import power as power_mod
-from .cef import FAMILIES, FASTTRACK_FAMILIES, calibration_scope
+from .cef import FAMILIES, FASTTRACK_FAMILIES
 from .design import DerivedDesign, ExampleCost, cond_registration_power, derive
 from .numerics import BracketError, ConvergenceError
 from .scenario import Scenario, ScenarioError, load_scenario
@@ -136,16 +136,16 @@ def _fasttrack_rows(scenario: Scenario, base: DerivedDesign, kind: str, ts: list
 def _i2_const_rows(scenario: Scenario, base: DerivedDesign, kind: str, ts: list):
     # I2_const alone: the z-combination alpha_prime is not calibrated.
     params = [scenario.design_params(i1=t * base.i_delta) for t in ts]
-    tests = {f: [comb_mod.waive_test(p, f) for p in params] for f in FAMILIES}
-    columns = [comb_mod.solve_i2_const_many(params, tests[f]) for f in FAMILIES]
+    columns = [comb_mod.solve_i2_const_many(params, comb_mod.waive_tests(params, f))
+               for f in FAMILIES]
     return [[t, *(x / base.i_delta for x in row)] for t, *row in zip(ts, *columns)]
 
 
-def _combo_panel_row(scenario: Scenario, base: DerivedDesign, kind: str, t: float):
-    p = scenario.design_params(i1=t * base.i_delta)
-    d = comb_mod.build_combination(p, scenario.family)
-    infos = (d.i2_const, d.i2_min, _max_i2(d))
-    return [t, *(x / base.i_delta for x in infos), cond_registration_power(p)]
+def _combo_panel_rows(scenario: Scenario, base: DerivedDesign, kind: str, ts: list):
+    params = [scenario.design_params(i1=t * base.i_delta) for t in ts]
+    return [[t, *(x / base.i_delta for x in (d.i2_const, d.i2_min, _max_i2(d))),
+             cond_registration_power(d.params)]
+            for t, d in zip(ts, comb_mod.build_combination_many(params, scenario.family))]
 
 
 # kind -> (mode = combination required: True, False, or None for either;
@@ -169,7 +169,7 @@ _CURVES = {
     "combo_panel": (True, _t_grid,
                     ["t_xi_i1", "t_xi_i2_const", "t_xi_i2_min", "t_xi_i2_max",
                      "p_cond_reg"],
-                    _pointwise(_combo_panel_row)),
+                    _combo_panel_rows),
 }
 CURVE_KINDS = tuple(_CURVES)
 
@@ -182,11 +182,7 @@ def cmd_curve(kind: str, scenario: Scenario, grid_step: float, out_path: str) ->
     if combination is not None and combination != (scenario.mode == "combination"):
         need = "mode = combination" if combination else "a fasttrack mode"
         raise ScenarioError(f"kind {kind!r} requires {need}")
-    # Grid points that share a calibration (same family, alpha and z0)
-    # solve it once.
-    with calibration_scope():
-        rows = rows_at(scenario, base, kind, grid(base, grid_step))
-    _write_csv(out_path, columns, rows)
+    _write_csv(out_path, columns, rows_at(scenario, base, kind, grid(base, grid_step)))
     return EXIT_OK
 
 

@@ -138,6 +138,14 @@ def waive_test(
     return lambda i2c: cef
 
 
+def waive_tests(params: Sequence[DesignParams], family: str) -> list[Callable]:
+    """:func:`waive_test` of each design of a column, by one column solve."""
+    if family == "z_combination":
+        return [waive_test(p, family) for p in params]
+    return [lambda i2c, cef=cef: cef
+            for cef in cef_mod.family_cefs(family, [p.alpha for p in params])]
+
+
 def waive_branch(
     params: DesignParams, family: str
 ) -> tuple[cef_mod.CalibratedCef, float]:
@@ -157,11 +165,28 @@ def waive_branch(
     return cef, i2_const
 
 
+def waive_branches(params: Sequence[DesignParams], family: str) -> tuple[list, list]:
+    """:func:`waive_branch` of each design of a column, each solve in lockstep."""
+    tests = waive_tests(params, family)
+    i2cs = solve_i2_const_many(params, tests)
+    if family != "z_combination":
+        return [test(x) for test, x in zip(tests, i2cs)], i2cs
+    return cef_mod.family_cefs(family, [p.alpha for p in params], i1=[p.i1 for p in params],
+                               i2_const=i2cs, z_split=[p.z_f for p in params]), i2cs
+
+
 def upper_floor(params: DesignParams, cef: cef_mod.CalibratedCef) -> float:
     """The upper-branch floor I2min of an apply-or-waive design: overall
     power (1 - beta) * P(Z1 >= z_f), conditional success 1 - beta."""
     target = (1.0 - params.beta) * cond_registration_power(params)
     return power_mod.solve_i2_min(params, cef, target)
+
+
+def upper_floors(params: Sequence[DesignParams], cefs: Sequence) -> list[float]:
+    """:func:`upper_floor` of many designs in lockstep; an infeasible one raises."""
+    targets = [(1.0 - p.beta) * cond_registration_power(p) for p in params]
+    return [upper_floor(p, cef) if x is None else x for p, cef, x in
+            zip(params, cefs, power_mod.solve_i2_min_many(params, cefs, targets))]
 
 
 def build_combination(params: DesignParams, family: str) -> power_mod.Design:
@@ -170,6 +195,13 @@ def build_combination(params: DesignParams, family: str) -> power_mod.Design:
     cef, i2_const = waive_branch(params, family)
     rule = power_mod.AdaptiveConditionalPower(upper_floor(params, cef), cef)
     return power_mod.Design(params, family, rule, i2_const)
+
+
+def build_combination_many(params: Sequence[DesignParams], family: str) -> list:
+    """:func:`build_combination` of each design of a column, each solve in lockstep."""
+    cefs, i2_consts = waive_branches(params, family)
+    return [power_mod.Design(p, family, power_mod.AdaptiveConditionalPower(x, cef), i2c)
+            for p, cef, x, i2c in zip(params, cefs, upper_floors(params, cefs), i2_consts)]
 
 
 def branch_metrics(design: power_mod.Design) -> BranchMetrics:
@@ -189,8 +221,9 @@ def branch_metrics(design: power_mod.Design) -> BranchMetrics:
     )
 
 
-# The t-grid step of gambling_threshold's scan and its refinement's x_tol.
+# gambling_threshold's t-grid step, points solved at once and refinement x_tol.
 _SCAN_STEP = 0.01
+_SCAN_BLOCK = 8
 _REFINE_X_TOL = 5e-4
 
 
@@ -205,25 +238,36 @@ def gambling_threshold(params: DesignParams, family: str) -> float:
     solves only the upper-branch CEF and floor that the excess reads: the
     waive branch's I2_const enters only the z-combination family's CEF, and
     every other family's CEF does not depend on I1, so it is made once per
-    scan.
+    scan.  The points are solved ``_SCAN_BLOCK`` at a time in lockstep; a
+    block that raises is scanned again point by point, up to the first
+    positive excess.
     """
     base = derive(params)
     i_delta = base.i_delta
     cef = None if family == "z_combination" else cef_mod.family_cef(family, params.alpha)
 
-    def excess(t_xi: float) -> float:
-        p = replace(params, i1=t_xi * i_delta)
-        upper = waive_branch(p, family)[0] if cef is None else cef
-        formula = power_mod.AdaptiveConditionalPower(0.0, upper)
-        return power_mod.max_stage2_info(p, formula) - upper_floor(p, upper)
+    def excesses(ts: list[float]) -> list[float]:
+        ps = [replace(params, i1=t * i_delta) for t in ts]
+        uppers = waive_branches(ps, family)[0] if cef is None else [cef] * len(ps)
+        return [power_mod.max_stage2_info(p, power_mod.AdaptiveConditionalPower(0.0, u)) - x
+                for p, u, x in zip(ps, uppers, upper_floors(ps, uppers))]
+
+    excess = lambda t_xi: excesses([t_xi])[0]
 
     t_max = base.i1_max / i_delta
-    t = _SCAN_STEP
-    if excess(t) > 0:
-        return 0.0
-    while t < t_max:
-        t_next = min(t + _SCAN_STEP, t_max)
-        if excess(t_next) > 0:
-            return find_root(excess, t, t_next, _REFINE_X_TOL)
-        t = t_next
+    ts = [_SCAN_STEP]
+    while ts[-1] < t_max:
+        ts.append(min(ts[-1] + _SCAN_STEP, t_max))
+    last = None
+    for start in range(0, len(ts), _SCAN_BLOCK):
+        block = ts[start:start + _SCAN_BLOCK]
+        try:
+            values = excesses(block)
+        except (ArithmeticError, ValueError, RuntimeError):
+            values = map(excess, block)  # lazily: stops at the first positive
+        for i, value in enumerate(values, start):
+            if value > 0:
+                return find_root(excess, ts[i - 1], ts[i], _REFINE_X_TOL,
+                                 last, value) if i else 0.0
+            last = value
     return 0.0

@@ -182,30 +182,37 @@ def integrate(
     filter them.
     """
     cuts = _initial_cuts(lo, hi, split_points, settings.max_subdivisions)
-    return _refine(f, cuts, *_panels(f, cuts[:-1], cuts[1:]), settings) if lo < hi else 0.0
+    return run_search(_refine(cuts, settings), lambda e: _panels(f, *e)) if lo < hi else 0.0
 
 
 def integrate_many(f: Callable, windows: Sequence[tuple],
                    settings: QuadratureSettings = DEFAULT_QUAD) -> list[float]:
-    """:func:`integrate` on each (lo, hi, split_points) of ``windows``, the
-    initial panels of all in one call ``f(x, k)``, ``k`` the window of each
-    node or one int for all; a window that misses its tolerance then refines
-    alone in the same loop, to the float :func:`integrate` returns."""
-    cuts = [_initial_cuts(lo, hi, splits, settings.max_subdivisions)
-            for lo, hi, splits in windows]
-    sizes = [len(c) - 1 for c in cuts]
-    k = np.repeat(np.arange(len(cuts)), np.multiply(sizes, _NODES.size)) if sizes[1:] else 0
-    a = np.concatenate([c[:-1] for c in cuts] or [[]])
-    b = np.concatenate([c[1:] for c in cuts] or [[]])
-    # Only empty windows make no integrand call.
-    ests, errs = _panels(lambda x: f(x, k), a, b) if len(a) else (a, a)
-    ends = [0, *accumulate(sizes)]
-    return [_refine(lambda x, i=i: f(x, i), c, ests[lo:hi], errs[lo:hi], settings)
-            for i, (c, lo, hi) in enumerate(zip(cuts, ends, ends[1:]))]
+    """:func:`integrate` on each (lo, hi, split_points) of ``windows``, each
+    round one call ``f(x, k)`` on the panels all windows need, ``k`` the window
+    of each node or one int for all; the first window that fails raises."""
+
+    def panels(js: list[int], spans: list[tuple]) -> list[tuple]:
+        sizes = [len(a) for a, _ in spans]
+        a, b = (np.concatenate(ends) for ends in zip(*spans))
+        k = np.repeat(js, np.multiply(sizes, _NODES.size)) if js[1:] else js[0]
+        # Only empty windows make no integrand call.
+        ests, errs = _panels(lambda x: f(x, k), a, b) if len(a) else (a, a)
+        ends = [0, *accumulate(sizes)]
+        return [(ests[i:j], errs[i:j]) for i, j in zip(ends, ends[1:])]
+
+    searches = [_refine(_initial_cuts(lo, hi, splits, settings.max_subdivisions), settings)
+                for lo, hi, splits in windows]
+    out = lockstep(searches, panels, (ConvergenceError, FloatingPointError))
+    if failed := [x for x in out if isinstance(x, Exception)]:
+        raise failed[0]
+    return out
 
 
-def _refine(f: Callable, cuts, ests, errs, settings: QuadratureSettings) -> float:
-    """:func:`integrate`'s rounds from its initial panels between ``cuts``."""
+def _refine(cuts, settings: QuadratureSettings) -> Generator:
+    """:func:`integrate`'s rounds from the panels between ``cuts``, as a search
+    that yields the ends (a, b) of the panels it needs and is sent their
+    estimates and error estimates."""
+    ests, errs = yield cuts[:-1], cuts[1:]
     while True:
         # A Python loop: ndarray.sum is pairwise, and the builtin sum of
         # floats is compensated from Python 3.12 on.
@@ -238,7 +245,7 @@ def _refine(f: Callable, cuts, ests, errs, settings: QuadratureSettings) -> floa
         # A bisected panel's entries, repeated, are those of its two halves.
         n = split + 1
         ests, errs, split = np.repeat(ests, n), np.repeat(errs, n), np.repeat(split, n)
-        ests[split], errs[split] = _panels(f, cuts[:-1][split], cuts[1:][split])
+        ests[split], errs[split] = yield cuts[:-1][split], cuts[1:][split]
 
 
 def _not_nan(x: float, fx) -> float:
@@ -249,7 +256,7 @@ def _not_nan(x: float, fx) -> float:
     return fx
 
 
-def _run(search: Generator, f: Callable):
+def run_search(search: Generator, f: Callable):
     """The result of one search, sent f at each abscissa it yields."""
     try:
         x = next(search)
@@ -259,11 +266,12 @@ def _run(search: Generator, f: Callable):
         return stop.value
 
 
-def lockstep(searches: Sequence[Generator], evaluate: Callable) -> list:
+def lockstep(searches: Sequence[Generator], evaluate: Callable, catch=()) -> list:
     """The results of many searches (:func:`root_search`, :func:`monotone_search`;
     None is skipped) driven together: each round makes one call ``evaluate(indices,
-    xs)`` on the abscissas the unfinished searches, by index, wait on, and sends
-    each its value, so each returns what it would alone; a raise stops all."""
+    xs)`` on what the unfinished searches, by index, wait on, and sends each its
+    value, so each returns what it would alone.  A search that raises one of
+    ``catch`` has that exception as its result; any other raise stops all."""
     out = [None] * len(searches)
     pending = {i: None for i, search in enumerate(searches) if search is not None}
     while pending:
@@ -273,6 +281,8 @@ def lockstep(searches: Sequence[Generator], evaluate: Callable) -> list:
                 waiting[i] = searches[i].send(value)
             except StopIteration as stop:
                 out[i] = stop.value
+            except catch as err:
+                out[i] = err
         values = evaluate(list(waiting), list(waiting.values())) if waiting else []
         pending = dict(zip(waiting, values))
     return out
@@ -300,7 +310,7 @@ def find_root(
     ConvergenceError if MAX_ITER evaluations inside the bracket do not
     converge.
     """
-    return _run(root_search(lo, hi, x_tol, f_lo, f_hi), f)
+    return run_search(root_search(lo, hi, x_tol, f_lo, f_hi), f)
 
 
 def root_search(lo: float, hi: float, x_tol: float = X_TOL, g_lo: float | None = None,
@@ -374,7 +384,7 @@ def solve_monotone(g: Callable[[float], float], target: float) -> float:
     If g(0) already meets the target, 0 is returned.  The upper bracket is
     found by doubling steps from 1.  ``g`` is called at most once at any x.
     """
-    return _run(monotone_search(target), g)
+    return run_search(monotone_search(target), g)
 
 
 def monotone_search(target: float) -> Generator:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .numerics import (
     lockstep,
     monotone_search,
     normal_window,
+    root_search,
     solve_monotone,
     std_normal_cdf,
     std_normal_pdf,
@@ -134,6 +136,26 @@ def _floor_kink(params: DesignParams, rule: AdaptiveConditionalPower,
         return None
 
 
+def _floor_kinks(params: list[DesignParams], rules: list[AdaptiveConditionalPower],
+                 windows: list[tuple]) -> list[float | None]:
+    """:func:`_floor_kink` of each design on its window (lo, hi), the Fisher
+    searches in lockstep with one array call of the critical values a round."""
+    lines = [(math.sqrt(r.i2_min / p.i1), std_normal_quantile(1.0 - p.beta))
+             if r.i2_min > 0 and r.cef.pieces is None else None
+             for p, r in zip(params, rules)]
+
+    def gaps(js: list[int], zs: list[float]) -> list[float]:
+        qs = cef_mod.critical_values([rules[j].cef for j in js], zs).tolist()
+        return [lines[j][0] * z - lines[j][1] - q for j, z, q in zip(js, zs, qs)]
+
+    # A bracket without a sign change ends its own search only.
+    searches = [root_search(*w) if line else None for line, w in zip(lines, windows)]
+    kinks = lockstep(searches, gaps, BracketError)
+    return [_floor_kink(p, r, *w) if line is None else
+            None if isinstance(k, BracketError) else k
+            for p, r, w, line, k in zip(params, rules, windows, lines, kinks)]
+
+
 def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
                        z_upper: float) -> float | None:
     """First z in [z_lower, z_upper] with slope * z >= z_beta + q(z), where
@@ -163,20 +185,25 @@ def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
     return None
 
 
-def _splits(params: DesignParams, rule: AdaptiveConditionalPower, z_lower: float,
-            z_hi: float) -> list[float]:
-    """Quadrature split points on [z_lower, z_hi]: the CEF's kinks and the
-    floor kink, where it exists."""
-    kink = _floor_kink(params, rule, z_lower, z_hi)
-    return cef_mod.kinks(rule.cef) + ([] if kink is None else [kink])
-
-
-def _branch(params: DesignParams, rule: AdaptiveConditionalPower):
-    """The window over Z1 >= z_f of a design's integrals, and its constants."""
+def _window(params: DesignParams) -> tuple[float, float, float]:
+    """The mean of Z1 and the window over Z1 >= z_f of a design's integrals."""
     mean = params.delta * math.sqrt(params.i1)
-    lo, hi = normal_window(mean, params.z_f)
-    constants = (rule.cef, rule.i2_min, params.i1, params.beta, params.delta, mean)
-    return (lo, hi, _splits(params, rule, lo, hi)), constants
+    return (mean, *normal_window(mean, params.z_f))
+
+
+def _branch(params: DesignParams, rule: AdaptiveConditionalPower, window: tuple,
+            kink: float | None):
+    """A design's window, split at the CEF's kinks and at the floor kink
+    ``kink`` where it exists, and the constants of its power integrand."""
+    mean, lo, hi = window
+    splits = cef_mod.kinks(rule.cef) + ([] if kink is None else [kink])
+    return (lo, hi, splits), (rule.cef, rule.i2_min, params.i1, params.beta,
+                              params.delta, mean)
+
+
+def _solved_branch(params: DesignParams, rule: AdaptiveConditionalPower):
+    window = _window(params)
+    return _branch(params, rule, window, _floor_kink(params, rule, *window[1:]))
 
 
 def _power_integrand(cef, i2_min, i1, beta, delta, mean):
@@ -191,7 +218,7 @@ def _power_integrand(cef, i2_min, i1, beta, delta, mean):
 def overall_power(params: DesignParams, rule: AdaptiveConditionalPower) -> float:
     """Probability of continuing past z_f and rejecting at stage two, at most
     the probability of continuing."""
-    (lo, hi, splits), constants = _branch(params, rule)
+    (lo, hi, splits), constants = _solved_branch(params, rule)
     # Where the conditional power is 1 throughout, the quadrature's rounding
     # can put the integral an ulp above its ceiling.
     return min(
@@ -235,13 +262,12 @@ def mean_stage2_info(params: DesignParams, rule: AdaptiveConditionalPower) -> fl
     This is what makes the non-adaptive mean sit just above its minimum (149
     vs 148 per group in the worked example).
     """
-    mean = params.delta * math.sqrt(params.i1)
-    lo, hi = normal_window(mean, params.z_f)
+    (lo, hi, splits), (*_, mean) = _solved_branch(params, rule)
 
     def integrand(z):
         return stage2_info(z, params, rule) * std_normal_pdf(z - mean)
 
-    return integrate(integrand, lo, hi, split_points=_splits(params, rule, lo, hi))
+    return integrate(integrand, lo, hi, split_points=splits)
 
 
 def build_fasttrack(
@@ -265,23 +291,34 @@ def build_fasttrack(
     return Design(params, family, AdaptiveConditionalPower(i2_min, cef))
 
 
-def build_fasttrack_many(params: list[DesignParams], family: str,
-                         binding: bool = True) -> list[Design | None]:
-    """:func:`build_fasttrack` of many designs of one fast-track family, None
-    where it raises InfeasiblePowerError, the floors solved in lockstep."""
-    cefs = [cef_mod.family_cef(family, p.alpha, p.z_f if binding else -math.inf)
-            for p in params]
-    searches = [monotone_search(1.0 - p.beta) if 1.0 - p.beta < cond_registration_power(p)
-                else None for p in params]
+def solve_i2_min_many(params: Sequence[DesignParams], cefs: Sequence[cef_mod.CalibratedCef],
+                      targets: Sequence[float]) -> list[float | None]:
+    """:func:`solve_i2_min` of many designs in lockstep, None where the target
+    is infeasible: a round solves the Fisher floor kinks, then integrates."""
+    ceilings = [cond_registration_power(p) for p in params]
+    windows = [_window(p) for p in params]
+    searches = [monotone_search(t) if t < c else None for t, c in zip(targets, ceilings)]
 
     def powers(js: list[int], i2_mins: list[float]) -> list[float]:
-        branches = [_branch(params[j], AdaptiveConditionalPower(x, cefs[j]))
-                    for j, x in zip(js, i2_mins)]
-        return [min(v, cond_registration_power(params[j])) for j, v in
+        ps, ws = [params[j] for j in js], [windows[j] for j in js]
+        rules = [AdaptiveConditionalPower(x, cefs[j]) for j, x in zip(js, i2_mins)]
+        kinks = _floor_kinks(ps, rules, [w[1:] for w in ws])
+        branches = [_branch(*b) for b in zip(ps, rules, ws, kinks)]
+        return [min(v, ceilings[j]) for j, v in
                 zip(js, cef_mod.integrate_each(_power_integrand, branches))]
 
+    return lockstep(searches, powers)
+
+
+def build_fasttrack_many(params: list[DesignParams], family: str,
+                         binding: bool = True) -> list[Design | None]:
+    """:func:`build_fasttrack` of many designs of one fast-track family in
+    lockstep, None where it raises InfeasiblePowerError."""
+    cefs = cef_mod.family_cefs(family, [p.alpha for p in params],
+                               [p.z_f if binding else -math.inf for p in params])
+    floors = solve_i2_min_many(params, cefs, [1.0 - p.beta for p in params])
     return [None if x is None else Design(p, family, AdaptiveConditionalPower(x, cef))
-            for p, cef, x in zip(params, cefs, lockstep(searches, powers))]
+            for p, cef, x in zip(params, cefs, floors)]
 
 
 def evaluate_design(

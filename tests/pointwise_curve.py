@@ -3,9 +3,9 @@
 ``fasttrack curve`` solves each family's column over the whole grid in
 lockstep.  This script writes the CSV of the same command the slow way:
 every grid point and family on its own, through ``build_fasttrack`` for the
-five fast-track kinds and through ``solve_i2_const`` for ``i2_const``, and
-outside any calibration scope, so that each design calibrates afresh.  The
-two CSVs must be equal byte for byte:
+five fast-track kinds, through ``solve_i2_const`` for ``i2_const`` and
+through ``build_combination`` for ``combo_panel``, so that each design
+calibrates afresh.  The two CSVs must be equal byte for byte:
 
     PYTHONPATH=src python tests/pointwise_curve.py --scenario S --kind i2_min --out ref.csv
     PYTHONPATH=src python -m fasttrack.cli curve --scenario S --kind i2_min --out out.csv
@@ -22,7 +22,7 @@ from fasttrack import cli
 from fasttrack import combination as comb_mod
 from fasttrack import power as power_mod
 from fasttrack.cef import FAMILIES, FASTTRACK_FAMILIES
-from fasttrack.design import derive
+from fasttrack.design import cond_registration_power, derive
 from fasttrack.scenario import load_scenario
 
 
@@ -41,7 +41,8 @@ STATS = {
     "total_mean": lambda d: d.params.i1 + _mean(d),
     "total_max": lambda d: d.params.i1 + _max(d),
 }
-KINDS = (*STATS, "i2_const")
+KINDS = (*STATS, "i2_const", "combo_panel")
+COMBO_PANEL = ["t_xi_i1", "t_xi_i2_const", "t_xi_i2_min", "t_xi_i2_max", "p_cond_reg"]
 
 
 def row(scenario, base, kind: str, t: float) -> list:
@@ -50,6 +51,10 @@ def row(scenario, base, kind: str, t: float) -> list:
     if kind == "i2_const":
         return [t] + [comb_mod.solve_i2_const(p, comb_mod.waive_test(p, f)) / base.i_delta
                       for f in FAMILIES]
+    if kind == "combo_panel":
+        d = comb_mod.build_combination(p, scenario.family)
+        infos = (d.i2_const, d.i2_min, _max(d))
+        return [t, *(x / base.i_delta for x in infos), cond_registration_power(p)]
     cells = [t]
     for family in FASTTRACK_FAMILIES:
         binding = scenario.mode == "fasttrack_binding"
@@ -68,6 +73,8 @@ def write(scenario_path: str, kind: str, out_path: str, grid_step: float = 0.002
     base = derive(scenario.design_params())
     families = FAMILIES if kind == "i2_const" else FASTTRACK_FAMILIES
     header = ["t_xi_i1"] + [f"t_xi_{kind}_{f}" for f in families]
+    if kind == "combo_panel":
+        header = COMBO_PANEL
     rows = [row(scenario, base, kind, t) for t in cli._t_grid(base, grid_step)]
     cli._write_csv(out_path, header, rows)
 

@@ -4,19 +4,22 @@ calibration to the overall one-sided level."""
 import math
 import warnings
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from conftest import COMBO_BASE, EVAL_BASE, params_at
 from fasttrack import cli
 from fasttrack.cef import (
+    FASTTRACK_FAMILIES,
     CalibratedCef,
-    calibration_scope,
     constant_cef,
     critical_value,
     eval_cef,
     family_cef,
+    family_cefs,
     kinks,
     level_integral,
     z_combination_cef,
@@ -24,7 +27,6 @@ from fasttrack.cef import (
 from fasttrack.combination import build_combination
 from fasttrack.design import derive
 from fasttrack.numerics import find_root, std_normal_cdf, std_normal_quantile
-from fasttrack.power import build_fasttrack
 from reference_formulas import atilde_z
 from reference_mp import fisher_level
 
@@ -426,59 +428,75 @@ class TestCalibrationReuse:
                 assert got.level_used == level_integral(got, lower)
 
 
-class TestCalibrationScope:
+class TestColumnCalibrations:
     @staticmethod
     def count_calibrations(monkeypatch):
-        """Record (alpha, z0) of each inverse-normal calibration, the one
-        family calibration_scope keeps; the z-combination family's start at
-        lo = alpha, and Fisher's c is solved without calibrate."""
+        """Record each calibration search a column solve starts, by its
+        alpha, bracket and the pieces of the CEF at the bracket's upper end,
+        which tell the inverse-normal z0 and the z-combination split and
+        informations apart; Fisher's c is solved without a search."""
         import fasttrack.cef as cef_mod
 
         seen = []
-        calibrate = cef_mod.calibrate
+        search = cef_mod.calibration_search
 
         def counted(cef_at, alpha, lo, hi):
-            cef = calibrate(cef_at, alpha, lo, hi)
-            if lo == 0.0:
-                seen.append((alpha, cef.z0))
-            return cef
+            seen.append((alpha, lo, hi, cef_at(hi).pieces))
+            return search(cef_at, alpha, lo, hi)
 
-        monkeypatch.setattr(cef_mod, "calibrate", counted)
+        monkeypatch.setattr(cef_mod, "calibration_search", counted)
         return seen
 
     def test_one_calibration_per_key_within_a_curve(self, monkeypatch, write_scenario,
                                                     tmp_path):
         seen = self.count_calibrations(monkeypatch)
         out = tmp_path / "c.csv"
+        combination = dict(delta_rel=1.4, xi=1.25, t_xi_i1=0.5, mode="combination")
         for kind, scenario in (
             ("i2_min", write_scenario("fasttrack.txt")),
-            ("i2_const", write_scenario("combination.txt", delta_rel=1.4, xi=1.25,
-                                        t_xi_i1=0.5, mode="combination")),
+            ("i2_const", write_scenario("combination.txt", **combination)),
+            ("combo_panel", write_scenario("inverse.txt", family="inverse_normal",
+                                           **combination)),
+            ("combo_panel", write_scenario("zcomb.txt", family="z_combination",
+                                           **combination)),
         ):
             seen.clear()
             argv = ["curve", "--scenario", scenario, "--kind", kind, "--out", str(out),
                     "--grid-step", "0.05"]
             assert cli.main(argv) == cli.EXIT_OK
             rows = len(out.read_text().splitlines()) - 1
-            assert len(seen) == len(set(seen)) > 0, kind
-            if kind == "i2_const":
+            assert len(seen) == len(set(seen)) > 0, (kind, scenario)
+            if "zcomb" in scenario:
+                # One alpha_prime per row: each row's I2_const differs.
+                assert len(seen) == rows > 2
+            elif kind != "i2_min":
                 # The one non-binding calibration serves every row.
                 assert rows > 2 and len(seen) == 1
 
-    def test_no_reuse_outside_a_scope(self, monkeypatch):
-        seen = self.count_calibrations(monkeypatch)
-        p = params_at(EVAL_BASE, 0.6)
-        first = build_fasttrack(p, "inverse_normal")
-        second = build_fasttrack(p, "inverse_normal")
-        assert len(seen) == 2 and seen[0] == seen[1]
-        assert first == second
+    _key = st.tuples(st.sampled_from((0.025, 1e-3, 0.1)),
+                     st.sampled_from((-math.inf, -1.0, 0.5, 1.2, 2.5)))
 
-    def test_reuse_returns_the_same_calibration(self):
-        p = params_at(EVAL_BASE, 0.6)
-        fresh = family_cef("inverse_normal", ALPHA, p.z_f)
-        with calibration_scope():
-            once = family_cef("inverse_normal", ALPHA, p.z_f)
-            assert family_cef("inverse_normal", ALPHA, p.z_f) is once
-            assert family_cef("inverse_normal", ALPHA, -math.inf) is not once
-        assert once == fresh
-        assert family_cef("inverse_normal", ALPHA, p.z_f) is not once
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+    @hypothesis.given(family=st.sampled_from(FASTTRACK_FAMILIES),
+                      keys=st.lists(_key, min_size=1, max_size=6))
+    @hypothesis.example(family="inverse_normal",
+                        keys=[(0.025, 2.5), (0.025, 1.2), (0.025, 1.2), (1e-3, -math.inf)])
+    def test_equals_family_cef_design_by_design(self, family, keys):
+        # Duplicate keys are drawn often; z0 = 2.5 saturates the inverse
+        # normal at every alpha drawn (0.5 * Phi(-2.5) < 1e-2).
+        got = family_cefs(family, [a for a, _ in keys], [z for _, z in keys])
+        assert [repr(c) for c in got] == [repr(family_cef(family, a, z)) for a, z in keys]
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=25)
+    @hypothesis.given(designs=st.lists(
+        st.tuples(st.floats(0.05, 0.9), st.sampled_from((0.3, 1.0, 4.0))),
+        min_size=1, max_size=5))
+    def test_z_combination_alpha_prime_equals_family_cef(self, designs):
+        # (t_xi, I2_const / I1) pairs, a duplicate among them.
+        params = [params_at(COMBO_BASE, t) for t, _ in designs + designs[:1]]
+        i2s = [p.i1 * r for p, (_, r) in zip(params, designs + designs[:1])]
+        fixed = dict(i1=[p.i1 for p in params], i2_const=i2s, z_split=[p.z_f for p in params])
+        got = family_cefs("z_combination", [ALPHA] * len(params), **fixed)
+        want = [family_cef("z_combination", ALPHA, i1=p.i1, i2_const=x, z_split=p.z_f)
+                for p, x in zip(params, i2s)]
+        assert [repr(c) for c in got] == [repr(c) for c in want]

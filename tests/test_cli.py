@@ -212,15 +212,16 @@ class TestCurves:
                                                        monkeypatch):
         # The inverse-normal CEF, once for the whole grid; Fisher's c, solved
         # in closed form, and the z-combination alpha_prime, which the curve
-        # does not print, never.
+        # does not print, never.  Counted where the column solve starts each
+        # calibration's search.
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return calibrate(*args)
+            return search(*args)
 
-        calibrate = cef_mod.calibrate
-        monkeypatch.setattr(cef_mod, "calibrate", counted)
+        search = cef_mod.calibration_search
+        monkeypatch.setattr(cef_mod, "calibration_search", counted)
         rc = cli.main(["curve", "--scenario", COMBINATION, "--kind", "i2_const",
                        "--out", str(tmp_path / "c.csv"), "--grid-step", str(step)])
         assert rc == cli.EXIT_OK
@@ -291,10 +292,15 @@ class TestLockstepCurves:
         *((kind, "fasttrack_binding_fisher.txt") for kind in pointwise_curve.STATS),
         ("i2_min", "nonbinding"),
         ("i2_const", "combination_example.txt"),
+        ("combo_panel", "combination_example.txt"),
+        ("combo_panel", "inverse_normal"),
     ])
     def test_equals_the_pointwise_build(self, kind, scenario, write_scenario, tmp_path):
         if scenario == "nonbinding":  # the bench scenario, with z0 = -inf
             path = write_scenario(mode="fasttrack_nonbinding")
+        elif scenario == "inverse_normal":  # the bench combination example's
+            path = write_scenario(delta_rel=1.4, xi=1.25, t_xi_i1=0.5, mode="combination",
+                                  family="inverse_normal")
         else:
             path = str(BENCH_DATA / scenario)
         out, want = tmp_path / "curve.csv", tmp_path / "pointwise.csv"
@@ -302,7 +308,7 @@ class TestLockstepCurves:
                        "--grid-step", "0.05"])
         assert rc == cli.EXIT_OK
         pointwise_curve.write(path, kind, str(want), 0.05)
-        assert cli.INFEASIBLE in want.read_text() or kind == "i2_const"
+        assert cli.INFEASIBLE in want.read_text() or kind in ("i2_const", "combo_panel")
         assert out.read_bytes() == want.read_bytes()
 
 

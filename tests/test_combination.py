@@ -1,10 +1,14 @@
 """Unit tests for the apply-or-waive combination strategy."""
 
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from conftest import COMBO_BASE, SIGMA, i_delta_of, params_at, params_near_i1_max
+from fasttrack import combination as comb_mod
+from fasttrack import power as power_mod
 from fasttrack.cef import FAMILIES, eval_cef, family_cef, z_combination_cef
 from fasttrack.combination import (
     branch_metrics,
@@ -14,10 +18,13 @@ from fasttrack.combination import (
     solve_i2_const,
     waive_branch,
 )
-from fasttrack.design import ExampleCost, cond_registration_power, derive
-from fasttrack.numerics import std_normal_cdf, std_normal_quantile
+from fasttrack.design import DesignParams, ExampleCost, cond_registration_power, derive
+from fasttrack.numerics import ConvergenceError, std_normal_cdf, std_normal_quantile
 from fasttrack.power import AdaptiveConditionalPower, evaluate_design
+from fasttrack.scenario import load_scenario
 from reference_formulas import gambling_threshold_full_builds, naive_inflation
+
+BENCH_EXAMPLE = Path(__file__).resolve().parents[1] / "bench" / "data" / "combination_example.txt"
 
 ALPHA = 0.025
 
@@ -197,6 +204,48 @@ class TestGamblingThresholds:
         # CEF once; the threshold is the same float.
         p = params_at(COMBO_BASE, 0.5)
         assert gambling_threshold(p, family) == gambling_threshold_full_builds(p, family)
+
+    @staticmethod
+    def drawn_params(seed: int) -> DesignParams:
+        rng = random.Random(seed)
+        return DesignParams(alpha=rng.choice((0.01, 0.025, 0.05)),
+                            alpha_c=rng.choice((0.1, 0.15, 0.3)), beta=rng.uniform(0.05, 0.3),
+                            delta_rel=rng.uniform(1.1, 2.0), xi=rng.uniform(1.1, 2.5), i1=1.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("source", ["bench example", 1, 2, 3])
+    def test_blocks_equal_the_sequential_scan(self, family, source):
+        # The scan solves its points in lockstep blocks; the reference scans
+        # point by point with full builds, so the floats, and the scan
+        # points, must agree.
+        if source == "bench example":
+            p = load_scenario(str(BENCH_EXAMPLE)).design_params()
+        else:
+            p = self.drawn_params(source)
+        assert repr(gambling_threshold(p, family)) == repr(
+            gambling_threshold_full_builds(p, family))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_failure_past_the_first_positive_excess_does_not_surface(self, family,
+                                                                        monkeypatch):
+        # The point by point scan stops at the first positive excess; a
+        # block solves the points after it too, and a failure there must
+        # not surface.
+        p = params_at(COMBO_BASE, 0.5)
+        want = gambling_threshold(p, family)
+        past = (want + 1.5 * comb_mod._SCAN_STEP) * derive(p).i_delta
+        failed = []
+        max_stage2_info = power_mod.max_stage2_info
+
+        def failing(params, rule):
+            if params.i1 > past:
+                failed.append(params.i1)
+                raise ConvergenceError("planted failure", 0.0, 1.0)
+            return max_stage2_info(params, rule)
+
+        monkeypatch.setattr(power_mod, "max_stage2_info", failing)
+        assert gambling_threshold(p, family) == want
+        assert failed  # the block did reach the planted failure
 
 
 class TestMonotonicity:

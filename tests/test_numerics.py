@@ -728,3 +728,19 @@ class TestIntegrateManyProperty:
         assert (got.best_estimate, got.error_estimate) == (want.best_estimate,
                                                            want.error_estimate)
         assert integrate_many(_by_window([]), []) == []
+
+    def test_windows_refine_together(self):
+        # Two windows that each refine over several rounds: every round is
+        # one integrand call on the nodes of both, and each window still
+        # gets the float integrate returns for it.
+        fs = [_piecewise([0.3], [1.0], [2.0], (1.0, 25.0)), lambda x: np.cos(40.0 * x)]
+        spans = [(-2.0, 2.0, (0.3,)), (0.0, 6.0, ())]
+        calls, alone = [], [[], []]
+        got = integrate_many(_by_window(fs, calls), spans)
+        want = [integrate(lambda x, f=f, sizes=sizes: sizes.append(x.size) or f(x), lo, hi,
+                          split_points=splits)
+                for f, sizes, (lo, hi, splits) in zip(fs, alone, spans)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert min(len(sizes) for sizes in alone) > 2
+        assert len(calls) == max(len(sizes) for sizes in alone)
+        assert sum(calls) == sum(map(sum, alone))
