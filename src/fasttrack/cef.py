@@ -160,11 +160,6 @@ def _gather(values: Sequence, k):
     return first if values.count(first) == len(values) else np.array(values)[k]
 
 
-def critical_values(cefs: Sequence[CalibratedCef], z) -> np.ndarray:
-    """``critical_value`` of each of ``cefs`` at its entry of ``z``, in one call."""
-    return critical_value(_gather(cefs, np.arange(len(cefs))), np.asarray(z, dtype=float))
-
-
 def integrate_each(make: Callable, branches: Sequence[tuple]) -> list[float]:
     """``integrate_many`` of ``make(*constants)`` over each (window, constants)
     of ``branches``, every integral the float ``integrate`` gives for it."""

@@ -47,10 +47,15 @@ class BranchMetrics:
 
 
 def _waive_window(params: DesignParams, i2c: float, cef: cef_mod.CalibratedCef):
-    """The window below z_f of the waive-branch success, and its constants."""
+    """The window below z_f of the waive-branch success, and its constants.
+    Given Z1 < z_f with the mean far above, Z1 lies within a few 1 / (mean -
+    z_f) of z_f: the window starts at most 64 of those below z_f."""
     mean = params.delta * math.sqrt(params.i1)
     constants = (params.delta, i2c, cef, mean, log_ndtr(params.z_f - mean))
-    return (*normal_window(mean, hi=params.z_f), cef_mod.kinks(cef)), constants
+    lo, hi = normal_window(mean, hi=params.z_f)
+    if mean > params.z_f:
+        lo = max(lo, params.z_f - 64.0 / (mean - params.z_f))
+    return (lo, hi, cef_mod.kinks(cef)), constants
 
 
 def _success_integrand(delta, i2c, cef, mean, log_p_lower):

@@ -109,7 +109,8 @@ def alpha_rel(i1: float, delta_rel: float) -> float:
     """Type I error rate of requiring a point estimate >= delta_rel."""
     if not i1 > 0:
         raise ValueError(f"need i1 > 0, got {i1}")
-    return 1.0 - std_normal_cdf(delta_rel * math.sqrt(i1))
+    # The survival function as Phi(-x): 1 - Phi(x) cancels in the upper tail.
+    return std_normal_cdf(-delta_rel * math.sqrt(i1))
 
 
 def i1_max(alpha: float, delta_rel: float) -> float:
@@ -174,4 +175,4 @@ def derive(params: DesignParams) -> DerivedDesign:
 
 def cond_registration_power(params: DesignParams) -> float:
     """P_delta(Z1 >= z_f), the probability of conditional registration."""
-    return 1.0 - std_normal_cdf(params.z_f - params.delta * math.sqrt(params.i1))
+    return std_normal_cdf(params.delta * math.sqrt(params.i1) - params.z_f)

@@ -30,7 +30,6 @@ from .numerics import (
     lockstep,
     monotone_search,
     normal_window,
-    root_search,
     solve_monotone,
     std_normal_cdf,
     std_normal_pdf,
@@ -136,26 +135,6 @@ def _floor_kink(params: DesignParams, rule: AdaptiveConditionalPower,
         return None
 
 
-def _floor_kinks(params: list[DesignParams], rules: list[AdaptiveConditionalPower],
-                 windows: list[tuple]) -> list[float | None]:
-    """:func:`_floor_kink` of each design on its window (lo, hi), the Fisher
-    searches in lockstep with one array call of the critical values a round."""
-    lines = [(math.sqrt(r.i2_min / p.i1), std_normal_quantile(1.0 - p.beta))
-             if r.i2_min > 0 and r.cef.pieces is None else None
-             for p, r in zip(params, rules)]
-
-    def gaps(js: list[int], zs: list[float]) -> list[float]:
-        qs = cef_mod.critical_values([rules[j].cef for j in js], zs).tolist()
-        return [lines[j][0] * z - lines[j][1] - q for j, z, q in zip(js, zs, qs)]
-
-    # A bracket without a sign change ends its own search only.
-    searches = [root_search(*w) if line else None for line, w in zip(lines, windows)]
-    kinks = lockstep(searches, gaps, BracketError)
-    return [_floor_kink(p, r, *w) if line is None else
-            None if isinstance(k, BracketError) else k
-            for p, r, w, line, k in zip(params, rules, windows, lines, kinks)]
-
-
 def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
                        z_upper: float) -> float | None:
     """First z in [z_lower, z_upper] with slope * z >= z_beta + q(z), where
@@ -185,25 +164,15 @@ def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
     return None
 
 
-def _window(params: DesignParams) -> tuple[float, float, float]:
-    """The mean of Z1 and the window over Z1 >= z_f of a design's integrals."""
+def _solved_branch(params: DesignParams, rule: AdaptiveConditionalPower):
+    """A design's window over Z1 >= z_f, split at the CEF's kinks and at the
+    floor kink where it exists, and the constants of its power integrand."""
     mean = params.delta * math.sqrt(params.i1)
-    return (mean, *normal_window(mean, params.z_f))
-
-
-def _branch(params: DesignParams, rule: AdaptiveConditionalPower, window: tuple,
-            kink: float | None):
-    """A design's window, split at the CEF's kinks and at the floor kink
-    ``kink`` where it exists, and the constants of its power integrand."""
-    mean, lo, hi = window
+    lo, hi = normal_window(mean, params.z_f)
+    kink = _floor_kink(params, rule, lo, hi)
     splits = cef_mod.kinks(rule.cef) + ([] if kink is None else [kink])
     return (lo, hi, splits), (rule.cef, rule.i2_min, params.i1, params.beta,
                               params.delta, mean)
-
-
-def _solved_branch(params: DesignParams, rule: AdaptiveConditionalPower):
-    window = _window(params)
-    return _branch(params, rule, window, _floor_kink(params, rule, *window[1:]))
 
 
 def _power_integrand(cef, i2_min, i1, beta, delta, mean):
@@ -294,16 +263,15 @@ def build_fasttrack(
 def solve_i2_min_many(params: Sequence[DesignParams], cefs: Sequence[cef_mod.CalibratedCef],
                       targets: Sequence[float]) -> list[float | None]:
     """:func:`solve_i2_min` of many designs in lockstep, None where the target
-    is infeasible: a round solves the Fisher floor kinks, then integrates."""
+    is infeasible: a round builds each unfinished design's branch as a single
+    build does (its Fisher floor kink by :func:`_floor_kink`), then integrates
+    all of them in one call."""
     ceilings = [cond_registration_power(p) for p in params]
-    windows = [_window(p) for p in params]
     searches = [monotone_search(t) if t < c else None for t, c in zip(targets, ceilings)]
 
     def powers(js: list[int], i2_mins: list[float]) -> list[float]:
-        ps, ws = [params[j] for j in js], [windows[j] for j in js]
-        rules = [AdaptiveConditionalPower(x, cefs[j]) for j, x in zip(js, i2_mins)]
-        kinks = _floor_kinks(ps, rules, [w[1:] for w in ws])
-        branches = [_branch(*b) for b in zip(ps, rules, ws, kinks)]
+        branches = [_solved_branch(params[j], AdaptiveConditionalPower(x, cefs[j]))
+                    for j, x in zip(js, i2_mins)]
         return [min(v, ceilings[j]) for j, v in
                 zip(js, cef_mod.integrate_each(_power_integrand, branches))]
 

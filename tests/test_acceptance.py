@@ -163,7 +163,8 @@ def test_criterion3_stage_two_solver_landmarks():
     strict=True,
     reason=(
         "reference value 2.78 (per-group 292) appears to be read off a "
-        "plotted curve; high-precision quadrature and an independent "
+        "plotted curve; the thirty-digit oracle (test_reference_mp.py::"
+        "test_inverse_normal_max_information_digits) and an independent "
         "scipy oracle both give t(i2_max) = 2.7518 (per-group 289)"
     ),
 )
@@ -258,8 +259,9 @@ def test_criterion5_combination_strategy():
     strict=True,
     reason=(
         "reference crossing 0.5 appears to be read off a plotted curve; "
-        "high-precision quadrature and an independent scipy oracle both "
-        "put the Fisher fixed-information crossing at 0.4878"
+        "the thirty-digit oracle (test_reference_mp.py::"
+        "test_fisher_fixed_information_crossing_digits) and an independent "
+        "scipy oracle both put the Fisher fixed-information crossing at 0.4878"
     ),
 )
 def test_criterion5_fisher_crossing_documented_discrepancy():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import reference_mp as ref
 from conftest import COMBO_BASE, SIGMA, i_delta_of, params_at, params_near_i1_max
 from fasttrack import combination as comb_mod
 from fasttrack import power as power_mod
@@ -93,6 +94,22 @@ class TestWaiveBranchSizing:
         for family in FAMILIES:
             m = branch_metrics(build_combination(p, family))
             assert m.p_success_given_lower == pytest.approx(1.0 - p.beta, abs=1e-8)
+
+    def test_success_far_beyond_i1_max(self):
+        # At I1 = 1e8 (I1_max = 1.96) the pilot mean lies 3,500 sds above
+        # z_f, and Z1 given Z1 < z_f within about 1 / 3,500 of z_f.  Every
+        # family builds, and succeeds with probability 1 - beta.  The bound
+        # is the quadrature's relative tolerance: the flat family reads
+        # 1.9e-9 below 1 - beta here, from the window's ends rounded to
+        # floats near z_f = 14,000 and the log-space density's cancellation.
+        p = load_scenario(BENCH_EXAMPLE).design_params(i1=1e8)
+        successes = {family: branch_metrics(build_combination(p, family)).p_success_given_lower
+                     for family in FAMILIES}
+        for family, got in successes.items():
+            assert got == pytest.approx(1.0 - p.beta, abs=1e-8), family
+        cef, i2_const = waive_branch(p, "inverse_normal")
+        want = ref.waive_branch_success(ref.inverse_normal(cef.c), i2_const, p.i1, p.delta, p.z_f)
+        assert successes["inverse_normal"] == pytest.approx(want, abs=1e-8)
 
     def test_z_combination_success_is_the_solved_one(self, combo_designs):
         # The design's raised upper branch does not enter the waive branch:

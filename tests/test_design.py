@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from conftest import EVAL_BASE, SIGMA, params_at
 from fasttrack.design import (
@@ -78,6 +79,13 @@ class TestAlphaRel:
     def test_requires_positive_information(self):
         with pytest.raises(ValueError):
             alpha_rel(0.0, 1.0)
+
+    @pytest.mark.parametrize("sds", [6.0, 8.0])
+    def test_upper_tail_to_thirteen_digits(self, sds):
+        # 1 - Phi(6) keeps only 8 digits (9.865877004e-10 against
+        # 9.86587645e-10).
+        want = mp.ncdf(-mp.mpf(sds))
+        assert float(abs(alpha_rel(sds**2, 1.0) / want - 1)) <= 1e-13
 
 
 class TestPilotBounds:
@@ -156,6 +164,16 @@ class TestBoundaryAndPower:
         # estimate sits exactly on the boundary in expectation.
         p = base_params(xi=1.0, i1=4.0)
         assert cond_registration_power(p) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("sds", [6.0, 8.0])
+    def test_power_in_the_upper_tail_to_thirteen_digits(self, sds):
+        # z_f about `sds` above the mean: 1 - Phi(z_f - mean) would keep
+        # only 8 digits.
+        z_c = sds + 0.01
+        p = DesignParams(alpha=0.25 * float(mp.ncdf(-z_c)), alpha_c=float(mp.ncdf(-z_c)),
+                         beta=0.2, delta_rel=1.0, xi=1.0, i1=1e-4)
+        want = mp.ncdf(mp.mpf(p.delta) * mp.sqrt(p.i1) - mp.mpf(p.z_f))
+        assert float(abs(cond_registration_power(p) / want - 1)) <= 1e-13
 
     def test_z_f_at_i1_min(self):
         for xi, expected in ((1.75, 1.1222), (2.0, 1.0364)):

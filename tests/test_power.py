@@ -4,10 +4,8 @@ and the minimum-information solver."""
 import dataclasses
 import math
 
-import hypothesis
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import ndtr, ndtri
 
@@ -34,7 +32,7 @@ from fasttrack.power import (
     solve_i2_min,
     stage2_info,
 )
-from fasttrack.power import _floor_kink, _floor_kinks
+from fasttrack.power import _floor_kink
 
 ALPHA, BETA = 0.025, 0.2
 
@@ -347,44 +345,3 @@ class TestClosedFormFloorKink:
                 rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef)
                 assert _floor_kink(p, rule, z_f, hi) is None
                 assert self.numeric_kink(p, rule, z_f, hi) is None
-
-
-class TestFloorKinksProperty:
-    """_floor_kinks solves the Fisher floor kinks of many designs in
-    lockstep; each is _floor_kink's float, a bracket without a sign change
-    and a zero floor included, among the other families' closed forms."""
-
-    _design = st.tuples(
-        st.floats(0.05, 0.95),  # t_xi
-        st.sampled_from(("fisher", "fisher", "inverse_normal", "constant")),
-        st.booleans(),  # binding
-        st.one_of(st.just(0.0), st.floats(1e-3, 500.0)),  # floor I2min
-        st.sampled_from((12.0, 3.0, 1.0)),  # window top
-    )
-
-    @staticmethod
-    def kinks_alone_and_together(designs):
-        params, rules, windows = [], [], []
-        for t, family, binding, i2_min, hi in designs:
-            p = params_at(EVAL_BASE, t)
-            cef = family_cef(family, ALPHA, p.z_f if binding else -math.inf)
-            params.append(p)
-            rules.append(AdaptiveConditionalPower(i2_min, cef))
-            windows.append((p.z_f, max(p.z_f, hi)))
-        alone = [_floor_kink(*args) for args in zip(params, rules, *zip(*windows))]
-        return alone, _floor_kinks(params, rules, windows)
-
-    @hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
-    @hypothesis.given(designs=st.lists(_design, min_size=1, max_size=8))
-    def test_equals_the_scalar_kink_design_by_design(self, designs):
-        alone, together = self.kinks_alone_and_together(designs)
-        assert [k if k is None else k.hex() for k in together] == [
-            k if k is None else k.hex() for k in alone]
-
-    def test_no_sign_change_leaves_the_others_searching(self):
-        # A floor above the formula on the whole window (500), one below it
-        # (1e-3) and a zero floor give no kink; the fourth design's is solved.
-        designs = [(0.6, "fisher", True, x, 12.0) for x in (500.0, 1e-3, 0.0, 2.0)]
-        alone, together = self.kinks_alone_and_together(designs)
-        assert together[:3] == [None] * 3 and together[3] is not None
-        assert together == alone

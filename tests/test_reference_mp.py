@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp
 
 import reference_mp as ref
-from conftest import COMBO_BASE, EVAL_BASE, params_at, params_near_i1_max
+from conftest import COMBO_BASE, EVAL_BASE, i_delta_of, params_at, params_near_i1_max
 from fasttrack.cef import (
     FAMILIES,
     FASTTRACK_FAMILIES,
@@ -203,3 +203,31 @@ def test_max_stage2_info_matches_the_reference():
         )
         got = max_stage2_info(q, design.rule)
         assert got == pytest.approx(want, rel=1e-10, abs=0), (design.family, q)
+
+
+def test_inverse_normal_max_information_digits():
+    # The digits tests/test_acceptance.py's inverse-normal discrepancy
+    # cites: at thirty digits, the package's binding design at t = 0.6 has
+    # t(i2_max) = 2.7518 (2.751753), against a reference of 2.78.
+    p = params_at(EVAL_BASE, 0.6)
+    design = build_fasttrack(p, "inverse_normal")
+    z_f = design.branch_boundary
+    i2_max = ref.max_stage2_info(ref.inverse_normal(design.cef.c, z_f),
+                                 design.i2_min, p.beta, p.i1, z_f)
+    assert round(i2_max / i_delta_of(EVAL_BASE), 4) == 2.7518
+
+
+def test_fisher_fixed_information_crossing_digits():
+    # The digits tests/test_acceptance.py's Fisher discrepancy cites: at
+    # thirty digits, the waive branch of Fisher's non-binding test succeeds
+    # with probability 1 - beta at I2_const = I_delta between t = 0.4877
+    # and 0.4879 (-1.7e-5 and +3.8e-5), against a reference crossing of 0.5.
+    c = family_cef("fisher", ALPHA).c
+    i_delta = i_delta_of(COMBO_BASE)
+
+    def excess(t):
+        p = params_at(COMBO_BASE, t)
+        return ref.waive_branch_success(ref.fisher(c), i_delta, p.i1, p.delta,
+                                        p.z_f) - (1.0 - p.beta)
+
+    assert excess(0.4877) < 0.0 < excess(0.4879)
