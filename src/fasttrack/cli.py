@@ -100,21 +100,22 @@ def _i1_bounds_row(scenario: Scenario, base: DerivedDesign, kind: str, xi: float
     return [xi, d.i1_min / scale, d.i1_max / scale]
 
 
-def _mean_i2(d: power_mod.Design) -> float:
-    return power_mod.mean_stage2_info(d.params, d.rule)
+def _mean_i2s(ds: list[power_mod.Design]) -> list[float]:
+    return power_mod.mean_stage2_infos([d.params for d in ds], [d.rule for d in ds])
 
 
 def _max_i2(d: power_mod.Design) -> float:
     return power_mod.max_stage2_info(d.params, d.rule)
 
 
-# Fast-track curve kind -> its statistic of a built design, in information.
+# Fast-track curve kind -> its statistic of each built design of a column, in
+# information.
 _FASTTRACK_STATS = {
-    "i2_min": lambda d: d.i2_min,
-    "i2_mean": _mean_i2,
-    "i2_max": _max_i2,
-    "total_mean": lambda d: d.params.i1 + _mean_i2(d),
-    "total_max": lambda d: d.params.i1 + _max_i2(d),
+    "i2_min": lambda ds: [d.i2_min for d in ds],
+    "i2_mean": _mean_i2s,
+    "i2_max": lambda ds: [_max_i2(d) for d in ds],
+    "total_mean": lambda ds: [d.params.i1 + x for d, x in zip(ds, _mean_i2s(ds))],
+    "total_max": lambda ds: [d.params.i1 + _max_i2(d) for d in ds],
 }
 
 
@@ -127,9 +128,12 @@ def _fasttrack_rows(scenario: Scenario, base: DerivedDesign, kind: str, ts: list
     once; INFEASIBLE where no floor reaches the power target."""
     params = [scenario.design_params(i1=t * base.i_delta) for t in ts]
     binding = scenario.mode == "fasttrack_binding"
-    columns = [[INFEASIBLE if d is None else _FASTTRACK_STATS[kind](d) / base.i_delta
-                for d in power_mod.build_fasttrack_many(params, family, binding)]
-               for family in FASTTRACK_FAMILIES]
+    columns = []
+    for family in FASTTRACK_FAMILIES:
+        designs = power_mod.build_fasttrack_many(params, family, binding)
+        stats = iter(_FASTTRACK_STATS[kind]([d for d in designs if d is not None]))
+        columns.append([INFEASIBLE if d is None else next(stats) / base.i_delta
+                        for d in designs])
     return [list(row) for row in zip(ts, *columns)]
 
 

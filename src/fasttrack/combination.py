@@ -30,6 +30,7 @@ from .numerics import (
     std_normal_cdf,
     std_normal_quantile,
 )
+from .power import AdaptiveConditionalPower as Rule
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -198,14 +199,14 @@ def build_combination(params: DesignParams, family: str) -> power_mod.Design:
     """Build an apply-or-waive design for one conditional error family: the
     waive branch (see :func:`waive_branch`), then the upper-branch floor."""
     cef, i2_const = waive_branch(params, family)
-    rule = power_mod.AdaptiveConditionalPower(upper_floor(params, cef), cef)
+    rule = Rule(upper_floor(params, cef), cef)
     return power_mod.Design(params, family, rule, i2_const)
 
 
 def build_combination_many(params: Sequence[DesignParams], family: str) -> list:
     """:func:`build_combination` of each design of a column, each solve in lockstep."""
     cefs, i2_consts = waive_branches(params, family)
-    return [power_mod.Design(p, family, power_mod.AdaptiveConditionalPower(x, cef), i2c)
+    return [power_mod.Design(p, family, Rule(x, cef), i2c)
             for p, cef, x, i2c in zip(params, cefs, upper_floors(params, cefs), i2_consts)]
 
 
@@ -237,42 +238,63 @@ def gambling_threshold(params: DesignParams, family: str) -> float:
     stage-two information is constant (the conditional-power formula never
     exceeds the solved floor).
 
-    The excess of the formula maximum (the rule read at a zero floor) over
+    The excess of the formula maximum m (the rule read at a zero floor) over
     the floor is scanned on a t-grid and the bracketed sign change refined by
-    bisection.  Returns 0 when the branch is never constant.  Each point
-    solves only the upper-branch CEF and floor that the excess reads: the
-    waive branch's I2_const enters only the z-combination family's CEF, and
-    every other family's CEF does not depend on I1, so it is made once per
-    scan.  The points are solved ``_SCAN_BLOCK`` at a time in lockstep; a
-    block that raises is scanned again point by point, up to the first
-    positive excess.
+    bisection.  Returns 0 when the branch is never constant.  Power does not
+    decrease as the floor rises, and at a floor of m the stage-two
+    information is m on the whole branch, so the excess is positive exactly
+    when the power at a floor of m exceeds the target: each scan point reads
+    that one integral, ``_SCAN_BLOCK`` points in one call.  The waive branch's
+    I2_const enters only the z-combination family's CEF; every other family's
+    CEF does not depend on I1, so it is made once per scan.  A block that
+    raises is scanned again point by point, up to the first flagged point.
+    Only the two ends of that bracket solve their floors, by the single-design
+    path the refinement uses.
     """
     base = derive(params)
     i_delta = base.i_delta
     cef = None if family == "z_combination" else cef_mod.family_cef(family, params.alpha)
 
-    def excesses(ts: list[float]) -> list[float]:
+    def flags(ts: list[float]) -> list[bool]:
         ps = [replace(params, i1=t * i_delta) for t in ts]
         uppers = waive_branches(ps, family)[0] if cef is None else [cef] * len(ps)
-        return [power_mod.max_stage2_info(p, power_mod.AdaptiveConditionalPower(0.0, u)) - x
-                for p, u, x in zip(ps, uppers, upper_floors(ps, uppers))]
+        at_max = [Rule(power_mod.max_stage2_info(p, Rule(0.0, u)), u) for p, u in zip(ps, uppers)]
+        return [v > (1.0 - p.beta) * cond_registration_power(p)
+                for p, v in zip(ps, power_mod.overall_powers(ps, at_max))]
 
-    excess = lambda t_xi: excesses([t_xi])[0]
+    def excess(t_xi: float) -> float:
+        p = replace(params, i1=t_xi * i_delta)
+        upper = waive_branch(p, family)[0] if cef is None else cef
+        return power_mod.max_stage2_info(p, Rule(0.0, upper)) - upper_floor(p, upper)
 
     t_max = base.i1_max / i_delta
     ts = [_SCAN_STEP]
     while ts[-1] < t_max:
         ts.append(min(ts[-1] + _SCAN_STEP, t_max))
-    last = None
     for start in range(0, len(ts), _SCAN_BLOCK):
         block = ts[start:start + _SCAN_BLOCK]
         try:
-            values = excesses(block)
+            flagged = flags(block)
         except (ArithmeticError, ValueError, RuntimeError):
-            values = map(excess, block)  # lazily: stops at the first positive
-        for i, value in enumerate(values, start):
-            if value > 0:
-                return find_root(excess, ts[i - 1], ts[i], _REFINE_X_TOL,
-                                 last, value) if i else 0.0
-            last = value
+            flagged = (flags([t])[0] for t in block)  # lazily: stops at the first flag
+        for i, flag in enumerate(flagged, start):
+            if flag:
+                return _refined(excess, ts, i)
     return 0.0
+
+
+def _refined(excess: Callable[[float], float], ts: list[float], i: int) -> float:
+    """The threshold from the first flagged scan point ``ts[i]``, refined on
+    exact excesses.  The flag and the exact excess disagree in sign only
+    where a floor lies within its solver's tolerance of m; there the end
+    rules return a bracket end, the float a scan of exact excesses returns
+    when the disagreement is within F_TOL, where find_root would raise."""
+    hi = excess(ts[i])
+    if hi <= 0:
+        return ts[i]
+    if i == 0:
+        return 0.0
+    lo = excess(ts[i - 1])
+    if lo > 0:
+        return ts[i - 1] if i > 1 else 0.0
+    return find_root(excess, ts[i - 1], ts[i], _REFINE_X_TOL, lo, hi)

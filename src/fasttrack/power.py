@@ -196,6 +196,16 @@ def overall_power(params: DesignParams, rule: AdaptiveConditionalPower) -> float
     )
 
 
+def overall_powers(params: Sequence[DesignParams],
+                   rules: Sequence[AdaptiveConditionalPower]) -> list[float]:
+    """:func:`overall_power` of many designs, each branch built as a single
+    build does (its Fisher floor kink by :func:`_floor_kink`), all integrated
+    in one call."""
+    branches = [_solved_branch(p, rule) for p, rule in zip(params, rules)]
+    return [min(v, cond_registration_power(p)) for p, v in
+            zip(params, cef_mod.integrate_each(_power_integrand, branches))]
+
+
 def solve_i2_min(
     params: DesignParams, cef: cef_mod.CalibratedCef, target: float
 ) -> float:
@@ -231,12 +241,22 @@ def mean_stage2_info(params: DesignParams, rule: AdaptiveConditionalPower) -> fl
     This is what makes the non-adaptive mean sit just above its minimum (149
     vs 148 per group in the worked example).
     """
-    (lo, hi, splits), (*_, mean) = _solved_branch(params, rule)
+    (lo, hi, splits), constants = _solved_branch(params, rule)
+    return integrate(_mean_integrand(*constants), lo, hi, split_points=splits)
 
+
+def mean_stage2_infos(params: Sequence[DesignParams],
+                      rules: Sequence[AdaptiveConditionalPower]) -> list[float]:
+    """:func:`mean_stage2_info` of many designs, integrated in one call."""
+    branches = [_solved_branch(p, rule) for p, rule in zip(params, rules)]
+    return cef_mod.integrate_each(_mean_integrand, branches)
+
+
+def _mean_integrand(cef, i2_min, i1, beta, delta, mean):
+    """The E[I2] integrand: the stage-two information times the density of Z1."""
     def integrand(z):
-        return stage2_info(z, params, rule) * std_normal_pdf(z - mean)
-
-    return integrate(integrand, lo, hi, split_points=splits)
+        return _stage2_info(z, cef, i2_min, i1, beta) * std_normal_pdf(z - mean)
+    return integrand
 
 
 def build_fasttrack(
@@ -263,19 +283,12 @@ def build_fasttrack(
 def solve_i2_min_many(params: Sequence[DesignParams], cefs: Sequence[cef_mod.CalibratedCef],
                       targets: Sequence[float]) -> list[float | None]:
     """:func:`solve_i2_min` of many designs in lockstep, None where the target
-    is infeasible: a round builds each unfinished design's branch as a single
-    build does (its Fisher floor kink by :func:`_floor_kink`), then integrates
-    all of them in one call."""
-    ceilings = [cond_registration_power(p) for p in params]
-    searches = [monotone_search(t) if t < c else None for t, c in zip(targets, ceilings)]
-
-    def powers(js: list[int], i2_mins: list[float]) -> list[float]:
-        branches = [_solved_branch(params[j], AdaptiveConditionalPower(x, cefs[j]))
-                    for j, x in zip(js, i2_mins)]
-        return [min(v, ceilings[j]) for j, v in
-                zip(js, cef_mod.integrate_each(_power_integrand, branches))]
-
-    return lockstep(searches, powers)
+    is infeasible: each round is one :func:`overall_powers` call."""
+    searches = [monotone_search(t) if t < cond_registration_power(p) else None
+                for p, t in zip(params, targets)]
+    return lockstep(searches, lambda js, i2_mins: overall_powers(
+        [params[j] for j in js],
+        [AdaptiveConditionalPower(x, cefs[j]) for j, x in zip(js, i2_mins)]))
 
 
 def build_fasttrack_many(params: list[DesignParams], family: str,

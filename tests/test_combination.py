@@ -1,5 +1,6 @@
 """Unit tests for the apply-or-waive combination strategy."""
 
+import dataclasses
 import math
 import random
 from pathlib import Path
@@ -20,7 +21,7 @@ from fasttrack.combination import (
     waive_branch,
 )
 from fasttrack.design import DesignParams, ExampleCost, cond_registration_power, derive
-from fasttrack.numerics import ConvergenceError, std_normal_cdf, std_normal_quantile
+from fasttrack.numerics import ConvergenceError, find_root, std_normal_quantile
 from fasttrack.power import AdaptiveConditionalPower, evaluate_design
 from fasttrack.scenario import load_scenario
 from reference_formulas import gambling_threshold_full_builds, naive_inflation
@@ -230,17 +231,69 @@ class TestGamblingThresholds:
                             delta_rel=rng.uniform(1.1, 2.0), xi=rng.uniform(1.1, 2.5), i1=1.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("source", ["bench example", 1, 2, 3])
+    @pytest.mark.parametrize("source", ["bench example", 1, 2, 3, 6, 10])
     def test_blocks_equal_the_sequential_scan(self, family, source):
-        # The scan solves its points in lockstep blocks; the reference scans
-        # point by point with full builds, so the floats, and the scan
-        # points, must agree.
+        # The scan flags its points in blocks; the reference scans point by
+        # point with full builds, so the floats, and the scan points, must
+        # agree.  Sources 6 and 10 cross past the second block.
         if source == "bench example":
             p = load_scenario(str(BENCH_EXAMPLE)).design_params()
         else:
             p = self.drawn_params(source)
         assert repr(gambling_threshold(p, family)) == repr(
             gambling_threshold_full_builds(p, family))
+
+    @staticmethod
+    def excess(p: DesignParams, family: str, t_xi: float) -> float:
+        # The formula maximum over the floor, from a full build.
+        q = dataclasses.replace(p, i1=t_xi * derive(p).i_delta)
+        d = build_combination(q, family)
+        return power_mod.max_stage2_info(q, dataclasses.replace(d.rule, i2_min=0.0)) - d.i2_min
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_crossing_on_a_scan_point(self, family):
+        # alpha_c is solved so that the excess vanishes at the fifth scan
+        # point, where the one-integral flag and the exact excess may
+        # disagree in sign; the end rules must return the reference's float.
+        base = DesignParams(**COMBO_BASE, i1=1.0)
+        at = lambda alpha_c: self.excess(dataclasses.replace(base, alpha_c=alpha_c), family, 0.05)
+        p = dataclasses.replace(base, alpha_c=find_root(at, 0.15, 0.45, 1e-16))
+        assert abs(self.excess(p, family, 0.05)) <= 1e-12
+        assert repr(gambling_threshold(p, family)) == repr(
+            gambling_threshold_full_builds(p, family))
+
+    # Small alpha, large alpha_c and small beta: the formula already exceeds
+    # the floor at the first scan point, so no t is constant.
+    NEVER_CONSTANT = DesignParams(alpha=0.001, alpha_c=0.3, beta=0.01, delta_rel=1.5, xi=2.0,
+                                  i1=1.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_excess_at_the_first_scan_point(self, family):
+        p = self.NEVER_CONSTANT
+        assert self.excess(p, family, comb_mod._SCAN_STEP) > 0
+        assert gambling_threshold(p, family) == 0.0 == gambling_threshold_full_builds(p, family)
+
+    @pytest.mark.parametrize("planted, never_constant",
+                             [("early", False), ("late", False), ("late", True)])
+    def test_a_flag_the_exact_excess_contradicts(self, planted, never_constant, monkeypatch):
+        # Where a floor lies within its solver's tolerance of m, the flag and
+        # the exact excess can disagree in sign.  Planted here: the point
+        # before the first flagged one is flagged too (early), or the first
+        # flagged one is not (late).  The end rules return that point, or 0
+        # for the first point, where a bracket without a sign change raises.
+        p = self.NEVER_CONSTANT if never_constant else params_at(COMBO_BASE, 0.5)
+        seen, refined = [], comb_mod._refined
+        monkeypatch.setattr(comb_mod, "_refined",
+                            lambda excess, ts, i: seen.append((ts, i)) or refined(excess, ts, i))
+        gambling_threshold(p, "constant")
+        ts, i = seen[0]
+        flip = ts[i - 1] if planted == "early" else ts[i]
+        i1, overall_powers = flip * derive(p).i_delta, power_mod.overall_powers
+        monkeypatch.setattr(power_mod, "overall_powers", lambda params, rules: [
+            float(planted == "early") if q.i1 == i1 else v
+            for q, v in zip(params, overall_powers(params, rules))])
+        assert gambling_threshold(p, "constant") == (flip if i else 0.0)
+        assert len(seen) == 2 and seen[1][1] == (i - 1 if planted == "early" else i + 1)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_a_failure_past_the_first_positive_excess_does_not_surface(self, family,

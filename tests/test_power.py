@@ -4,8 +4,10 @@ and the minimum-information solver."""
 import dataclasses
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import ndtr, ndtri
 
@@ -13,7 +15,6 @@ from conftest import EVAL_BASE, i_delta_of, params_at
 from fasttrack.cef import (
     FASTTRACK_FAMILIES,
     constant_cef,
-    eval_cef,
     family_cef,
     kinks,
     z_combination_cef,
@@ -28,7 +29,9 @@ from fasttrack.power import (
     evaluate_design,
     max_stage2_info,
     mean_stage2_info,
+    mean_stage2_infos,
     overall_power,
+    overall_powers,
     solve_i2_min,
     stage2_info,
 )
@@ -208,6 +211,39 @@ class TestMeanInfo:
         mean = mean_stage2_info(p, design.rule)
         rep = simulate(design, SimConfig(n_reps=200_000, seed=20260823, theta=p.delta))
         assert mean == pytest.approx(rep.mean_i2_hat * rep.p_cond_reg_hat, rel=0.02)
+
+
+class TestManyDesigns:
+    # (t_xi, floor / I_delta, binding): zero floors, floors above the
+    # formula everywhere, and a binding z0 at each design's own z_f.
+    _design = st.tuples(st.floats(0.3, 2.0), st.sampled_from((0.0, 0.05, 0.3, 1.0, 3.0)),
+                        st.booleans())
+    _settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=30)
+    _given = hypothesis.given(family=st.sampled_from(FASTTRACK_FAMILIES),
+                              drawn=st.lists(_design, min_size=1, max_size=5))
+
+    @staticmethod
+    def designs(family, drawn):
+        params = [params_at(EVAL_BASE, t) for t, _, _ in drawn]
+        rules = [AdaptiveConditionalPower(
+                     floor * i_delta_of(EVAL_BASE),
+                     family_cef(family, ALPHA, p.z_f if binding else -math.inf))
+                 for p, (_, floor, binding) in zip(params, drawn)]
+        return params, rules
+
+    @_settings
+    @_given
+    def test_overall_powers_equal_overall_power(self, family, drawn):
+        params, rules = self.designs(family, drawn)
+        assert [x.hex() for x in overall_powers(params, rules)] == [
+            overall_power(p, rule).hex() for p, rule in zip(params, rules)]
+
+    @_settings
+    @_given
+    def test_mean_stage2_infos_equal_mean_stage2_info(self, family, drawn):
+        params, rules = self.designs(family, drawn)
+        assert [x.hex() for x in mean_stage2_infos(params, rules)] == [
+            mean_stage2_info(p, rule).hex() for p, rule in zip(params, rules)]
 
 
 class TestEvaluateDesign:
