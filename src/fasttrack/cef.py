@@ -21,8 +21,8 @@ which is what the Fisher floor-kink root search steps on.
 ``family_cefs`` makes the CEFs of a whole grid column at once: it calibrates
 each distinct design once, and runs the calibrations' root searches
 (``calibration_search``) in lockstep, every round integrating the level of
-each waiting CEF in one integrand call.  A single design build calibrates
-afresh through ``calibrate``, the same search run alone.
+each waiting CEF in one integrand call.  A single fast-track build
+calibrates afresh through ``calibrate``, the same search run alone.
 """
 
 from __future__ import annotations
@@ -162,7 +162,13 @@ def _gather(values: Sequence, k):
 
 def integrate_each(make: Callable, branches: Sequence[tuple]) -> list[float]:
     """``integrate_many`` of ``make(*constants)`` over each (window, constants)
-    of ``branches``, every integral the float ``integrate`` gives for it."""
+    of ``branches``, every integral the float ``integrate`` gives for it.  A
+    lone branch is that ``integrate`` call, its constants as they are."""
+    if not branches:
+        return []
+    if len(branches) == 1:
+        ((lo, hi, splits), constants), = branches
+        return [integrate(make(*constants), lo, hi, split_points=splits)]
     columns = list(zip(*(constants for _, constants in branches)))
     return integrate_many(lambda z, k: make(*(_gather(c, k) for c in columns))(z),
                           [window for window, _ in branches])

@@ -28,7 +28,6 @@ from .numerics import (
     normal_window,
     solve_monotone,
     std_normal_cdf,
-    std_normal_quantile,
 )
 from .power import AdaptiveConditionalPower as Rule
 
@@ -104,8 +103,7 @@ def solve_i2_const(
     cef = cef_at(1.0)
     if _is_flat(cef):
         q = max(cef.pieces[0][1], 0.0)
-        z_beta = std_normal_quantile(1.0 - params.beta)
-        return (q + z_beta) ** 2 / params.delta**2
+        return (q + params.z_beta) ** 2 / params.delta**2
 
     def success(i2c: float) -> float:
         if i2c <= 0:
@@ -131,48 +129,27 @@ def solve_i2_const_many(params: Sequence[DesignParams], cef_ats: Sequence) -> li
             zip(params, cef_ats, flat, lockstep(searches, successes))]
 
 
-def waive_test(
-    params: DesignParams, family: str
-) -> Callable[[float], cef_mod.CalibratedCef]:
-    """``cef_at(i2c)`` for :func:`solve_i2_const`: the fixed-size combined
-    z-test at level alpha for the z-combination family, otherwise the
-    family's CEF with a non-binding lower bound, whatever the information."""
-    p = params
-    if family == "z_combination":
-        return lambda i2c: cef_mod.z_combination_cef(p.i1, i2c, p.z_f, p.alpha, p.alpha)
-    cef = cef_mod.family_cef(family, p.alpha)
-    return lambda i2c: cef
-
-
 def waive_tests(params: Sequence[DesignParams], family: str) -> list[Callable]:
-    """:func:`waive_test` of each design of a column, by one column solve."""
+    """``cef_at(i2c)`` of each design of a column, for :func:`solve_i2_const`:
+    the fixed-size combined z-test at level alpha for the z-combination
+    family, otherwise the family's CEF with a non-binding lower bound,
+    whatever the information, all calibrated by one column solve."""
     if family == "z_combination":
-        return [waive_test(p, family) for p in params]
+        return [lambda i2c, p=p: cef_mod.z_combination_cef(p.i1, i2c, p.z_f, p.alpha, p.alpha)
+                for p in params]
     return [lambda i2c, cef=cef: cef
             for cef in cef_mod.family_cefs(family, [p.alpha for p in params])]
 
 
-def waive_branch(
-    params: DesignParams, family: str
-) -> tuple[cef_mod.CalibratedCef, float]:
-    """The calibrated CEF and the waive-branch information I2_const of the
-    apply-or-waive design for one conditional error family.
-
-    I2_const is solved with :func:`waive_test` first.  For the z-combination
-    family alpha_prime is then calibrated so the level condition holds with
-    equality; the other families' CEF is their waive-branch test.
-    """
-    p = params
-    test = waive_test(p, family)
-    i2_const = solve_i2_const(p, test)
-    if family != "z_combination":
-        return test(i2_const), i2_const
-    cef = cef_mod.family_cef(family, p.alpha, i1=p.i1, i2_const=i2_const, z_split=p.z_f)
-    return cef, i2_const
-
-
 def waive_branches(params: Sequence[DesignParams], family: str) -> tuple[list, list]:
-    """:func:`waive_branch` of each design of a column, each solve in lockstep."""
+    """The calibrated CEF and the waive-branch information I2_const of each
+    apply-or-waive design of a column, for one conditional error family.
+
+    I2_const is solved with :func:`waive_tests` first.  For the z-combination
+    family alpha_prime is then calibrated so the level condition holds with
+    equality; the other families' CEF is their waive-branch test.  Each solve
+    runs in lockstep.
+    """
     tests = waive_tests(params, family)
     i2cs = solve_i2_const_many(params, tests)
     if family != "z_combination":
@@ -181,26 +158,20 @@ def waive_branches(params: Sequence[DesignParams], family: str) -> tuple[list, l
                                i2_const=i2cs, z_split=[p.z_f for p in params]), i2cs
 
 
-def upper_floor(params: DesignParams, cef: cef_mod.CalibratedCef) -> float:
-    """The upper-branch floor I2min of an apply-or-waive design: overall
-    power (1 - beta) * P(Z1 >= z_f), conditional success 1 - beta."""
-    target = (1.0 - params.beta) * cond_registration_power(params)
-    return power_mod.solve_i2_min(params, cef, target)
-
-
 def upper_floors(params: Sequence[DesignParams], cefs: Sequence) -> list[float]:
-    """:func:`upper_floor` of many designs in lockstep; an infeasible one raises."""
+    """The upper-branch floor I2min of each apply-or-waive design, in
+    lockstep: overall power (1 - beta) * P(Z1 >= z_f), conditional success
+    1 - beta.  An infeasible one raises InfeasiblePowerError."""
     targets = [(1.0 - p.beta) * cond_registration_power(p) for p in params]
-    return [upper_floor(p, cef) if x is None else x for p, cef, x in
-            zip(params, cefs, power_mod.solve_i2_min_many(params, cefs, targets))]
+    return [power_mod.solve_i2_min(p, cef, t) if x is None else x for p, cef, t, x in
+            zip(params, cefs, targets, power_mod.solve_i2_min_many(params, cefs, targets))]
 
 
 def build_combination(params: DesignParams, family: str) -> power_mod.Design:
     """Build an apply-or-waive design for one conditional error family: the
-    waive branch (see :func:`waive_branch`), then the upper-branch floor."""
-    cef, i2_const = waive_branch(params, family)
-    rule = Rule(upper_floor(params, cef), cef)
-    return power_mod.Design(params, family, rule, i2_const)
+    waive branch (see :func:`waive_branches`), then the upper-branch floor,
+    as a column of one design."""
+    return build_combination_many([params], family)[0]
 
 
 def build_combination_many(params: Sequence[DesignParams], family: str) -> list:
@@ -248,24 +219,27 @@ def gambling_threshold(params: DesignParams, family: str) -> float:
     I2_const enters only the z-combination family's CEF; every other family's
     CEF does not depend on I1, so it is made once per scan.  A block that
     raises is scanned again point by point, up to the first flagged point.
-    Only the two ends of that bracket solve their floors, by the single-design
-    path the refinement uses.
+    Only the two ends of that bracket, and the refinement, solve their
+    floors; the ends reuse the upper CEFs their scan block made.
     """
     base = derive(params)
     i_delta = base.i_delta
     cef = None if family == "z_combination" else cef_mod.family_cef(family, params.alpha)
+    uppers = {}  # the z-combination upper CEF of each scanned t
 
     def flags(ts: list[float]) -> list[bool]:
         ps = [replace(params, i1=t * i_delta) for t in ts]
-        uppers = waive_branches(ps, family)[0] if cef is None else [cef] * len(ps)
-        at_max = [Rule(power_mod.max_stage2_info(p, Rule(0.0, u)), u) for p, u in zip(ps, uppers)]
+        if cef is None:
+            uppers.update(zip(ts, waive_branches(ps, family)[0]))
+        at_max = [Rule(power_mod.max_stage2_info(p, Rule(0.0, u)), u)
+                  for p, u in zip(ps, [uppers.get(t, cef) for t in ts])]
         return [v > (1.0 - p.beta) * cond_registration_power(p)
                 for p, v in zip(ps, power_mod.overall_powers(ps, at_max))]
 
     def excess(t_xi: float) -> float:
         p = replace(params, i1=t_xi * i_delta)
-        upper = waive_branch(p, family)[0] if cef is None else cef
-        return power_mod.max_stage2_info(p, Rule(0.0, upper)) - upper_floor(p, upper)
+        upper = uppers.get(t_xi, cef) or waive_branches([p], family)[0][0]
+        return power_mod.max_stage2_info(p, Rule(0.0, upper)) - upper_floors([p], [upper])[0]
 
     t_max = base.i1_max / i_delta
     ts = [_SCAN_STEP]

@@ -57,6 +57,16 @@ class DesignParams:
         return self.xi * self.delta_rel
 
     @cached_property
+    def z_beta(self) -> float:
+        """Phi^{-1}(1 - beta), read by every power integrand and floor kink."""
+        return std_normal_quantile(1.0 - self.beta)
+
+    @cached_property
+    def p_cond_reg(self) -> float:
+        """P_delta(Z1 >= z_f), which every power round clamps at."""
+        return std_normal_cdf(self.delta * math.sqrt(self.i1) - self.z_f)
+
+    @cached_property
     def z_f(self) -> float:
         """The conditional-registration boundary on the z-scale, > 0."""
         return max(
@@ -175,4 +185,4 @@ def derive(params: DesignParams) -> DerivedDesign:
 
 def cond_registration_power(params: DesignParams) -> float:
     """P_delta(Z1 >= z_f), the probability of conditional registration."""
-    return std_normal_cdf(params.delta * math.sqrt(params.i1) - params.z_f)
+    return params.p_cond_reg

@@ -30,10 +30,8 @@ from .numerics import (
     lockstep,
     monotone_search,
     normal_window,
-    solve_monotone,
     std_normal_cdf,
     std_normal_pdf,
-    std_normal_quantile,
 )
 
 
@@ -101,14 +99,14 @@ def stage2_info(z1, params: DesignParams, rule: AdaptiveConditionalPower, q=None
     cef.critical_value), vectorized, for z1 >= z_f > 0 (DesignParams keeps
     z_f positive).  At a zero floor it is the conditional-power formula
     itself.  Callers that already hold q for these z1 pass it in."""
-    return _stage2_info(z1, rule.cef, rule.i2_min, params.i1, params.beta, q)
+    return _stage2_info(z1, rule.cef, rule.i2_min, params.i1, params.z_beta, q)
 
 
-def _stage2_info(z1, cef, i2_min, i1, beta, q=None):  # constants may be per-node arrays
+def _stage2_info(z1, cef, i2_min, i1, z_beta, q=None):  # constants may be per-node arrays
     z = np.asarray(z1, dtype=float)
     if q is None:
         q = cef_mod.critical_value(cef, z)
-    numer = std_normal_quantile(1.0 - beta) + q
+    numer = z_beta + q
     return np.maximum(i2_min, i1 * numer**2 / z**2)
 
 
@@ -125,7 +123,7 @@ def _floor_kink(params: DesignParams, rule: AdaptiveConditionalPower,
     if rule.i2_min <= 0:
         return None
     slope = math.sqrt(rule.i2_min / params.i1)
-    z_beta = std_normal_quantile(1.0 - params.beta)
+    z_beta = params.z_beta
     if rule.cef.pieces is not None:
         return _linear_floor_kink(rule.cef.pieces, slope, z_beta, z_lower, z_upper)
     h = lambda z: slope * z - z_beta - cef_mod.critical_value(rule.cef, z)
@@ -171,15 +169,15 @@ def _solved_branch(params: DesignParams, rule: AdaptiveConditionalPower):
     lo, hi = normal_window(mean, params.z_f)
     kink = _floor_kink(params, rule, lo, hi)
     splits = cef_mod.kinks(rule.cef) + ([] if kink is None else [kink])
-    return (lo, hi, splits), (rule.cef, rule.i2_min, params.i1, params.beta,
+    return (lo, hi, splits), (rule.cef, rule.i2_min, params.i1, params.z_beta,
                               params.delta, mean)
 
 
-def _power_integrand(cef, i2_min, i1, beta, delta, mean):
+def _power_integrand(cef, i2_min, i1, z_beta, delta, mean):
     """The overall-power integrand: conditional power times the density of Z1."""
     def integrand(z):
         q = cef_mod.critical_value(cef, z)
-        i2 = _stage2_info(z, cef, i2_min, i1, beta, q)
+        i2 = _stage2_info(z, cef, i2_min, i1, z_beta, q)
         return (1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)) * std_normal_pdf(z - mean)
     return integrand
 
@@ -201,9 +199,8 @@ def overall_powers(params: Sequence[DesignParams],
     """:func:`overall_power` of many designs, each branch built as a single
     build does (its Fisher floor kink by :func:`_floor_kink`), all integrated
     in one call."""
-    branches = [_solved_branch(p, rule) for p, rule in zip(params, rules)]
-    return [min(v, cond_registration_power(p)) for p, v in
-            zip(params, cef_mod.integrate_each(_power_integrand, branches))]
+    powers = cef_mod.integrate_each(_power_integrand, list(map(_solved_branch, params, rules)))
+    return list(map(min, powers, map(cond_registration_power, params)))
 
 
 def solve_i2_min(
@@ -213,7 +210,8 @@ def solve_i2_min(
 
     Returns 0 when the unconstrained design already meets the target; raises
     :class:`InfeasiblePowerError` when the target exceeds the continuation
-    probability, which caps the achievable power.
+    probability, which caps the achievable power.  The solve is
+    :func:`solve_i2_min_many` of one design.
     """
     ceiling = cond_registration_power(params)
     if target >= ceiling:
@@ -221,11 +219,7 @@ def solve_i2_min(
             f"target {target} is not below the continuation probability "
             f"{ceiling}; no floor can reach it"
         )
-
-    def power_at(i2_min: float) -> float:
-        return overall_power(params, AdaptiveConditionalPower(i2_min, cef))
-
-    return solve_monotone(power_at, target)
+    return solve_i2_min_many([params], [cef], [target])[0]
 
 
 def max_stage2_info(params: DesignParams, rule: AdaptiveConditionalPower) -> float:
@@ -252,10 +246,10 @@ def mean_stage2_infos(params: Sequence[DesignParams],
     return cef_mod.integrate_each(_mean_integrand, branches)
 
 
-def _mean_integrand(cef, i2_min, i1, beta, delta, mean):
+def _mean_integrand(cef, i2_min, i1, z_beta, delta, mean):
     """The E[I2] integrand: the stage-two information times the density of Z1."""
     def integrand(z):
-        return _stage2_info(z, cef, i2_min, i1, beta) * std_normal_pdf(z - mean)
+        return _stage2_info(z, cef, i2_min, i1, z_beta) * std_normal_pdf(z - mean)
     return integrand
 
 
@@ -282,13 +276,19 @@ def build_fasttrack(
 
 def solve_i2_min_many(params: Sequence[DesignParams], cefs: Sequence[cef_mod.CalibratedCef],
                       targets: Sequence[float]) -> list[float | None]:
-    """:func:`solve_i2_min` of many designs in lockstep, None where the target
-    is infeasible: each round is one :func:`overall_powers` call."""
+    """The floor :func:`solve_i2_min` defines, of many designs in lockstep, None
+    where the target is infeasible: each round is one :func:`overall_powers`
+    call."""
     searches = [monotone_search(t) if t < cond_registration_power(p) else None
                 for p, t in zip(params, targets)]
-    return lockstep(searches, lambda js, i2_mins: overall_powers(
-        [params[j] for j in js],
-        [AdaptiveConditionalPower(x, cefs[j]) for j, x in zip(js, i2_mins)]))
+
+    def powers(js: list[int], i2_mins: list[float]) -> list[float]:
+        # js lists live searches in order, so all of them when as many.
+        ps, cs = ((params, cefs) if len(js) == len(params) else
+                  ([params[j] for j in js], [cefs[j] for j in js]))
+        return overall_powers(ps, list(map(AdaptiveConditionalPower, i2_mins, cs)))
+
+    return lockstep(searches, powers)
 
 
 def build_fasttrack_many(params: list[DesignParams], family: str,

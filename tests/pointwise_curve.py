@@ -3,9 +3,11 @@
 ``fasttrack curve`` solves each family's column over the whole grid in
 lockstep.  This script writes the CSV of the same command the slow way:
 every grid point and family on its own, through ``build_fasttrack`` for the
-five fast-track kinds, through ``solve_i2_const`` for ``i2_const`` and
-through ``build_combination`` for ``combo_panel``, so that each design
-calibrates afresh.  The two CSVs must be equal byte for byte:
+five fast-track kinds, through ``solve_i2_const_many`` of one design for
+``i2_const`` and through ``build_combination`` for ``combo_panel``, so that
+each design calibrates afresh.  A column of one design must solve to the
+floats of the same design in a whole column, so the two CSVs must be equal
+byte for byte:
 
     PYTHONPATH=src python tests/pointwise_curve.py --scenario S --kind i2_min --out ref.csv
     PYTHONPATH=src python -m fasttrack.cli curve --scenario S --kind i2_min --out out.csv
@@ -49,8 +51,8 @@ def row(scenario, base, kind: str, t: float) -> list:
     """The CSV row of ``kind`` at pilot information t * I_delta."""
     p = scenario.design_params(i1=t * base.i_delta)
     if kind == "i2_const":
-        return [t] + [comb_mod.solve_i2_const(p, comb_mod.waive_test(p, f)) / base.i_delta
-                      for f in FAMILIES]
+        return [t] + [comb_mod.solve_i2_const_many([p], comb_mod.waive_tests([p], f))[0]
+                      / base.i_delta for f in FAMILIES]
     if kind == "combo_panel":
         d = comb_mod.build_combination(p, scenario.family)
         infos = (d.i2_const, d.i2_min, _max(d))

@@ -293,14 +293,16 @@ class TestLockstepCurves:
         ("i2_min", "nonbinding"),
         ("i2_const", "combination_example.txt"),
         ("combo_panel", "combination_example.txt"),
-        ("combo_panel", "inverse_normal"),
+        *(("combo_panel", family) for family in ("constant", "inverse_normal", "fisher")),
     ])
     def test_equals_the_pointwise_build(self, kind, scenario, write_scenario, tmp_path):
+        # A single build is a column of one design, so this is also the check
+        # that a column of one solves to the floats of the whole column.
         if scenario == "nonbinding":  # the bench scenario, with z0 = -inf
             path = write_scenario(mode="fasttrack_nonbinding")
-        elif scenario == "inverse_normal":  # the bench combination example's
+        elif scenario in cef_mod.FAMILIES:  # the bench combination example's
             path = write_scenario(delta_rel=1.4, xi=1.25, t_xi_i1=0.5, mode="combination",
-                                  family="inverse_normal")
+                                  family=scenario)
         else:
             path = str(BENCH_DATA / scenario)
         out, want = tmp_path / "curve.csv", tmp_path / "pointwise.csv"

@@ -18,7 +18,7 @@ from fasttrack.combination import (
     gambling_threshold,
     lower_branch_success,
     solve_i2_const,
-    waive_branch,
+    waive_branches,
 )
 from fasttrack.design import DesignParams, ExampleCost, cond_registration_power, derive
 from fasttrack.numerics import ConvergenceError, find_root, std_normal_quantile
@@ -83,7 +83,7 @@ class TestWaiveBranchSizing:
 
     def test_flat_level_information_to_ten_digits_at_small_i_delta(self):
         base = {**COMBO_BASE, "xi": 8.0}
-        _, i2_const = waive_branch(params_near_i1_max(base), "constant")
+        _, (i2_const,) = waive_branches([params_near_i1_max(base)], "constant")
         ratio = i2_const / i_delta_of(base)
         assert ratio == pytest.approx(1.0, abs=1e-10), (
             f"I2_const / I_delta - 1 = {ratio - 1.0:.3g} (measured 2.45e-9)"
@@ -108,7 +108,7 @@ class TestWaiveBranchSizing:
                      for family in FAMILIES}
         for family, got in successes.items():
             assert got == pytest.approx(1.0 - p.beta, abs=1e-8), family
-        cef, i2_const = waive_branch(p, "inverse_normal")
+        (cef,), (i2_const,) = waive_branches([p], "inverse_normal")
         want = ref.waive_branch_success(ref.inverse_normal(cef.c), i2_const, p.i1, p.delta, p.z_f)
         assert successes["inverse_normal"] == pytest.approx(want, abs=1e-8)
 
@@ -128,7 +128,7 @@ class TestWaiveBranchSizing:
     def test_waive_branch_is_the_designs_own(self, combo_designs):
         p = params_at(COMBO_BASE, 0.5)
         for family, design in combo_designs.items():
-            cef, i2_const = waive_branch(p, family)
+            (cef,), (i2_const,) = waive_branches([p], family)
             assert cef == design.cef, family
             assert i2_const == design.i2_const, family
 
@@ -281,6 +281,9 @@ class TestGamblingThresholds:
         # before the first flagged one is flagged too (early), or the first
         # flagged one is not (late).  The end rules return that point, or 0
         # for the first point, where a bracket without a sign change raises.
+        # The floor solves integrate power through overall_powers too, so
+        # only flag calls are planted: rules whose floor is m, the rule read
+        # at a zero floor.
         p = self.NEVER_CONSTANT if never_constant else params_at(COMBO_BASE, 0.5)
         seen, refined = [], comb_mod._refined
         monkeypatch.setattr(comb_mod, "_refined",
@@ -289,9 +292,14 @@ class TestGamblingThresholds:
         ts, i = seen[0]
         flip = ts[i - 1] if planted == "early" else ts[i]
         i1, overall_powers = flip * derive(p).i_delta, power_mod.overall_powers
+
+        def flag(q, rule):
+            m = power_mod.max_stage2_info(q, AdaptiveConditionalPower(0.0, rule.cef))
+            return q.i1 == i1 and rule.i2_min == m
+
         monkeypatch.setattr(power_mod, "overall_powers", lambda params, rules: [
-            float(planted == "early") if q.i1 == i1 else v
-            for q, v in zip(params, overall_powers(params, rules))])
+            float(planted == "early") if flag(q, rule) else v
+            for q, rule, v in zip(params, rules, overall_powers(params, rules))])
         assert gambling_threshold(p, "constant") == (flip if i else 0.0)
         assert len(seen) == 2 and seen[1][1] == (i - 1 if planted == "early" else i + 1)
 

@@ -652,6 +652,27 @@ class TestLockstepProperty:
         assert lockstep([None, root_search(0.0, 3.0), None], evaluate) == [None, 1.0, None]
         assert lockstep([], None) == [] and lockstep([None], None) == [None]
 
+    @pytest.mark.parametrize("catch", [(BracketError,), ()])
+    def test_a_lone_search_that_raises_as_in_the_general_loop(self, catch):
+        # One live search runs alone; its raise is its result inside
+        # ``catch`` and stops lockstep outside it, as among other searches.
+        fns = [None, lambda x: x * x + 1.0, None, lambda x: x - 1.0]
+
+        def run(searches):
+            evaluate = lambda indices, xs: [fns[i](x) for i, x in zip(indices, xs)]
+            try:
+                return lockstep(searches, evaluate, catch)
+            except BracketError as err:
+                return err
+
+        alone = run([None, root_search(0.0, 1.0), None, None])
+        batch = run([None, root_search(0.0, 1.0), None, root_search(0.0, 3.0)])
+        if catch:  # the raise is search 1's result, in both
+            assert alone[0] is alone[2] is alone[3] is None and batch[3] == 1.0
+            alone, batch = alone[1], batch[1]
+        assert type(alone) is type(batch) is BracketError
+        assert str(alone) == str(batch)
+
 
 def _by_window(fs, calls=None):
     """An integrate_many integrand that evaluates ``fs[k]`` at the nodes of

@@ -16,7 +16,7 @@ from fasttrack.cef import (
     family_cef,
     level_integral,
 )
-from fasttrack.combination import build_combination, lower_branch_success, waive_branch
+from fasttrack.combination import build_combination, lower_branch_success, waive_branches
 from fasttrack.design import DesignParams
 from fasttrack.numerics import normal_window
 from fasttrack.power import (
@@ -58,7 +58,7 @@ def test_level_and_waive_branch_success_match_the_reference():
     # 0.99 * I1_max): the mass of Z1 below z_f sits just below z_f.
     p = params_near_i1_max({**COMBO_BASE, "xi": 6.0})
     z_f = p.z_f
-    cef, i2_const = waive_branch(p, "inverse_normal")
+    (cef,), (i2_const,) = waive_branches([p], "inverse_normal")
     got = lower_branch_success(p, i2_const, cef)
     want = ref.waive_branch_success(ref.inverse_normal(cef.c), i2_const, p.i1, p.delta, z_f)
     assert got == pytest.approx(want, abs=1e-9)
