@@ -164,8 +164,6 @@ def integrate_each(make: Callable, branches: Sequence[tuple]) -> list[float]:
     """``integrate_many`` of ``make(*constants)`` over each (window, constants)
     of ``branches``, every integral the float ``integrate`` gives for it.  A
     lone branch is that ``integrate`` call, its constants as they are."""
-    if not branches:
-        return []
     if len(branches) == 1:
         ((lo, hi, splits), constants), = branches
         return [integrate(make(*constants), lo, hi, split_points=splits)]

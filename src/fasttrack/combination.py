@@ -117,23 +117,27 @@ def solve_i2_const_many(params: Sequence[DesignParams], cef_ats: Sequence) -> li
     """:func:`solve_i2_const` of many designs in lockstep, each round
     integrating every unfinished design's waive-branch success in one call."""
     flat = [_is_flat(cef_at(1.0)) for cef_at in cef_ats]
-    searches = [None if f else monotone_search(1.0 - p.beta) for p, f in zip(params, flat)]
+    searches = [None if f else _waive_search(p, c) for p, c, f in zip(params, cef_ats, flat)]
+    xs = lockstep(searches, lambda _, bs: cef_mod.integrate_each(_success_integrand, bs))
+    return [solve_i2_const(p, c) if f else x for p, c, f, x in zip(params, cef_ats, flat, xs)]
 
-    def successes(js: list[int], i2cs: list[float]) -> list[float]:
-        branches = [_waive_window(params[j], x, cef_ats[j](x))
-                    for j, x in zip(js, i2cs) if x > 0]
-        found = iter(cef_mod.integrate_each(_success_integrand, branches))
-        return [next(found) if x > 0 else 0.0 for x in i2cs]
 
-    return [solve_i2_const(p, cef_at) if f else x for p, cef_at, f, x in
-            zip(params, cef_ats, flat, lockstep(searches, successes))]
+def _waive_search(params: DesignParams, cef_at: Callable):
+    """One design's I2_const search, yielding the waive branch of each positive
+    information it reads and sent its success; a zero information has none."""
+    search = monotone_search(1.0 - params.beta)
+    x = next(search)
+    try:
+        while True:
+            x = search.send((yield _waive_window(params, x, cef_at(x))) if x > 0 else 0.0)
+    except StopIteration as stop:
+        return stop.value
 
 
 def waive_tests(params: Sequence[DesignParams], family: str) -> list[Callable]:
     """``cef_at(i2c)`` of each design of a column, for :func:`solve_i2_const`:
-    the fixed-size combined z-test at level alpha for the z-combination
-    family, otherwise the family's CEF with a non-binding lower bound,
-    whatever the information, all calibrated by one column solve."""
+    the combined z-test at level alpha for the z-combination family, else the
+    family's non-binding CEF whatever the information, by one column solve."""
     if family == "z_combination":
         return [lambda i2c, p=p: cef_mod.z_combination_cef(p.i1, i2c, p.z_f, p.alpha, p.alpha)
                 for p in params]
@@ -159,18 +163,16 @@ def waive_branches(params: Sequence[DesignParams], family: str) -> tuple[list, l
 
 
 def upper_floors(params: Sequence[DesignParams], cefs: Sequence) -> list[float]:
-    """The upper-branch floor I2min of each apply-or-waive design, in
-    lockstep: overall power (1 - beta) * P(Z1 >= z_f), conditional success
-    1 - beta.  An infeasible one raises InfeasiblePowerError."""
+    """The upper-branch floor I2min of each apply-or-waive design, in lockstep,
+    for conditional success 1 - beta; an infeasible one raises InfeasiblePowerError."""
     targets = [(1.0 - p.beta) * cond_registration_power(p) for p in params]
     return [power_mod.solve_i2_min(p, cef, t) if x is None else x for p, cef, t, x in
             zip(params, cefs, targets, power_mod.solve_i2_min_many(params, cefs, targets))]
 
 
 def build_combination(params: DesignParams, family: str) -> power_mod.Design:
-    """Build an apply-or-waive design for one conditional error family: the
-    waive branch (see :func:`waive_branches`), then the upper-branch floor,
-    as a column of one design."""
+    """Build an apply-or-waive design for one conditional error family, as a
+    column of one design (see :func:`build_combination_many`)."""
     return build_combination_many([params], family)[0]
 
 

@@ -62,11 +62,6 @@ class DesignParams:
         return std_normal_quantile(1.0 - self.beta)
 
     @cached_property
-    def p_cond_reg(self) -> float:
-        """P_delta(Z1 >= z_f), which every power round clamps at."""
-        return std_normal_cdf(self.delta * math.sqrt(self.i1) - self.z_f)
-
-    @cached_property
     def z_f(self) -> float:
         """The conditional-registration boundary on the z-scale, > 0."""
         return max(
@@ -145,7 +140,7 @@ def i1_min(params: DesignParams) -> float:
             f"got xi={params.xi}"
         )
     eta_f = noncentrality_target(params.alpha, params.beta)
-    z_beta = std_normal_quantile(1.0 - params.beta)
+    z_beta = params.z_beta
     z_c = std_normal_quantile(1.0 - params.alpha_c)
     i_rel = eta_f**2 / params.delta_rel**2
     relevance_branch = (z_beta / ((params.xi - 1.0) * eta_f)) ** 2
@@ -185,4 +180,4 @@ def derive(params: DesignParams) -> DerivedDesign:
 
 def cond_registration_power(params: DesignParams) -> float:
     """P_delta(Z1 >= z_f), the probability of conditional registration."""
-    return params.p_cond_reg
+    return std_normal_cdf(params.delta * math.sqrt(params.i1) - params.z_f)

@@ -271,17 +271,22 @@ def lockstep(searches: Sequence[Generator], evaluate: Callable, catch=()) -> lis
     None is skipped) driven together: each round makes one call ``evaluate(indices,
     xs)`` on what the unfinished searches, by index, wait on, and sends each its
     value, so each returns what it would alone.  A search that raises one of
-    ``catch`` has that exception as its result; any other raise stops all.  A
-    lone search runs through :func:`run_search`, where a raise of ``evaluate``
-    that is one of ``catch`` is its result too."""
+    ``catch`` has that exception as its result; any other raise, and any raise
+    of ``evaluate``, stops all.  A lone search has no rounds to gather."""
     out = [None] * len(searches)
     live = [i for i, search in enumerate(searches) if search is not None]
-    if len(live) == 1:  # alone: no rounds to gather
-        try:
-            out[live[0]] = run_search(searches[live[0]], lambda x: evaluate(live, [x])[0])
-        except catch as err:
-            out[live[0]] = err
-        return out
+    if len(live) == 1:
+        (i,), value = live, None
+        while True:
+            try:
+                x = searches[i].send(value)
+            except StopIteration as stop:
+                out[i] = stop.value
+                return out
+            except catch as err:
+                out[i] = err
+                return out
+            value, = evaluate(live, [x])
     pending = dict.fromkeys(live)
     while pending:
         waiting = {}

@@ -184,23 +184,18 @@ def _power_integrand(cef, i2_min, i1, z_beta, delta, mean):
 
 def overall_power(params: DesignParams, rule: AdaptiveConditionalPower) -> float:
     """Probability of continuing past z_f and rejecting at stage two, at most
-    the probability of continuing."""
-    (lo, hi, splits), constants = _solved_branch(params, rule)
-    # Where the conditional power is 1 throughout, the quadrature's rounding
-    # can put the integral an ulp above its ceiling.
-    return min(
-        integrate(_power_integrand(*constants), lo, hi, split_points=splits),
-        cond_registration_power(params),
-    )
+    the probability of continuing: :func:`overall_powers` of one design."""
+    return overall_powers([params], [rule])[0]
 
 
 def overall_powers(params: Sequence[DesignParams],
                    rules: Sequence[AdaptiveConditionalPower]) -> list[float]:
-    """:func:`overall_power` of many designs, each branch built as a single
-    build does (its Fisher floor kink by :func:`_floor_kink`), all integrated
-    in one call."""
-    powers = cef_mod.integrate_each(_power_integrand, list(map(_solved_branch, params, rules)))
-    return list(map(min, powers, map(cond_registration_power, params)))
+    """:func:`overall_power` of many designs, all integrated in one call.
+    Where the conditional power is 1 throughout, the quadrature's rounding
+    can put an integral an ulp above its ceiling, so each is clamped there."""
+    branches = [_solved_branch(p, rule) for p, rule in zip(params, rules)]
+    return [min(v, cond_registration_power(p)) for p, v in
+            zip(params, cef_mod.integrate_each(_power_integrand, branches))]
 
 
 def solve_i2_min(
@@ -210,9 +205,8 @@ def solve_i2_min(
 
     Returns 0 when the unconstrained design already meets the target; raises
     :class:`InfeasiblePowerError` when the target exceeds the continuation
-    probability, which caps the achievable power.  The solve is
-    :func:`solve_i2_min_many` of one design.
-    """
+    probability, which caps the achievable power; otherwise it is
+    :func:`solve_i2_min_many` of one design."""
     ceiling = cond_registration_power(params)
     if target >= ceiling:
         raise InfeasiblePowerError(
@@ -277,18 +271,24 @@ def build_fasttrack(
 def solve_i2_min_many(params: Sequence[DesignParams], cefs: Sequence[cef_mod.CalibratedCef],
                       targets: Sequence[float]) -> list[float | None]:
     """The floor :func:`solve_i2_min` defines, of many designs in lockstep, None
-    where the target is infeasible: each round is one :func:`overall_powers`
-    call."""
-    searches = [monotone_search(t) if t < cond_registration_power(p) else None
-                for p, t in zip(params, targets)]
+    where the target is infeasible: each round integrates the power branch
+    every unfinished design waits on in one call."""
+    searches = [_floor_search(p, cef, t) if t < cond_registration_power(p) else None
+                for p, cef, t in zip(params, cefs, targets)]
+    return lockstep(searches, lambda _, bs: cef_mod.integrate_each(_power_integrand, bs))
 
-    def powers(js: list[int], i2_mins: list[float]) -> list[float]:
-        # js lists live searches in order, so all of them when as many.
-        ps, cs = ((params, cefs) if len(js) == len(params) else
-                  ([params[j] for j in js], [cefs[j] for j in js]))
-        return overall_powers(ps, list(map(AdaptiveConditionalPower, i2_mins, cs)))
 
-    return lockstep(searches, powers)
+def _floor_search(params: DesignParams, cef: cef_mod.CalibratedCef, target: float):
+    """One design's floor search, yielding the power branch of each floor it
+    reads and sent that integral, clamped as :func:`overall_powers` does."""
+    ceiling, search = cond_registration_power(params), monotone_search(target)
+    x = next(search)
+    try:
+        while True:
+            power = yield _solved_branch(params, AdaptiveConditionalPower(x, cef))
+            x = search.send(min(power, ceiling))
+    except StopIteration as stop:
+        return stop.value
 
 
 def build_fasttrack_many(params: list[DesignParams], family: str,

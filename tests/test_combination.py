@@ -281,9 +281,8 @@ class TestGamblingThresholds:
         # before the first flagged one is flagged too (early), or the first
         # flagged one is not (late).  The end rules return that point, or 0
         # for the first point, where a bracket without a sign change raises.
-        # The floor solves integrate power through overall_powers too, so
-        # only flag calls are planted: rules whose floor is m, the rule read
-        # at a zero floor.
+        # Only flag calls are planted: rules whose floor is m, the rule read
+        # at a zero floor, whatever else integrates power there.
         p = self.NEVER_CONSTANT if never_constant else params_at(COMBO_BASE, 0.5)
         seen, refined = [], comb_mod._refined
         monkeypatch.setattr(comb_mod, "_refined",

@@ -673,6 +673,18 @@ class TestLockstepProperty:
         assert type(alone) is type(batch) is BracketError
         assert str(alone) == str(batch)
 
+    @pytest.mark.parametrize("live", [1, 2])
+    def test_a_raise_of_evaluate_stops_all_though_in_catch(self, live):
+        # ``catch`` holds the searches' own raises: a raise of ``evaluate``
+        # stops lockstep with one live search as with two.
+        def evaluate(indices, xs):
+            raise BracketError("evaluate failed")
+
+        searches = [None, root_search(0.0, 1.0), None, *(root_search(0.0, 3.0)
+                                                         for _ in range(live - 1))]
+        with pytest.raises(BracketError, match="evaluate failed"):
+            lockstep(searches, evaluate, (BracketError,))
+
 
 def _by_window(fs, calls=None):
     """An integrate_many integrand that evaluates ``fs[k]`` at the nodes of
