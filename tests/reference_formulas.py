@@ -1,7 +1,7 @@
 """References that the tests compare the package against.
 
 No command prints these; they are textbook formulas from the paper, kept here
-so that the package holds only what a command reaches, the one-pass form of
+so that the package holds only what a command reaches, the one-thread form of
 the Monte Carlo oracle that its spans are checked against, and the gambling
 threshold scan that builds a whole design at every point.
 """
@@ -14,6 +14,7 @@ from numpy.random import Generator, Philox
 
 from fasttrack import cef as cef_mod
 from fasttrack import combination as comb_mod
+from fasttrack import montecarlo as mc_mod
 from fasttrack import power as power_mod
 from fasttrack.design import derive
 from fasttrack.montecarlo import SimReport
@@ -39,50 +40,59 @@ def naive_inflation(alpha: float, alpha_c: float) -> float:
 
 
 def simulate_one_stream(design, cfg, substream: int = 0):
-    """``montecarlo.simulate`` as one sequential pass over the Philox stream
-    of (seed, substream): stage one's n draws, then the adaptive branch's,
-    then the waive branch's, each branch scattered into full-length arrays.
-    The package's spans must reproduce it exactly."""
-    gen = Generator(Philox(key=cfg.seed + (substream << 64)))
+    """``montecarlo.simulate`` on one thread, with full-length arrays.
 
-    def normal(mean, n):
-        u = gen.random(n)
-        np.clip(u, 1e-300, None, out=u)
-        return std_normal_quantile(u) + mean
+    Span j of ``_CHUNK`` replications draws from the Philox stream of key
+    (seed, substream) whose counter's high 128 bits are (j, part): part 0 for
+    stage one, 1 for the adaptive branch's stage two and 2 for the waive
+    branch's, each in replication order.  The mean information is the
+    span-ordered sum of span sums.  The package must reproduce it exactly."""
+    key = cfg.seed + (substream << 64)
+    n = cfg.n_reps
+    chunk = mc_mod._CHUNK
+    starts = range(0, n, chunk)
+
+    def normal(part, mean, branch):
+        # One draw per replication of the branch, span after span.
+        z = [Generator(Philox(key=key, counter=(j << 192) | (part << 128)))
+             .standard_normal(int(np.count_nonzero(branch[start:start + chunk])))
+             for j, start in enumerate(starts)]
+        return np.concatenate(z) + mean
 
     params = design.params
-    n = cfg.n_reps
-    z1 = normal(cfg.theta * math.sqrt(params.i1), n)
+    z1 = normal(0, cfg.theta * math.sqrt(params.i1), np.ones(n, dtype=bool))
     upper = z1 >= design.branch_boundary
     i2 = np.zeros(n)
     reject = np.zeros(n, dtype=bool)
     rule = design.rule
-    branches = [(upper, None)]
+    branches = [(1, upper, None)]
     if design.i2_const is not None:
-        branches.append((~upper, design.i2_const))
-    for branch, i2_const in branches:
+        branches.append((2, ~upper, design.i2_const))
+    for part, branch, i2_const in branches:
         z = z1[branch]
         q = cef_mod.critical_value(rule.cef, z)
         if i2_const is None:
             info = power_mod.stage2_info(z, params, rule, q)
         else:
             info = i2_const
-        z2 = normal(cfg.theta * np.sqrt(info), q.size)
+        z2 = normal(part, cfg.theta * np.sqrt(info), branch)
         reject[branch] = z2 >= q
         i2[branch] = info
 
     def se(p):
         return math.sqrt(p * (1.0 - p) / n)
 
+    spans = [i2[start:start + chunk] for start in starts]
+    n_used = int(np.count_nonzero(i2 > 0))
     p_cond = float(upper.mean())
     p_rej = float(reject.mean())
-    used = i2[i2 > 0]
     return SimReport(
         p_cond_reg_hat=p_cond,
         p_cond_reg_se=se(p_cond),
         p_reject_hat=p_rej,
         p_reject_se=se(p_rej),
-        mean_i2_hat=float(used.mean()) if used.size else 0.0,
+        mean_i2_hat=(sum(float(s[s > 0].sum()) for s in spans) / n_used
+                     if n_used else 0.0),
         max_i2_observed=float(i2.max()),
         n_reps=n,
     )
