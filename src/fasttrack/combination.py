@@ -46,16 +46,26 @@ class BranchMetrics:
     max_i2_both: float
 
 
-def _waive_window(params: DesignParams, i2c: float, cef: cef_mod.CalibratedCef):
-    """The window below z_f of the waive-branch success, and its constants.
-    Given Z1 < z_f with the mean far above, Z1 lies within a few 1 / (mean -
-    z_f) of z_f: the window starts at most 64 of those below z_f."""
+def _waive_setup(params: DesignParams) -> tuple:
+    """What a design's waive branches share: the window below z_f, the mean of Z1
+    and log Phi(z_f - mean).  Given Z1 < z_f with the mean far above, Z1 lies within
+    a few 1 / (mean - z_f) of z_f: the window starts at most 64 of those below z_f."""
     mean = params.delta * math.sqrt(params.i1)
-    constants = (params.delta, i2c, cef, mean, log_ndtr(params.z_f - mean))
     lo, hi = normal_window(mean, hi=params.z_f)
     if mean > params.z_f:
         lo = max(lo, params.z_f - 64.0 / (mean - params.z_f))
-    return (lo, hi, cef_mod.kinks(cef)), constants
+    return lo, hi, mean, log_ndtr(params.z_f - mean)
+
+
+def _waive_at(params: DesignParams, i2c: float, cef, setup: tuple):
+    """The window, split at the CEF's kinks, and the constants at ``i2c``."""
+    lo, hi, mean, log_p_lower = setup
+    return (lo, hi, cef_mod.kinks(cef)), (params.delta, i2c, cef, mean, log_p_lower)
+
+
+def _waive_window(params: DesignParams, i2c: float, cef: cef_mod.CalibratedCef):
+    """The window below z_f of the waive-branch success, and its constants."""
+    return _waive_at(params, i2c, cef, _waive_setup(params))
 
 
 def _success_integrand(delta, i2c, cef, mean, log_p_lower):
@@ -125,11 +135,11 @@ def solve_i2_const_many(params: Sequence[DesignParams], cef_ats: Sequence) -> li
 def _waive_search(params: DesignParams, cef_at: Callable):
     """One design's I2_const search, yielding the waive branch of each positive
     information it reads and sent its success; a zero information has none."""
-    search = monotone_search(1.0 - params.beta)
+    search, setup = monotone_search(1.0 - params.beta), _waive_setup(params)
     x = next(search)
     try:
         while True:
-            x = search.send((yield _waive_window(params, x, cef_at(x))) if x > 0 else 0.0)
+            x = search.send((yield _waive_at(params, x, cef_at(x), setup)) if x > 0 else 0.0)
     except StopIteration as stop:
         return stop.value
 

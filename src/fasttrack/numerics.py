@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, ClassVar, Generator, Sequence
 
 import numpy as np
@@ -138,18 +138,34 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     return i15, np.abs(i15 - i7)
 
 
-def _initial_cuts(lo: float, hi: float, split_points: Sequence[float], budget: int):
-    """lo, the split points inside (lo, hi) and hi, each segment between them
-    cut into ceil(width / PANEL_WIDTH) equal panels, at most ``budget``."""
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"integrate requires finite lo <= hi, got [{lo}, {hi}]")
-    kinks = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
-    cuts = []
-    for a, b in zip(kinks[:-1], kinks[1:]):
-        n = min(math.ceil((b - a) / PANEL_WIDTH), budget)
-        cuts += [a + (b - a) * (k / n) for k in range(n)]
-    cuts.append(kinks[-1])
-    return np.array(cuts)
+def _panel_counts(widths: Sequence[float], budget: int) -> list[int]:
+    """Initial panels of each segment, as :func:`integrate` states the rule."""
+    return [min(math.ceil(w / PANEL_WIDTH), budget) for w in widths]
+
+
+def _initial_panels(windows: Sequence[tuple], budget: int) -> tuple:
+    """The ends and the window of each initial panel :func:`integrate` cuts
+    from every (lo, hi, split_points) window, in window order."""
+    lo, hi = (np.array([w[i] for w in windows], dtype=float) for i in (0, 1))
+    if not (ok := np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all():
+        integrate(None, *windows[int(np.argmin(ok))][:2])  # raises as alone
+    ws, sizes = np.arange(len(windows)), [len(w[2]) for w in windows]
+    splits = np.fromiter(chain.from_iterable(w[2] for w in windows), float, sum(sizes))
+    owner = np.repeat(ws, sizes)
+    inside = (lo[owner] < splits) & (splits < hi[owner])
+    # Each window's kinks in order; a repeated one leaves a panel-less segment.
+    kinks = np.concatenate((lo, splits[inside], hi))
+    ids = np.concatenate((ws, owner[inside], ws))
+    order = np.lexsort((kinks, ids))
+    kinks, ids = kinks[order], ids[order]
+    seg = np.flatnonzero(ids[1:] == ids[:-1])
+    width = kinks[seg + 1] - kinks[seg]
+    n = np.array(_panel_counts(width.tolist(), budget), dtype=np.intp)
+    s = np.repeat(np.arange(len(seg)), n)
+    a = kinks[seg][s] + width[s] * ((np.arange(len(s)) - np.repeat(n.cumsum() - n, n)) / n[s])
+    # Each panel ends where the next one starts, a window's last at hi itself.
+    last = (of := ids[seg][s]) != np.append(of[1:], -1)
+    return a, np.where(last, hi[of], np.append(a[1:], 0.0)), of
 
 
 def integrate(
@@ -181,38 +197,58 @@ def integrate(
     (lo, hi), infinite or NaN ones included, are ignored, so callers need not
     filter them.
     """
-    cuts = _initial_cuts(lo, hi, split_points, settings.max_subdivisions)
-    return run_search(_refine(cuts, settings), lambda e: _panels(f, *e)) if lo < hi else 0.0
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"integrate requires finite lo <= hi, got [{lo}, {hi}]")
+    if not lo < hi:
+        return 0.0
+    kinks = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
+    segments = list(zip(kinks, kinks[1:]))
+    counts = _panel_counts([b - a for a, b in segments], settings.max_subdivisions)
+    cuts = np.array([a + (b - a) * (k / n) for (a, b), n in zip(segments, counts)
+                     for k in range(n)] + kinks[-1:])
+    return run_search(_refine(cuts, *_panels(f, cuts[:-1], cuts[1:]), settings),
+                      lambda e: _panels(f, *e))
 
 
 def integrate_many(f: Callable, windows: Sequence[tuple],
                    settings: QuadratureSettings = DEFAULT_QUAD) -> list[float]:
     """:func:`integrate` on each (lo, hi, split_points) of ``windows``, each
     round one call ``f(x, k)`` on the panels all windows need, ``k`` the window
-    of each node or one int for all; the first window that fails raises."""
+    of each node or one int for all; the first window that fails raises.
+    The first round runs on arrays, all windows' sums at once; only the
+    windows that miss the tolerances go on to :func:`integrate`'s rounds."""
+    a, b, of = _initial_panels(windows, settings.max_subdivisions)
+    counts = np.bincount(of, minlength=len(windows))
+    first = np.cumsum(counts) - counts
+    k = np.repeat(of, _NODES.size) if len(windows) > 1 else 0
+    ests, errs = _panels(lambda x: f(x, k), a, b) if len(a) else (a, a)
+    # _refine's sums: running sums, left to right, along zero-padded rows after a 0.0.
+    rows = np.zeros((2, len(windows), counts.max(initial=0) + 1))
+    rows[:, of, np.arange(len(of)) - first[of] + 1] = ests, errs
+    total, total_err = np.cumsum(rows, axis=2)[:, np.arange(len(windows)), counts]
+    settled = np.isfinite(total) & np.isfinite(total_err) & (
+        total_err <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(total)))
+    searches = [None] * len(windows)
+    for j in np.flatnonzero(~settled).tolist():  # each has panels, the last ending at hi
+        p = slice(first[j], first[j] + counts[j])
+        searches[j] = _refine(np.append(a[p], b[p][-1]), ests[p], errs[p], settings)
 
-    def panels(js: list[int], spans: list[tuple]) -> list[tuple]:
-        sizes = [len(a) for a, _ in spans]
+    def more(js: list[int], spans: list[tuple]) -> list[tuple]:
         a, b = (np.concatenate(ends) for ends in zip(*spans))
-        k = np.repeat(js, np.multiply(sizes, _NODES.size)) if js[1:] else js[0]
-        # Only empty windows make no integrand call.
-        ests, errs = _panels(lambda x: f(x, k), a, b) if len(a) else (a, a)
-        ends = [0, *accumulate(sizes)]
+        ends = [0, *accumulate(len(span[0]) for span in spans)]
+        k = np.repeat(js, np.diff(ends) * _NODES.size) if js[1:] else js[0]
+        ests, errs = _panels(lambda x: f(x, k), a, b)
         return [(ests[i:j], errs[i:j]) for i, j in zip(ends, ends[1:])]
 
-    searches = [_refine(_initial_cuts(lo, hi, splits, settings.max_subdivisions), settings)
-                for lo, hi, splits in windows]
-    out = lockstep(searches, panels, (ConvergenceError, FloatingPointError))
-    if failed := [x for x in out if isinstance(x, Exception)]:
+    refined = lockstep(searches, more, (ConvergenceError, FloatingPointError))
+    if failed := [x for x in refined if isinstance(x, Exception)]:
         raise failed[0]
-    return out
+    return [x if s is None else y for x, y, s in zip(total.tolist(), refined, searches)]
 
 
-def _refine(cuts, settings: QuadratureSettings) -> Generator:
-    """:func:`integrate`'s rounds from the panels between ``cuts``, as a search
-    that yields the ends (a, b) of the panels it needs and is sent their
-    estimates and error estimates."""
-    ests, errs = yield cuts[:-1], cuts[1:]
+def _refine(cuts, ests, errs, settings: QuadratureSettings) -> Generator:
+    """:func:`integrate`'s rounds from the panels between ``cuts``, given their
+    estimates and errors: a search that yields the ends (a, b) of the next ones."""
     while True:
         # A Python loop: ndarray.sum is pairwise, and the builtin sum of
         # floats is compensated from Python 3.12 on.

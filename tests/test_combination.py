@@ -5,13 +5,15 @@ import math
 import random
 from pathlib import Path
 
+import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 import reference_mp as ref
 from conftest import COMBO_BASE, SIGMA, i_delta_of, params_at, params_near_i1_max
 from fasttrack import combination as comb_mod
 from fasttrack import power as power_mod
-from fasttrack.cef import FAMILIES, eval_cef, family_cef, z_combination_cef
+from fasttrack.cef import FAMILIES, eval_cef, family_cef, integrate_each, z_combination_cef
 from fasttrack.combination import (
     branch_metrics,
     build_combination,
@@ -154,6 +156,32 @@ class TestWaiveBranchSizing:
         assert find_root(lambda t: excess(t, "z_combination"), 0.2, 0.5) == (
             pytest.approx(0.3252, abs=1e-3)
         )
+
+
+class TestDesignOnce:
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+    @hypothesis.given(family=st.sampled_from(FAMILIES), t=st.floats(0.05, 1.5),
+                      far=st.booleans())
+    def test_every_waive_round_yields_the_fresh_window(self, family, t, far):
+        # A waive search sets its design up once; each round must still yield
+        # the window and constants _waive_window makes afresh for that
+        # information, the z-combination test's CEF changing with it.  A far
+        # pilot puts the mean far above z_f, where the window is cut.
+        p = _near_i1_max(6.0) if far else params_at(COMBO_BASE, t)
+        cef_at = comb_mod.waive_tests([p], family)[0]
+        search, rounds = comb_mod._waive_search(p, cef_at), 0
+        branch = next(search)
+        try:
+            while True:
+                x = branch[1][1]
+                assert repr(branch) == repr(comb_mod._waive_window(p, x, cef_at(x)))
+                rounds += 1
+                branch = search.send(integrate_each(comb_mod._success_integrand, [branch])[0])
+        except StopIteration as stop:
+            solved = stop.value
+        assert rounds > 1
+        assert solved == comb_mod.solve_i2_const_many([p], [cef_at])[0] or comb_mod._is_flat(
+            cef_at(1.0))
 
 
 class TestBranchMetrics:

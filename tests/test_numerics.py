@@ -777,3 +777,100 @@ class TestIntegrateManyProperty:
         assert min(len(sizes) for sizes in alone) > 2
         assert len(calls) == max(len(sizes) for sizes in alone)
         assert sum(calls) == sum(map(sum, alone))
+
+    # The array first round: windows whose split points lie outside (lo, hi),
+    # at its ends, repeated, infinite or NaN; wide windows of many panels,
+    # whose sums a pairwise or blocked summation would reorder; budgets at
+    # or below the first round's panels; and integrands that settle at once,
+    # refine, or are NaN somewhere.
+    _edge_window = st.tuples(
+        st.floats(-6.0, 6.0),  # lo
+        st.sampled_from((0.0, 1e-3, 0.7, 3.0, 12.0, 33.0)),  # width; 0 is empty
+        st.lists(st.one_of(st.floats(-0.5, 1.5),  # split points, as fractions of the width
+                           st.sampled_from((0.0, 1.0, math.inf, -math.inf, math.nan))),
+                 max_size=4),
+        st.booleans(),  # repeat the first split point
+        st.sampled_from(("smooth", "kinked", "nan")),
+        st.floats(0.0, 1.0),  # where the integrand bends or turns NaN, as a fraction
+        st.lists(_coef, min_size=3, max_size=3),
+    )
+
+    @staticmethod
+    def edge_case(lo, width, fractions, repeat, shape, at, coef):
+        hi, c = lo + width, lo + at * width
+        splits = [lo + u * width for u in fractions]
+        if repeat and splits:
+            splits.append(splits[0])
+        if shape == "smooth":
+            f = lambda x: 1.3 + np.cos(0.5 * (x - c))
+        elif shape == "kinked":
+            f = _piecewise([c], coef, coef, (coef[0], 25.0))
+        else:
+            f = lambda x: np.where(x > c, np.nan, coef[0])
+        return f, (lo, hi, splits)
+
+    @staticmethod
+    def outcome(call):
+        """The floats a call returns by hex, or its failure by type and message."""
+        try:
+            got = call()
+        except (ConvergenceError, FloatingPointError) as err:
+            return type(err), str(err)
+        return [x.hex() for x in got] if isinstance(got, list) else got.hex()
+
+    @_BATCH_SETTINGS
+    @hypothesis.given(windows=st.lists(_edge_window, min_size=1, max_size=5),
+                      budget=st.sampled_from((1, 3, 12, 400, 400)))
+    def test_array_first_round_equals_integrate(self, windows, budget):
+        cases = [self.edge_case(*w) for w in windows]
+        quad = QuadratureSettings(max_subdivisions=budget)
+        alone = [self.outcome(lambda: integrate(f, *span[:2], quad, span[2]))
+                 for f, span in cases]
+        # The lowest window that fails raises ...
+        failed = [x for x in alone if isinstance(x, tuple)]
+        fs, spans = zip(*cases)
+        if failed:
+            assert self.outcome(lambda: integrate_many(_by_window(fs), spans, quad)) == failed[0]
+        # ... and the others give integrate's floats.
+        ok = [(case, x) for case, x in zip(cases, alone) if not isinstance(x, tuple)]
+        fs, spans = [f for (f, _), _ in ok], [span for (_, span), _ in ok]
+        assert self.outcome(lambda: integrate_many(_by_window(fs), spans, quad)) == [
+            x for _, x in ok]
+
+    def test_windows_that_settle_at_once_cost_one_call(self):
+        # Normal windows with kinks, an empty window, and split points to
+        # ignore: every window settles in the first round, in one call.
+        fs = [std_normal_pdf, lambda x: np.abs(x - 0.3) * std_normal_pdf(x), np.cos,
+              lambda x: std_normal_pdf(x - 1.0)]
+        spans = [(*normal_window(0.0), ()), (-2.0, 2.0, [0.3, 0.3, math.nan, 9.0]),
+                 (1.0, 1.0, ()), (*normal_window(1.0, 0.5), [-math.inf, 1.5])]
+        calls = []
+        got = integrate_many(_by_window(fs, calls), spans)
+        assert len(calls) == 1
+        assert [x.hex() for x in got] == [
+            integrate(f, lo, hi, split_points=s).hex() for f, (lo, hi, s) in zip(fs, spans)]
+
+    def test_two_failing_windows_raise_the_lower(self):
+        # Window 1 fails only after refining; windows 2 and 3 fail in the
+        # first round, one not finite, one already at its budget (two
+        # segments of 5 panels against 6).  The lower failing window raises,
+        # as integrate raises it.
+        quad = QuadratureSettings(max_subdivisions=6)
+        fs = [std_normal_pdf, lambda x: np.cos(40.0 * x),
+              lambda x: np.where(x > 0.2, np.nan, 1.0), lambda x: np.cos(200.0 * x)]
+        spans = [(-1.0, 1.0, ()), (0.0, 6.0, ()), (0.0, 1.0, ()), (0.0, 20.0, (10.0,))]
+        for first, error in ((1, ConvergenceError), (2, FloatingPointError),
+                             (3, ConvergenceError)):
+            with pytest.raises(error) as alone:
+                integrate(fs[first], *spans[first][:2], quad, spans[first][2])
+            with pytest.raises(error) as batch:
+                integrate_many(_by_window(fs[:1] + fs[first:]), spans[:1] + spans[first:], quad)
+            assert str(batch.value) == str(alone.value)
+        assert "used 10 panels" in str(alone.value)
+
+    def test_an_invalid_window_raises_before_any_call(self):
+        calls = []
+        with pytest.raises(ValueError, match=r"got \[2.0, 1.0\]"):
+            integrate_many(_by_window([np.cos] * 3, calls),
+                           [(0.0, 1.0, ()), (2.0, 1.0, ()), (0.0, math.inf, ())])
+        assert calls == []

@@ -14,8 +14,11 @@ from scipy.special import ndtr, ndtri
 from conftest import EVAL_BASE, i_delta_of, params_at
 from fasttrack.cef import (
     FASTTRACK_FAMILIES,
+    CalibratedCef,
     constant_cef,
+    critical_value,
     family_cef,
+    integrate_each,
     kinks,
     z_combination_cef,
 )
@@ -35,7 +38,7 @@ from fasttrack.power import (
     solve_i2_min,
     stage2_info,
 )
-from fasttrack.power import _floor_kink
+from fasttrack.power import _floor_kink, _floor_search, _power_integrand, _solved_branch
 
 ALPHA, BETA = 0.025, 0.2
 
@@ -244,6 +247,58 @@ class TestManyDesigns:
         params, rules = self.designs(family, drawn)
         assert [x.hex() for x in mean_stage2_infos(params, rules)] == [
             mean_stage2_info(p, rule).hex() for p, rule in zip(params, rules)]
+
+
+class TestDesignOnce:
+    """A floor search sets its design up once; each round must still yield
+    the branch :func:`_solved_branch` makes afresh for that floor."""
+
+    # (family, t_xi, binding, power target as a share of the continuation
+    # probability): every family, zero and positive floors, and a Fisher c
+    # with 2c >= 0.5, whose A is capped wherever it is positive (no cap kink).
+    _design = st.tuples(
+        st.sampled_from((*FASTTRACK_FAMILIES, "z_combination", "fisher_capped")),
+        st.floats(0.3, 2.0), st.booleans(), st.sampled_from((0.5, 0.97, 0.995, 0.9999)))
+    _settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
+
+    @staticmethod
+    def design(family, t, binding, share):
+        p = params_at(EVAL_BASE, t)
+        z0 = p.z_f if binding else -math.inf
+        if family == "z_combination":
+            cef = z_combination_cef(p.i1, 1.5, p.z_f, ALPHA, 0.1)
+        elif family == "fisher_capped":
+            cef = CalibratedCef(None, z0=z0, c=0.3)
+        else:
+            cef = family_cef(family, ALPHA, z0)
+        return p, cef, share * cond_registration_power(p)
+
+    @_settings
+    @hypothesis.given(drawn=_design)
+    def test_every_round_yields_the_fresh_branch(self, drawn):
+        p, cef, target = self.design(*drawn)
+        search, floors = _floor_search(p, cef, target), []
+        branch = next(search)
+        try:
+            while True:
+                floors.append(floor := branch[1][1])
+                assert repr(branch) == repr(_solved_branch(p, AdaptiveConditionalPower(floor, cef)))
+                branch = search.send(integrate_each(_power_integrand, [branch])[0])
+        except StopIteration as stop:
+            solved = stop.value
+        # The search starts at a zero floor, and reads more only for a positive one.
+        assert floors[0] == 0.0 and (len(floors) > 1) == (solved > 0)
+        assert solved == solve_i2_min(p, cef, target)
+
+    @_settings
+    @hypothesis.given(drawn=_design, floor=st.sampled_from((0.0, 0.01, 0.3, 1.0, 3.0, 50.0)),
+                      widen=st.booleans())
+    def test_floor_kink_is_the_same_with_its_ends_passed_in(self, drawn, floor, widen):
+        p, cef, _ = self.design(*drawn)
+        rule = AdaptiveConditionalPower(floor * i_delta_of(EVAL_BASE), cef)
+        lo, hi = (p.z_f, 12.0) if widen else _solved_branch(p, rule)[0][:2]
+        ends = tuple(critical_value(cef, z) for z in (lo, hi))
+        assert repr(_floor_kink(p, rule, lo, hi, ends)) == repr(_floor_kink(p, rule, lo, hi))
 
 
 class TestEvaluateDesign:
