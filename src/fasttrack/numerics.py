@@ -138,6 +138,12 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     return i15, np.abs(i15 - i7)
 
 
+def _check_window(lo: float, hi: float) -> None:
+    """Raise ValueError unless the window [lo, hi] is finite and lo <= hi."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"integrate requires finite lo <= hi, got [{lo}, {hi}]")
+
+
 def _panel_counts(widths: Sequence[float], budget: int) -> list[int]:
     """Initial panels of each segment, as :func:`integrate` states the rule."""
     return [min(math.ceil(w / PANEL_WIDTH), budget) for w in widths]
@@ -148,24 +154,24 @@ def _initial_panels(windows: Sequence[tuple], budget: int) -> tuple:
     from every (lo, hi, split_points) window, in window order."""
     lo, hi = (np.array([w[i] for w in windows], dtype=float) for i in (0, 1))
     if not (ok := np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all():
-        integrate(None, *windows[int(np.argmin(ok))][:2])  # raises as alone
+        _check_window(*windows[int(np.argmin(ok))][:2])
     ws, sizes = np.arange(len(windows)), [len(w[2]) for w in windows]
     splits = np.fromiter(chain.from_iterable(w[2] for w in windows), float, sum(sizes))
     owner = np.repeat(ws, sizes)
     inside = (lo[owner] < splits) & (splits < hi[owner])
-    # Each window's kinks in order; a repeated one leaves a panel-less segment.
-    kinks = np.concatenate((lo, splits[inside], hi))
+    # x: each window's kinks in order, window after window.
+    x = np.concatenate((lo, splits[inside], hi))
     ids = np.concatenate((ws, owner[inside], ws))
-    order = np.lexsort((kinks, ids))
-    kinks, ids = kinks[order], ids[order]
-    seg = np.flatnonzero(ids[1:] == ids[:-1])
-    width = kinks[seg + 1] - kinks[seg]
-    n = np.array(_panel_counts(width.tolist(), budget), dtype=np.intp)
-    s = np.repeat(np.arange(len(seg)), n)
-    a = kinks[seg][s] + width[s] * ((np.arange(len(s)) - np.repeat(n.cumsum() - n, n)) / n[s])
-    # Each panel ends where the next one starts, a window's last at hi itself.
-    last = (of := ids[seg][s]) != np.append(of[1:], -1)
-    return a, np.where(last, hi[of], np.append(a[1:], 0.0)), of
+    order = np.lexsort((x, ids))
+    x, ids = x[order], ids[order]
+    # n: the panels of the segment from each kink to the next; none joins two
+    # windows, and a repeated kink's segment is empty.
+    n = (ids[1:] == ids[:-1]) * np.array(_panel_counts(np.diff(x).tolist(), budget), np.intp)
+    s = np.repeat(np.arange(len(n)), n)  # each panel's segment, i its place in it
+    i = np.arange(len(s)) - (np.cumsum(n) - n)[s]
+    a = x[s] + (x[s + 1] - x[s]) * (i / n[s])
+    # A segment's last panel ends at its kink itself, the others where the next starts.
+    return a, np.where(i + 1 == n[s], x[s + 1], np.append(a[1:], 0.0)), ids[s]
 
 
 def integrate(
@@ -197,17 +203,14 @@ def integrate(
     (lo, hi), infinite or NaN ones included, are ignored, so callers need not
     filter them.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"integrate requires finite lo <= hi, got [{lo}, {hi}]")
-    if not lo < hi:
-        return 0.0
+    _check_window(lo, hi)
     kinks = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
     segments = list(zip(kinks, kinks[1:]))
     counts = _panel_counts([b - a for a, b in segments], settings.max_subdivisions)
     cuts = np.array([a + (b - a) * (k / n) for (a, b), n in zip(segments, counts)
                      for k in range(n)] + kinks[-1:])
     return run_search(_refine(cuts, *_panels(f, cuts[:-1], cuts[1:]), settings),
-                      lambda e: _panels(f, *e))
+                      lambda e: _panels(f, *e)) if lo < hi else 0.0
 
 
 def integrate_many(f: Callable, windows: Sequence[tuple],

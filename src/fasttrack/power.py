@@ -111,14 +111,14 @@ def _stage2_info(z1, cef, i2_min, i1, z_beta, q=None):  # constants may be per-n
 
 
 def _floor_kink(params: DesignParams, rule: AdaptiveConditionalPower,
-                z_lower: float, z_upper: float, q_ends: tuple | None = None) -> float | None:
+                z_lower: float, z_upper: float) -> float | None:
     """Abscissa where the conditional-power formula falls to the floor.
 
     For z1 > 0 the formula is at the floor where slope * z1 = z_beta + q(z1),
     slope = sqrt(I2min / I1).  The left side increases and q does not (A is
     non-decreasing), so there is at most one crossing on [z_lower, z_upper].
     Where the family's critical value is piecewise linear it is solved in
-    closed form; else (Fisher) by a root search, from q at both ends: ``q_ends`` if given.
+    closed form; otherwise (Fisher) by a root search on the same equation.
     """
     if rule.i2_min <= 0:
         return None
@@ -126,11 +126,9 @@ def _floor_kink(params: DesignParams, rule: AdaptiveConditionalPower,
     z_beta = params.z_beta
     if rule.cef.pieces is not None:
         return _linear_floor_kink(rule.cef.pieces, slope, z_beta, z_lower, z_upper)
-    q_lo, q_hi = q_ends or (cef_mod.critical_value(rule.cef, z) for z in (z_lower, z_upper))
     h = lambda z: slope * z - z_beta - cef_mod.critical_value(rule.cef, z)
     try:
-        return find_root(h, z_lower, z_upper, f_lo=slope * z_lower - z_beta - q_lo,
-                         f_hi=slope * z_upper - z_beta - q_hi)
+        return find_root(h, z_lower, z_upper)
     except BracketError:
         return None
 
@@ -166,17 +164,16 @@ def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
 
 def _upper_setup(params: DesignParams, cef: cef_mod.CalibratedCef) -> tuple:
     """What a design's power branches share at every floor: the window over
-    Z1 >= z_f, the CEF's kinks, the mean of Z1 and Fisher's q at both ends."""
+    Z1 >= z_f, the CEF's kinks and the mean of Z1."""
     mean = params.delta * math.sqrt(params.i1)
     lo, hi = normal_window(mean, params.z_f)
-    q_ends = None if cef.pieces else tuple(cef_mod.critical_value(cef, z) for z in (lo, hi))
-    return lo, hi, cef_mod.kinks(cef), mean, q_ends
+    return lo, hi, cef_mod.kinks(cef), mean
 
 
 def _upper_at(params: DesignParams, rule: AdaptiveConditionalPower, setup: tuple):
     """The power branch at ``rule``'s floor, from its :func:`_upper_setup`."""
-    lo, hi, kinks, mean, q_ends = setup
-    kink = _floor_kink(params, rule, lo, hi, q_ends)
+    lo, hi, kinks, mean = setup
+    kink = _floor_kink(params, rule, lo, hi)
     return (lo, hi, kinks if kink is None else [*kinks, kink]), (
         rule.cef, rule.i2_min, params.i1, params.z_beta, params.delta, mean)
 

@@ -16,7 +16,6 @@ from fasttrack.cef import (
     FASTTRACK_FAMILIES,
     CalibratedCef,
     constant_cef,
-    critical_value,
     family_cef,
     integrate_each,
     kinks,
@@ -289,16 +288,6 @@ class TestDesignOnce:
         # The search starts at a zero floor, and reads more only for a positive one.
         assert floors[0] == 0.0 and (len(floors) > 1) == (solved > 0)
         assert solved == solve_i2_min(p, cef, target)
-
-    @_settings
-    @hypothesis.given(drawn=_design, floor=st.sampled_from((0.0, 0.01, 0.3, 1.0, 3.0, 50.0)),
-                      widen=st.booleans())
-    def test_floor_kink_is_the_same_with_its_ends_passed_in(self, drawn, floor, widen):
-        p, cef, _ = self.design(*drawn)
-        rule = AdaptiveConditionalPower(floor * i_delta_of(EVAL_BASE), cef)
-        lo, hi = (p.z_f, 12.0) if widen else _solved_branch(p, rule)[0][:2]
-        ends = tuple(critical_value(cef, z) for z in (lo, hi))
-        assert repr(_floor_kink(p, rule, lo, hi, ends)) == repr(_floor_kink(p, rule, lo, hi))
 
 
 class TestEvaluateDesign:
