@@ -7,7 +7,10 @@ others.  The quadrature evaluates the nodes of several panels in one call:
 it starts from panels at most ``PANEL_WIDTH`` (2 sds) wide, so one call
 usually settles an integral over a normal window, and it sums each panel's
 nodes as a row of one array; :func:`integrate_many` does so for many
-integrals at once, each the float :func:`integrate` returns for it.
+integrals at once, each the float :func:`integrate` returns for it.  Each
+panel takes the 15 nodes of the G7-K15 Gauss-Kronrod pair: the K15 rule
+gives its estimate, and the G7 rule on seven of the same nodes its error
+estimate |K15 - G7|.
 
 :func:`find_root` is a Python port of Brent's method as SciPy implements it
 in ``brentq.c`` (copyright Enthought, Inc. and the SciPy Developers,
@@ -69,7 +72,7 @@ X_TOL = 1e-9
 F_TOL = 1e-10
 MAX_ITER = 200
 # Widest initial panel of integrate, in sds like tail_halfwidth: every caller
-# integrates a normal density on the z scale, where a G15 rule over 2 sds
+# integrates a normal density on the z scale, where the K15 rule over 2 sds
 # meets the tolerances in one integrand call.
 PANEL_WIDTH = 2.0
 # find_root's relative x tolerance: scipy brentq's default and smallest rtol.
@@ -118,14 +121,26 @@ def std_normal_pdf(x):
     return float(out) if out.ndim == 0 else out
 
 
+# The G7-K15 Gauss-Kronrod pair (Kronrod 1965; QUADPACK's qk15, Piessens et
+# al. 1983).  A panel's abscissas on [-1, 1] are the seven Gauss nodes, then
+# the eight Kronrod nodes, +- those listed; K15 weighs all fifteen, a node and
+# its negative alike, and G7 its own seven.
 _G7_X, _G7_W = leggauss(7)
-_G15_X, _G15_W = leggauss(15)
-# Abscissas of one panel on [-1, 1]: the G15 nodes, then the G7 nodes.
-_NODES = np.concatenate((_G15_X, _G7_X))
+_KRONROD_X = (0.207784955007898467600689403773245, 0.586087235467691130294144845693013,
+              0.864864423359769072789712788640926, 0.991455371120812639206854697526329)
+# K15's weights at the Gauss nodes 0, +-0.405845, +-0.741531, +-0.949108, and
+# at the Kronrod nodes listed above.
+_K15_AT_G7 = (0.209482141084727828012999174891714, 0.190350578064785409913256402421014,
+              0.140653259715525918745189590510238, 0.063092092629978553290700663189204)
+_K15_AT_KRONROD = (0.204432940075298892414161999234649, 0.169004726639267902826583426598550,
+                   0.104790010322250183839876322541518, 0.022935322010529224963732008058970)
+_NODES = np.concatenate((_G7_X, -np.array(_KRONROD_X[::-1]), _KRONROD_X))
+_K15_W = np.array([*_K15_AT_G7[:0:-1], *_K15_AT_G7,
+                   *_K15_AT_KRONROD[::-1], *_K15_AT_KRONROD])
 
 
 def _panels(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G15 estimates, and |G15 - G7| as their error estimates, over the
+    """K15 estimates, and |K15 - G7| as their error estimates, over the
     panels [a[i], b[i]], from one call of ``f`` on the nodes of all of them.
     Each panel's weighted sum is a row sum, which does not depend on how many
     panels share the call."""
@@ -133,8 +148,8 @@ def _panels(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES
     y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    i15 = half * (y[:, :15] * _G15_W).sum(axis=1)
-    i7 = half * (y[:, 15:] * _G7_W).sum(axis=1)
+    i15 = half * (y * _K15_W).sum(axis=1)
+    i7 = half * (y[:, :7] * _G7_W).sum(axis=1)
     return i15, np.abs(i15 - i7)
 
 

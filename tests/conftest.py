@@ -10,9 +10,22 @@ Two reference settings recur throughout:
 
 from __future__ import annotations
 
+import contextlib
+import warnings
+
 import pytest
 
 from fasttrack.design import DesignParams, derive
+
+# A failing hypothesis property imports hypothesis.extra._patching to report
+# its example, and that imports libcst, whose TypedDicts raise
+# mypy_extensions' DeprecationWarning.  Under -W error that warning would
+# replace the falsifying example with an INTERNALERROR, so the module is
+# imported once here with that warning alone ignored.  libcst is optional.
+with contextlib.suppress(ImportError), warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 SIGMA = 5.17
 

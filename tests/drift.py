@@ -10,11 +10,18 @@ writes a manifest, a JSON object of quantity name -> text, of:
   scenarios, and ``table1`` at both roundings;
 - the four gambling thresholds by ``float.hex``, on the worked combination
   example and on the drawn designs of ``THRESHOLD_SOURCES``;
-- the ``repr`` of built and evaluated designs of a fixed ``draw_cases`` set.
+- the ``repr`` of built and evaluated designs of a fixed ``draw_cases`` set;
+- for the seven paper designs (the binding fast-track families at the
+  first scenario's t_xi = 0.6 and the combination families at the second's
+  t_xi = 0.5, as the benchmark's ``check_paper_designs`` builds them), the
+  level integral, the upper branch's power and E[I2] and the waive-branch
+  success, each beside its 30-digit value from ``tests/reference_mp.py``.
 
 The inputs (scenario files, draws) come from the tree this script lives in,
 so two trees are snapshot on the same inputs.  ``compare`` prints
-"identical", or each quantity that moved with its largest relative move,
+"identical", or each quantity that moved with its largest relative move
+(for a paper-design quantity, the move of its value and its distance
+|A - oracle| and |B - oracle| to each side's oracle) and how many moved,
 and exits 1 when anything moved::
 
     mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
@@ -22,9 +29,8 @@ and exits 1 when anything moved::
     python tests/drift.py snapshot . /tmp/change.json
     python tests/drift.py compare /tmp/parent.json /tmp/change.json
 
-A snapshot takes 15-20 s on a 2-vCPU host; the 0.002 curves take most of it.
-Distances to the 30-digit oracle (``tests/reference_mp.py``) are not yet
-reported.
+A snapshot takes 15-20 s on a 2-vCPU host; the 0.002 curves take most of
+it, and the oracle's 30-digit integrals about 7 s.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import reference_mp as ref
+
 HERE = Path(__file__).resolve().parent
 SCENARIOS = (
     HERE.parent / "bench" / "data" / "fasttrack_binding_fisher.txt",
@@ -50,6 +58,7 @@ STEPS = (0.05, 0.02, 0.002)
 SIM_REPS, SIM_SEED = 20_000, 7
 THRESHOLD_SOURCES = (1, 2, 3, 6, 10)
 DRAWS = ((2, 0, 40), (2, 1, 40))  # draw_cases(seed, batch, n)
+ORACLE = "oracle"  # the name prefix of the paper-design quantities
 
 _NUMBER = re.compile(r"[-+]?0x[0-9a-f.]+p[-+]?\d+|[-+]?inf|nan|"
                      r"[-+]?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?", re.IGNORECASE)
@@ -86,9 +95,33 @@ def _design(power_mod, comb_mod, case, params) -> str:
         return repr(exc)
 
 
+def _oracle(cef_mod, power_mod, comb_mod, params, mode: str, family: str) -> dict[str, str]:
+    """Each quantity of one paper design that the oracle covers, as the text
+    "value oracle reference"."""
+    if mode == "combination":
+        design = comb_mod.build_combination(params, family)
+    else:
+        design = power_mod.build_fasttrack(params, family, binding=True)
+    q, cef, z_f = design.params, design.cef, design.branch_boundary
+    reference = ref.design_cef(design)
+    power, mean_i2 = ref.upper_branch(reference, design.i2_min, q.beta, q.i1, q.delta, z_f)
+    pairs = {
+        "level": (cef_mod.level_integral(cef, cef.z0), ref.level_integral(reference, cef.z0)),
+        "power": (power_mod.overall_power(q, design.rule), power),
+        "mean_i2": (power_mod.mean_stage2_info(q, design.rule), mean_i2),
+    }
+    if mode == "combination":
+        pairs["waive_success"] = (
+            comb_mod.lower_branch_success(q, design.i2_const, cef),
+            ref.waive_branch_success(reference, design.i2_const, q.i1, q.delta, z_f))
+    return {f"{ORACLE} {mode} {family} {name}": f"{x!r} oracle {y!r}"
+            for name, (x, y) in pairs.items()}
+
+
 def snapshot(root: Path) -> dict[str, str]:
     """The manifest of the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(HERE.parent / "bench")]
+    from fasttrack import cef as cef_mod
     from fasttrack import cli
     from fasttrack import combination as comb_mod
     from fasttrack import power as power_mod
@@ -129,6 +162,13 @@ def snapshot(root: Path) -> dict[str, str]:
             params = DesignParams(alpha=case.alpha, alpha_c=case.alpha_c, beta=case.beta,
                                   delta_rel=case.delta_rel, xi=case.xi, i1=case.i1)
             out[f"design {seed} {batch} {i}"] = _design(power_mod, comb_mod, case, params)
+
+    for scenario, mode, families in (
+            (SCENARIOS[0], "fasttrack_binding", cef_mod.FASTTRACK_FAMILIES),
+            (SCENARIOS[1], "combination", cef_mod.FAMILIES)):
+        params = load_scenario(str(scenario)).design_params()
+        for family in families:
+            out.update(_oracle(cef_mod, power_mod, comb_mod, params, mode, family))
     return out
 
 
@@ -148,7 +188,9 @@ def _move(a: float, b: float) -> float:
 
 def compare(a: dict[str, str], b: dict[str, str]) -> list[str]:
     """One line per quantity that differs between manifests ``a`` and ``b``:
-    its largest relative move, or why no move can be read."""
+    its largest relative move, or why no move can be read.  A paper-design
+    quantity's line gives the move of its value and its distance to the
+    oracle on each side."""
     lines = []
     for name in sorted(a.keys() | b.keys()):
         if name not in b or name not in a:
@@ -157,6 +199,9 @@ def compare(a: dict[str, str], b: dict[str, str]) -> list[str]:
             xs, ys = _numbers(a[name]), _numbers(b[name])
             if len(xs) != len(ys):
                 lines.append(f"{name}: text differs ({len(xs)} against {len(ys)} numbers)")
+            elif name.startswith(ORACLE) and len(xs) == 2:
+                lines.append(f"{name}: relative move {_move(xs[0], ys[0]):.3g}; |A - oracle| "
+                             f"{abs(xs[0] - xs[1]):.3g}, |B - oracle| {abs(ys[0] - ys[1]):.3g}")
             else:
                 move = max((_move(x, y) for x, y in zip(xs, ys)), default=0.0)
                 lines.append(f"{name}: largest relative move {move:.3g}"
@@ -181,7 +226,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     a, b = (json.loads(p.read_text(encoding="utf-8")) for p in (args.a, args.b))
     lines = compare(a, b)
-    print("\n".join(lines) if lines else f"identical ({len(a)} quantities)")
+    print("\n".join([*lines, f"{len(lines)} of {len(a.keys() | b.keys())} quantities differ"])
+          if lines else f"identical ({len(a)} quantities)")
     return 1 if lines else 0
 
 

@@ -72,6 +72,21 @@ def z_combination(i1, i2_const, z_split, alpha, alpha_prime):
         return a, [z_split, z_lo / w1, z_hi / w1]
 
 
+def design_cef(design):
+    """The reference CEF of a built design (its ``family``, ``params``,
+    ``cef``, ``i2_const`` and ``branch_boundary``), from its constants."""
+    p, cef = design.params, design.cef
+    if design.family == "constant":
+        return constant(p.alpha)
+    if design.family == "z_combination":
+        return z_combination(
+            p.i1, design.i2_const, design.branch_boundary, p.alpha, cef.alpha_prime
+        )
+    if design.family == "fisher":
+        return fisher(cef.c, cef.z0)
+    return inverse_normal(cef.c, cef.z0)
+
+
 def _quad(f, lo, hi, points):
     inner = sorted({mp.mpf(x) for x in points if lo < x < hi})
     return mp.quad(f, [lo, *inner, hi])

@@ -11,6 +11,7 @@ BASE = {
     "curve i2_min x 0.02": "exit 0\nt_xi_i1,t_xi_i2_min_fisher\n0.5,1.25\n0.52,infeasible\n",
     "threshold fisher 1": (1.0).hex(),
     "design 2 0 0": "(Design(i2_min=0.1), EvaluationResult(overall_power=0.8))",
+    "oracle combination fisher power": "0.8125 oracle 0.8",
 }
 
 
@@ -26,6 +27,19 @@ def test_each_moved_quantity_reports_its_largest_relative_move():
         "curve i2_min x 0.02: largest relative move 0.0385",
         "threshold fisher 1: largest relative move 2.22e-16",
     ]
+
+
+def test_oracle_quantities_report_the_value_move_and_both_distances():
+    moved = dict(BASE)
+    moved["oracle combination fisher power"] = "0.796875 oracle 0.796875"
+    assert drift.compare(BASE, moved) == [
+        "oracle combination fisher power: relative move 0.0192; "
+        "|A - oracle| 0.0125, |B - oracle| 0",
+    ]
+    # A quantity whose oracle cannot be read is compared as any other.
+    moved["oracle combination fisher power"] = "ConvergenceError('quadrature')"
+    assert drift.compare(BASE, moved) == [
+        "oracle combination fisher power: text differs (2 against 0 numbers)"]
 
 
 def test_unreadable_moves_are_named():
@@ -54,7 +68,8 @@ def test_compare_command_prints_and_exits(tmp_path, capsys):
     a.write_text(json.dumps(BASE), encoding="utf-8")
     b.write_text(json.dumps(BASE), encoding="utf-8")
     assert drift.main(["compare", str(a), str(b)]) == 0
-    assert capsys.readouterr().out == "identical (3 quantities)\n"
+    assert capsys.readouterr().out == "identical (4 quantities)\n"
     b.write_text(json.dumps({**BASE, "threshold fisher 1": (0.75).hex()}), encoding="utf-8")
     assert drift.main(["compare", str(a), str(b)]) == 1
-    assert capsys.readouterr().out == "threshold fisher 1: largest relative move 0.25\n"
+    assert capsys.readouterr().out == ("threshold fisher 1: largest relative move 0.25\n"
+                                       "1 of 4 quantities differ\n")

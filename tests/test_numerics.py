@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import hypothesis
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
@@ -17,6 +18,9 @@ from fasttrack import numerics
 from fasttrack import power as power_mod
 from fasttrack.cef import FAMILIES, FASTTRACK_FAMILIES
 from fasttrack.numerics import (
+    _G7_W,
+    _K15_W,
+    _NODES,
     DEFAULT_QUAD,
     X_TOL,
     BracketError,
@@ -129,7 +133,7 @@ class TestIntegrate:
     def test_non_finite_integrand_raises(self):
         with pytest.raises(FloatingPointError):
             integrate(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
-        # An infinite node makes G15 - G7 inf - inf, which numpy warns of
+        # An infinite node makes K15 - G7 inf - inf, which numpy warns of
         # before integrate raises.
         with np.errstate(invalid="ignore"):
             for f in (
@@ -346,15 +350,14 @@ def _reference_integrate(f, lo, hi, settings=DEFAULT_QUAD, split_points=()):
     order, sums and stopping rule that the batched integrator must repeat.
     Returns (integral, None), or (None, (estimate, error)) where the budget
     runs out."""
-    g7_x, g7_w = np.polynomial.legendre.leggauss(7)
-    g15_x, g15_w = np.polynomial.legendre.leggauss(15)
-
+    # The G7-K15 pair in the package's node order, the G7 nodes first
+    # (TestKronrodRule certifies the constants).
     def panel(a, b):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        y = np.asarray(f(np.concatenate((mid + half * g15_x, mid + half * g7_x))))
+        y = np.asarray(f(mid + half * _NODES))
         # A one-row array summed by rows, as the batched rule sums each panel.
-        i15 = half * float((y[None, :15] * g15_w).sum(axis=1)[0])
-        i7 = half * float((y[None, 15:] * g7_w).sum(axis=1)[0])
+        i15 = half * float((y[None] * _K15_W).sum(axis=1)[0])
+        i7 = half * float((y[None, :7] * _G7_W).sum(axis=1)[0])
         return [a, b, i15, abs(i15 - i7)]
 
     # Each segment between the kinks cut into ceil(width / 2) equal panels,
@@ -397,6 +400,62 @@ def _reference_integrate(f, lo, hi, settings=DEFAULT_QUAD, split_points=()):
         panels = refined
 
 
+class TestKronrodRule:
+    """The panel rule's float constants are the G7-K15 Gauss-Kronrod pair:
+    K15 is exact to degree 22 on the seven Gauss nodes and eight others,
+    which fixes those eight and all fifteen weights."""
+
+    @staticmethod
+    def moment_errors(nodes, weights, degrees):
+        """sum w x^k - integral of x^k over [-1, 1], for each k, at 30 digits
+        from the float constants, in units of 2^-52."""
+        with mp.workdps(30):
+            xs, ws = [mp.mpf(float(x)) for x in nodes], [mp.mpf(float(w)) for w in weights]
+            return [float((mp.fsum(w * x**k for x, w in zip(xs, ws))
+                           - (mp.mpf(2) / (k + 1) if k % 2 == 0 else 0)) * 2**52)
+                    for k in degrees]
+
+    def test_exact_to_degree_22_and_13(self):
+        g7_x = _NODES[:7]
+        k15 = self.moment_errors(_NODES, _K15_W, range(23))
+        g7 = self.moment_errors(g7_x, _G7_W, range(14))
+        assert max(map(abs, k15 + g7)) <= 4.0, (k15, g7)
+        # One degree more is far off, so the degrees are the rules' own.
+        for nodes, weights, k in ((_NODES, _K15_W, 24), (g7_x, _G7_W, 14)):
+            assert abs(self.moment_errors(nodes, weights, [k])[0]) > 1e6
+
+    def test_constants_are_the_extension_rounded(self):
+        # The moment equations to degree 22, solved at 30 digits for the
+        # four positive Kronrod nodes and the eight K15 weights of x >= 0,
+        # from the float constants: each constant is its solution rounded.
+        got = [*_NODES[11:], *_K15_W[3:7], *_K15_W[11:]]
+        with mp.workdps(30):
+            gauss = [mp.findroot(lambda x: mp.legendre(7, x), mp.mpf(float(x)))
+                     for x in _NODES[4:7]]
+
+            def moments(*v):
+                kronrod, w_gauss, w_kronrod = v[:4], v[4:8], v[8:]
+                xs, ws = [*gauss, *kronrod], [*w_gauss[1:], *w_kronrod]  # x > 0
+                # The node at 0 adds its weight to the zeroth moment alone.
+                return [(w_gauss[0] if k == 0 else 0) - mp.mpf(2) / (k + 1)
+                        + 2 * mp.fsum(w * x**k for x, w in zip(xs, ws))
+                        for k in range(0, 23, 2)]
+
+            want = mp.findroot(moments, [mp.mpf(float(x)) for x in got])
+            assert [float(x) for x in want] == [float(x) for x in got]
+
+    def test_nodes_are_symmetric_and_interlace(self):
+        g7_x, kronrod_x = _NODES[:7], _NODES[7:]
+        assert np.array_equal(g7_x, -g7_x[::-1]) and g7_x[3] == 0.0
+        assert np.array_equal(kronrod_x, -kronrod_x[::-1])
+        assert np.array_equal(_K15_W[:7], _K15_W[6::-1])
+        assert np.array_equal(_K15_W[7:], _K15_W[:6:-1])
+        # Sorted, the fifteen nodes alternate Kronrod, Gauss, ..., Kronrod.
+        order = np.argsort(_NODES)
+        assert np.all(np.diff(_NODES[order]) > 0)
+        assert np.array_equal(order >= 7, np.arange(15) % 2 == 0)
+
+
 class TestBatchedPanels:
     @staticmethod
     def kinked(x):
@@ -422,10 +481,10 @@ class TestBatchedPanels:
         sizes = [np.size(x) for x in f.xs]
         # The initial panels at once: [-1, 0.3] and [0.3, 1.7] whole, and
         # [1.7, 4] in two halves, none of them wider than 2.
-        assert sizes[0] == 4 * 22
+        assert sizes[0] == 4 * _NODES.size
         # Then both halves of each panel a round bisects, ...
-        assert all(n % (2 * 22) == 0 for n in sizes[1:])
-        assert max(sizes[1:]) > 2 * 22
+        assert all(n % (2 * _NODES.size) == 0 for n in sizes[1:])
+        assert max(sizes[1:]) > 2 * _NODES.size
         # ... which are the panels the one-panel-per-call rule evaluates.
         ref = CountingFunction(self.kinked)
         _reference_integrate(ref, -1.0, 4.0, split_points=(0.3, 1.7))
@@ -748,7 +807,7 @@ class TestIntegrateManyProperty:
         assert got == [0.0, integrate(wave, -2.0, 2.0, split_points=(0.3,))]
         # One call for both windows' initial panels, then the wave window's
         # rounds alone, each on both halves of the panels it bisects.
-        assert len(calls) > 1 and all(n % 44 == 0 for n in calls[1:])
+        assert len(calls) > 1 and all(n % (2 * _NODES.size) == 0 for n in calls[1:])
         # The first window that fails raises, with the estimates it reaches
         # alone.
         quad = QuadratureSettings(max_subdivisions=12)

@@ -155,26 +155,12 @@ def _drawn_design(name):
     return build_fasttrack(p, family, binding=mode == "fasttrack_binding")
 
 
-def _reference_cef(design):
-    """The reference CEF of a built design, from its constants."""
-    p, cef = design.params, design.cef
-    if design.family == "constant":
-        return ref.constant(p.alpha)
-    if design.family == "z_combination":
-        return ref.z_combination(
-            p.i1, design.i2_const, design.branch_boundary, p.alpha, cef.alpha_prime
-        )
-    if design.family == "fisher":
-        return ref.fisher(cef.c, cef.z0)
-    return ref.inverse_normal(cef.c, cef.z0)
-
-
 @pytest.mark.parametrize("name", DRAWN)
 def test_drawn_designs_match_the_reference(name):
     design = _drawn_design(name)
     mode = DRAWN[name][0]
     p, cef, z_f = design.params, design.cef, design.branch_boundary
-    reference = _reference_cef(design)
+    reference = ref.design_cef(design)
     want = ref.level_integral(reference, cef.z0)
     assert level_integral(cef, cef.z0) == pytest.approx(want, abs=1e-10)
     want_power, want_info = ref.upper_branch(
@@ -199,7 +185,7 @@ def test_max_stage2_info_matches_the_reference():
     for design in designs:
         q = design.params
         want = ref.max_stage2_info(
-            _reference_cef(design), design.i2_min, q.beta, q.i1, design.branch_boundary
+            ref.design_cef(design), design.i2_min, q.beta, q.i1, design.branch_boundary
         )
         got = max_stage2_info(q, design.rule)
         assert got == pytest.approx(want, rel=1e-10, abs=0), (design.family, q)
