@@ -76,8 +76,18 @@ def cmd_derive(scenario: Scenario, rounding: str) -> int:
     return EXIT_OK
 
 
+# Abscissas a curve may have: the default step gives at most about a
+# thousand, and a list of a much finer step's floats need not fit in memory.
+_MAX_GRID = 10**6
+
+
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    n = int(math.floor((hi - lo) / step + 1e-9))
+    steps = (hi - lo) / step + 1e-9
+    # Counted before anything is built; floor(steps) + 1 abscissas.
+    if not steps < _MAX_GRID:
+        raise ScenarioError(f"--grid-step {step!r} would give more than "
+                            f"{_MAX_GRID:,} grid points")
+    n = int(math.floor(steps))
     return [lo + k * step for k in range(n + 1)]
 
 

@@ -10,11 +10,15 @@ streams of its key, named by the high 128 bits of the Philox counter:
 (j, 0) for the stage-one draws, (j, 1) for the stage-two draws of the
 replications that continue to the adaptive branch and (j, 2) for those of
 the waived ones (combination designs), each in replication order.  A span
-runs both stages in one call on a thread per CPU the process may use and
-returns its counts and sums, which are combined in span order: the report
-depends on ``_CHUNK`` but not on the number of CPUs.  Generator streams are
-not promised to stay the same across numpy versions; the pinned reports in
-the tests hold under numpy 2.4.6.
+runs both stages in one call on a thread per CPU the process may use.  It
+works through its replications in blocks of ``_BLOCK``, each drawing the
+next normals of the span's streams, so its temporaries are a block's, not
+a span's; its used stage-two informations are gathered, in replication
+order, into a buffer per thread and summed once.  A span returns its
+counts and sums, which are combined in span order: the report depends on
+``_CHUNK`` but not on ``_BLOCK`` or the number of CPUs.  Generator streams
+are not promised to stay the same across numpy versions; the pinned reports
+in the tests hold under numpy 2.4.6.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -34,6 +39,9 @@ from .power import Design
 
 # Replications per span of work handed to a thread.
 _CHUNK = 2**17
+# Replications a span works through at a time: its temporaries stay at
+# 256 KB or less, which the thread's arena keeps between blocks.
+_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -81,13 +89,10 @@ def _key(seed: int, substream: int) -> int:
     return seed + (substream << 64)
 
 
-def _normal(key: int, span: int, part: int, mean, n: int) -> np.ndarray:
-    """n ziggurat normals, plus ``mean``, from the key's stream of (span, part)."""
+def _stream(key: int, span: int, part: int) -> Generator:
+    """The generator of the key's stream of (span, part)."""
     # The counter's high 128 bits name the stream; each has 2**128 blocks.
-    gen = Generator(Philox(key=key, counter=(span << 192) | (part << 128)))
-    z = gen.standard_normal(n)
-    z += mean
-    return z
+    return Generator(Philox(key=key, counter=(span << 192) | (part << 128)))
 
 
 def _workers() -> int:
@@ -109,31 +114,47 @@ def simulate(design: Design, cfg: SimConfig, substream: int = 0) -> SimReport:
     n = cfg.n_reps
     mean1 = cfg.theta * math.sqrt(params.i1)
 
+    # Above z_f stage two is sized by the rule (part 1).  Below it a
+    # fast-track design stops; a combination design waives the application
+    # and runs its fixed-information stage two (part 2).
+    branches = [(1, None)]
+    if design.i2_const is not None:
+        branches.append((2, design.i2_const))
+    local = threading.local()
+
     def run_span(span):
-        # Above z_f stage two is sized by the rule (part 1).  Below it a
-        # fast-track design stops; a combination design waives the
-        # application and runs its fixed-information stage two (part 2).
         size = min(_CHUNK, n - span * _CHUNK)
-        z1 = _normal(key, span, 0, mean1, size)
-        upper = z1 >= design.branch_boundary
-        branches = [(1, upper, None)]
-        if design.i2_const is not None:
-            branches.append((2, ~upper, design.i2_const))
-        i2 = np.zeros(size)
-        rejected = 0
-        for part, branch, i2_const in branches:
-            z = z1[branch]
-            q = cef_mod.critical_value(rule.cef, z)
-            if i2_const is None:
-                info = power_mod.stage2_info(z, params, rule, q)
-            else:
-                info = i2_const
-            z2 = _normal(key, span, part, cfg.theta * np.sqrt(info), q.size)
-            rejected += int(np.count_nonzero(z2 >= q))
-            i2[branch] = info
-        used = i2[i2 > 0]
-        return (int(np.count_nonzero(upper)), rejected, float(used.sum()),
-                used.size, float(i2.max()))
+        gens = [_stream(key, span, part) for part in range(1 + len(branches))]
+        # The span's used informations in replication order, summed once.
+        used = getattr(local, "used", None)
+        if used is None:
+            used = local.used = np.empty(min(_CHUNK, n))
+        n_upper = rejected = n_used = 0
+        top = -math.inf
+        for start in range(0, size, _BLOCK):
+            z1 = gens[0].standard_normal(min(_BLOCK, size - start))
+            z1 += mean1
+            upper = z1 >= design.branch_boundary
+            n_upper += int(np.count_nonzero(upper))
+            i2 = np.zeros(z1.size)
+            for part, i2_const in branches:
+                branch = upper if part == 1 else ~upper
+                z = z1[branch]
+                q = cef_mod.critical_value(rule.cef, z)
+                if i2_const is None:
+                    info = power_mod.stage2_info(z, params, rule, q)
+                else:
+                    info = i2_const
+                z2 = gens[part].standard_normal(q.size)
+                z2 += cfg.theta * np.sqrt(info)
+                rejected += int(np.count_nonzero(z2 >= q))
+                i2[branch] = info
+            block = i2[i2 > 0]
+            used[n_used:n_used + block.size] = block
+            n_used += block.size
+            top = np.maximum(top, i2.max())
+        return (n_upper, rejected, float(used[:n_used].sum()), n_used,
+                float(top))
 
     spans = range(-(-n // _CHUNK))
     # Combined in span order, whichever thread ran each span.

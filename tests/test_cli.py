@@ -461,6 +461,17 @@ class TestExitCodes:
         assert rc == cli.EXIT_INVALID
         assert "--grid-step must be a positive finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["alpha_rel", "i2_min"])
+    def test_grid_step_too_fine(self, write_scenario, tmp_path, capsys, kind):
+        # About 10^12 abscissas: the count is refused before any is built.
+        out = tmp_path / "c.csv"
+        rc = cli.main(["curve", "--scenario", write_scenario(), "--kind", kind,
+                       "--out", str(out), "--grid-step", "1e-12"])
+        assert rc == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "--grid-step 1e-12 would give more than 1,000,000 grid points" in err
+        assert not out.exists()
+
     def test_unknown_kind_is_usage_error(self, write_scenario, tmp_path):
         path = write_scenario()
         with pytest.raises(SystemExit):

@@ -50,7 +50,8 @@ class TestDeterminism:
 
     def test_each_stream_is_named_by_seed_substream_span_and_part(self):
         def draws(seed=SEED, substream=1, span=2, part=1):
-            return mc_mod._normal(mc_mod._key(seed, substream), span, part, 0.0, 8)
+            key = mc_mod._key(seed, substream)
+            return mc_mod._stream(key, span, part).standard_normal(8)
 
         same = draws()
         assert np.array_equal(same, draws())
@@ -133,6 +134,27 @@ class TestSpans:
             cfg = SimConfig(n_reps=n, seed=SEED, theta=design.params.delta)
             assert simulate(design, cfg) == simulate_one_stream(design, cfg)
 
+    @pytest.mark.parametrize("name", ["fasttrack_design", "combo_design"])
+    @pytest.mark.parametrize("theta", [-5.0, "delta", 5.0])
+    @pytest.mark.parametrize("chunk, block, n", [
+        (503, 1, 1_200), (4099, 97, 10_000),
+        (mc_mod._CHUNK, 5_000, mc_mod._CHUNK + 5_003),
+        (mc_mod._CHUNK, mc_mod._CHUNK, mc_mod._CHUNK + 5_003),
+    ])
+    def test_blocks_do_not_change_the_report(self, request, monkeypatch, name,
+                                             theta, chunk, block, n):
+        # A span draws its streams block after block, in replication order,
+        # and sums its informations once.  Neither 97 nor 5,000 divides its
+        # span or the short last one; a block of a whole span is the span.
+        design = request.getfixturevalue(name)
+        theta = design.params.delta if theta == "delta" else theta
+        monkeypatch.setattr(mc_mod, "_CHUNK", chunk)
+        monkeypatch.setattr(mc_mod, "_BLOCK", block)
+        cfg = SimConfig(n_reps=n, seed=SEED, theta=theta)
+        assert simulate(design, cfg, substream=2) == simulate_one_stream(
+            design, cfg, substream=2
+        )
+
     def test_more_threads_than_cores(self, monkeypatch, combo_design):
         # Spans finish in any order; their sums must be combined in span
         # order.
@@ -149,26 +171,38 @@ class TestSpans:
 
 
 class TestMemory:
+    # One worker, so that whether two threads' peaks overlap does not move
+    # the figures.
+    @staticmethod
+    def peak(design, spans):
+        cfg = SimConfig(n_reps=spans * mc_mod._CHUNK, seed=SEED,
+                        theta=design.params.delta)
+        tracemalloc.start()
+        try:
+            simulate(design, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize("name", ["fasttrack_design", "combo_design"])
     def test_peak_does_not_grow_with_replications(self, request, monkeypatch,
                                                   name):
         # A span holds only its own arrays, so the peak is one span's per
-        # thread.  One worker, so that whether two threads' peaks overlap
-        # does not move the figure.
+        # thread.
         design = request.getfixturevalue(name)
         monkeypatch.setattr(mc_mod, "_workers", lambda: 1)
+        assert self.peak(design, 8) <= 1.1 * self.peak(design, 2)
 
-        def peak(spans):
-            cfg = SimConfig(n_reps=spans * mc_mod._CHUNK, seed=SEED,
-                            theta=design.params.delta)
-            tracemalloc.start()
-            try:
-                simulate(design, cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(8) <= 1.1 * peak(2)
+    @pytest.mark.parametrize("name", ["fasttrack_design", "combo_design"])
+    def test_a_span_holds_blocks_not_span_arrays(self, request, monkeypatch,
+                                                  name):
+        # The worker's buffer of a span's used informations (1 MiB) and one
+        # block's temporaries.  Arrays of a whole span, each 1 MiB, would
+        # pass 2.5 MiB.
+        design = request.getfixturevalue(name)
+        monkeypatch.setattr(mc_mod, "_workers", lambda: 1)
+        monkeypatch.setattr(mc_mod, "_BLOCK", 2**12)
+        assert self.peak(design, 2) <= 2.5 * 2**20
 
 
 class TestStatisticalSanity:
