@@ -160,15 +160,15 @@ def _gather(values: Sequence, k):
     return first if values.count(first) == len(values) else np.array(values)[k]
 
 
-def integrate_each(make: Callable, branches: Sequence[tuple]) -> list[float]:
-    """``integrate_many`` of ``make(*constants)`` over each (window, constants)
+def integrate_each(f: Callable, branches: Sequence[tuple]) -> list[float]:
+    """``integrate_many`` of ``f(z, *constants)`` over each (window, constants)
     of ``branches``, every integral the float ``integrate`` gives for it.  A
     lone branch is that ``integrate`` call, its constants as they are."""
     if len(branches) == 1:
         ((lo, hi, splits), constants), = branches
-        return [integrate(make(*constants), lo, hi, split_points=splits)]
+        return [integrate(lambda z: f(z, *constants), lo, hi, split_points=splits)]
     columns = list(zip(*(constants for _, constants in branches)))
-    return integrate_many(lambda z, k: make(*(_gather(c, k) for c in columns))(z),
+    return integrate_many(lambda z, k: f(z, *(_gather(c, k) for c in columns)),
                           [window for window, _ in branches])
 
 
@@ -205,8 +205,13 @@ def kinks(cef: CalibratedCef) -> list[float]:
     return out
 
 
-def _level_integrand(cef: CalibratedCef):
-    return lambda z: eval_cef(cef, z) * std_normal_pdf(z)
+def _level_integrand(z, cef: CalibratedCef):
+    return eval_cef(cef, z) * std_normal_pdf(z)
+
+
+def _level_branch(cef: CalibratedCef, lower: float) -> tuple:
+    """The level integral's window above ``lower``, split at the kinks, and its constants."""
+    return (*normal_window(0.0, lower), kinks(cef)), (cef,)
 
 
 def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
@@ -215,8 +220,7 @@ def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
     There is no early rejection, so the integral is the whole type I error
     rate of the design.
     """
-    return integrate(_level_integrand(cef), *normal_window(0.0, lower),
-                     split_points=kinks(cef))
+    return integrate_each(_level_integrand, [_level_branch(cef, lower)])[0]
 
 
 def calibrate(cef_at: Callable[[float], CalibratedCef], alpha: float,
@@ -326,8 +330,8 @@ def family_cefs(family: str, alphas: Sequence[float], z0s: Sequence[float] | Non
     solved = {key: _calibration(family, *key[:2], dict(zip(fixed, key[2:])))
               for key in keys}
     searched = [key for key, cef in solved.items() if not isinstance(cef, CalibratedCef)]
-    levels = lambda _, cefs: integrate_each(_level_integrand, [
-        ((*normal_window(0.0, cef.z0), kinks(cef)), (cef,)) for cef in cefs])
+    levels = lambda _, cefs: integrate_each(
+        _level_integrand, [_level_branch(cef, cef.z0) for cef in cefs])
     solved.update(zip(searched, lockstep([calibration_search(*solved[key])
                                           for key in searched], levels)))
     return [solved[key] for key in keys]

@@ -57,24 +57,18 @@ def _waive_setup(params: DesignParams) -> tuple:
     return lo, hi, mean, log_ndtr(params.z_f - mean)
 
 
-def _waive_at(params: DesignParams, i2c: float, cef, setup: tuple):
-    """The window, split at the CEF's kinks, and the constants at ``i2c``."""
-    lo, hi, mean, log_p_lower = setup
+def _waive_at(params: DesignParams, i2c: float, cef, setup: tuple = ()):
+    """The waive-branch window below z_f, split at the CEF's kinks, and its constants
+    at ``i2c``.  A search passes the :func:`_waive_setup` it made once."""
+    lo, hi, mean, log_p_lower = setup or _waive_setup(params)
     return (lo, hi, cef_mod.kinks(cef)), (params.delta, i2c, cef, mean, log_p_lower)
 
 
-def _waive_window(params: DesignParams, i2c: float, cef: cef_mod.CalibratedCef):
-    """The window below z_f of the waive-branch success, and its constants."""
-    return _waive_at(params, i2c, cef, _waive_setup(params))
-
-
-def _success_integrand(delta, i2c, cef, mean, log_p_lower):
+def _success_integrand(z, delta, i2c, cef, mean, log_p_lower):
     """Conditional success at ``i2c`` times the density of Z1 < z_f."""
-    def integrand(z):
-        q = cef_mod.critical_value(cef, z)
-        cond = 1.0 - std_normal_cdf(q - np.sqrt(i2c) * delta)
-        return cond * np.exp(-0.5 * (z - mean) ** 2 - log_p_lower) / _SQRT_2PI
-    return integrand
+    q = cef_mod.critical_value(cef, z)
+    cond = 1.0 - std_normal_cdf(q - np.sqrt(i2c) * delta)
+    return cond * np.exp(-0.5 * (z - mean) ** 2 - log_p_lower) / _SQRT_2PI
 
 
 def lower_branch_success(
@@ -88,8 +82,8 @@ def lower_branch_success(
     mean lies far above.  Only the pieces of ``cef`` that start below z_f
     enter: never the z-combination family's raised level.
     """
-    (lo, hi, splits), constants = _waive_window(params, i2c, cef)
-    return integrate(_success_integrand(*constants), lo, hi, split_points=splits)
+    (lo, hi, splits), constants = _waive_at(params, i2c, cef)
+    return integrate(lambda z: _success_integrand(z, *constants), lo, hi, split_points=splits)
 
 
 def _is_flat(cef: cef_mod.CalibratedCef) -> bool:
@@ -114,12 +108,7 @@ def solve_i2_const(
     if _is_flat(cef):
         q = max(cef.pieces[0][1], 0.0)
         return (q + params.z_beta) ** 2 / params.delta**2
-
-    def success(i2c: float) -> float:
-        if i2c <= 0:
-            return 0.0
-        return lower_branch_success(params, i2c, cef_at(i2c))
-
+    success = lambda i2c: 0.0 if i2c <= 0 else lower_branch_success(params, i2c, cef_at(i2c))
     return solve_monotone(success, 1.0 - params.beta)
 
 
@@ -173,11 +162,10 @@ def waive_branches(params: Sequence[DesignParams], family: str) -> tuple[list, l
 
 
 def upper_floors(params: Sequence[DesignParams], cefs: Sequence) -> list[float]:
-    """The upper-branch floor I2min of each apply-or-waive design, in lockstep,
-    for conditional success 1 - beta; an infeasible one raises InfeasiblePowerError."""
+    """The upper-branch floor I2min of each apply-or-waive design, in lockstep, for conditional
+    success 1 - beta.  Each is feasible: its target is below P(Z1 >= z_f) >= alpha_c."""
     targets = [(1.0 - p.beta) * cond_registration_power(p) for p in params]
-    return [power_mod.solve_i2_min(p, cef, t) if x is None else x for p, cef, t, x in
-            zip(params, cefs, targets, power_mod.solve_i2_min_many(params, cefs, targets))]
+    return power_mod.solve_i2_min_many(params, cefs, targets)
 
 
 def build_combination(params: DesignParams, family: str) -> power_mod.Design:

@@ -51,6 +51,16 @@ class DesignParams:
             raise ValueError(f"need xi >= 1, got {self.xi}")
         if not self.i1 > 0:
             raise ValueError(f"need i1 > 0, got {self.i1}")
+        # derive's I_rel and I_delta: a square that overflows raises, one that underflows is 0.
+        eta_f = noncentrality_target(self.alpha, self.beta)
+        for field, effect in (("delta_rel", self.delta_rel), ("xi", self.delta)):
+            try:
+                info = eta_f**2 / effect**2
+            except (OverflowError, ZeroDivisionError):
+                info = 0.0
+            if not 0.0 < info < math.inf:
+                raise ValueError(f"need {field} with a finite positive information "
+                                 f"eta_f^2 / effect^2, got {field}={getattr(self, field)}")
 
     @property
     def delta(self) -> float:

@@ -170,27 +170,20 @@ def _upper_setup(params: DesignParams, cef: cef_mod.CalibratedCef) -> tuple:
     return lo, hi, cef_mod.kinks(cef), mean
 
 
-def _upper_at(params: DesignParams, rule: AdaptiveConditionalPower, setup: tuple):
-    """The power branch at ``rule``'s floor, from its :func:`_upper_setup`."""
-    lo, hi, kinks, mean = setup
+def _upper_at(params: DesignParams, rule: AdaptiveConditionalPower, setup: tuple = ()):
+    """A design's window over Z1 >= z_f, split at the CEF's kinks and the floor kink, and
+    its integrands' constants.  A search passes the :func:`_upper_setup` it made once."""
+    lo, hi, kinks, mean = setup or _upper_setup(params, rule.cef)
     kink = _floor_kink(params, rule, lo, hi)
     return (lo, hi, kinks if kink is None else [*kinks, kink]), (
         rule.cef, rule.i2_min, params.i1, params.z_beta, params.delta, mean)
 
 
-def _solved_branch(params: DesignParams, rule: AdaptiveConditionalPower):
-    """A design's window over Z1 >= z_f, split at the CEF's kinks and at the
-    floor kink where it exists, and the constants of its power integrand."""
-    return _upper_at(params, rule, _upper_setup(params, rule.cef))
-
-
-def _power_integrand(cef, i2_min, i1, z_beta, delta, mean):
+def _power_integrand(z, cef, i2_min, i1, z_beta, delta, mean):
     """The overall-power integrand: conditional power times the density of Z1."""
-    def integrand(z):
-        q = cef_mod.critical_value(cef, z)
-        i2 = _stage2_info(z, cef, i2_min, i1, z_beta, q)
-        return (1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)) * std_normal_pdf(z - mean)
-    return integrand
+    q = cef_mod.critical_value(cef, z)
+    i2 = _stage2_info(z, cef, i2_min, i1, z_beta, q)
+    return (1.0 - std_normal_cdf(q - np.sqrt(i2) * delta)) * std_normal_pdf(z - mean)
 
 
 def overall_power(params: DesignParams, rule: AdaptiveConditionalPower) -> float:
@@ -204,7 +197,7 @@ def overall_powers(params: Sequence[DesignParams],
     """:func:`overall_power` of many designs, all integrated in one call.
     Where the conditional power is 1 throughout, the quadrature's rounding
     can put an integral an ulp above its ceiling, so each is clamped there."""
-    branches = [_solved_branch(p, rule) for p, rule in zip(params, rules)]
+    branches = [_upper_at(p, rule) for p, rule in zip(params, rules)]
     return [min(v, cond_registration_power(p)) for p, v in
             zip(params, cef_mod.integrate_each(_power_integrand, branches))]
 
@@ -240,22 +233,25 @@ def mean_stage2_info(params: DesignParams, rule: AdaptiveConditionalPower) -> fl
     This is what makes the non-adaptive mean sit just above its minimum (149
     vs 148 per group in the worked example).
     """
-    (lo, hi, splits), constants = _solved_branch(params, rule)
-    return integrate(_mean_integrand(*constants), lo, hi, split_points=splits)
+    (lo, hi, splits), constants = _upper_at(params, rule)
+    return integrate(lambda z: _mean_integrand(z, *constants), lo, hi, split_points=splits)
 
 
 def mean_stage2_infos(params: Sequence[DesignParams],
                       rules: Sequence[AdaptiveConditionalPower]) -> list[float]:
     """:func:`mean_stage2_info` of many designs, integrated in one call."""
-    branches = [_solved_branch(p, rule) for p, rule in zip(params, rules)]
+    branches = [_upper_at(p, rule) for p, rule in zip(params, rules)]
     return cef_mod.integrate_each(_mean_integrand, branches)
 
 
-def _mean_integrand(cef, i2_min, i1, z_beta, delta, mean):
+def _mean_integrand(z, cef, i2_min, i1, z_beta, delta, mean):
     """The E[I2] integrand: the stage-two information times the density of Z1."""
-    def integrand(z):
-        return _stage2_info(z, cef, i2_min, i1, z_beta) * std_normal_pdf(z - mean)
-    return integrand
+    return _stage2_info(z, cef, i2_min, i1, z_beta) * std_normal_pdf(z - mean)
+
+
+def _check_fasttrack_family(family: str) -> None:
+    if family not in cef_mod.FASTTRACK_FAMILIES:
+        raise ValueError(f"family {family!r} is not available for the fast-track mode")
 
 
 def build_fasttrack(
@@ -271,8 +267,7 @@ def build_fasttrack(
     The 'constant' family is the separate-studies design testing stage two at
     level alpha.
     """
-    if family not in cef_mod.FASTTRACK_FAMILIES:
-        raise ValueError(f"family {family!r} is not available for the fast-track mode")
+    _check_fasttrack_family(family)
     z0 = params.z_f if binding else -math.inf
     cef = cef_mod.family_cef(family, params.alpha, z0)
     i2_min = solve_i2_min(params, cef, 1.0 - params.beta)
@@ -306,6 +301,7 @@ def build_fasttrack_many(params: list[DesignParams], family: str,
                          binding: bool = True) -> list[Design | None]:
     """:func:`build_fasttrack` of many designs of one fast-track family in
     lockstep, None where it raises InfeasiblePowerError."""
+    _check_fasttrack_family(family)
     cefs = cef_mod.family_cefs(family, [p.alpha for p in params],
                                [p.z_f if binding else -math.inf for p in params])
     floors = solve_i2_min_many(params, cefs, [1.0 - p.beta for p in params])

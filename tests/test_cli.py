@@ -472,6 +472,18 @@ class TestExitCodes:
         assert "--grid-step 1e-12 would give more than 1,000,000 grid points" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(delta_rel=1e160), "delta_rel=1e+160"),
+        (dict(xi=1e200, delta_rel=1e200), "delta_rel=1e+200"),
+        (dict(delta_rel=1e-200, t_xi_i1=0.5), "delta_rel=1e-200"),
+    ])
+    def test_effect_without_a_finite_information_is_invalid_input(
+            self, write_scenario, capsys, overrides, field):
+        # I_rel or I_delta = eta_f^2 / effect^2 overflows or divides by zero.
+        rc = cli.main(["derive", "--scenario", write_scenario(**overrides)])
+        assert rc == cli.EXIT_INVALID
+        assert field in capsys.readouterr().err
+
     def test_unknown_kind_is_usage_error(self, write_scenario, tmp_path):
         path = write_scenario()
         with pytest.raises(SystemExit):

@@ -164,9 +164,9 @@ class TestDesignOnce:
                       far=st.booleans())
     def test_every_waive_round_yields_the_fresh_window(self, family, t, far):
         # A waive search sets its design up once; each round must still yield
-        # the window and constants _waive_window makes afresh for that
-        # information, the z-combination test's CEF changing with it.  A far
-        # pilot puts the mean far above z_f, where the window is cut.
+        # the window and constants _waive_at makes afresh, without a setup,
+        # for that information, the z-combination test's CEF changing with
+        # it.  A far pilot puts the mean far above z_f, where the window is cut.
         p = _near_i1_max(6.0) if far else params_at(COMBO_BASE, t)
         cef_at = comb_mod.waive_tests([p], family)[0]
         search, rounds = comb_mod._waive_search(p, cef_at), 0
@@ -174,7 +174,7 @@ class TestDesignOnce:
         try:
             while True:
                 x = branch[1][1]
-                assert repr(branch) == repr(comb_mod._waive_window(p, x, cef_at(x)))
+                assert repr(branch) == repr(comb_mod._waive_at(p, x, cef_at(x)))
                 rounds += 1
                 branch = search.send(integrate_each(comb_mod._success_integrand, [branch])[0])
         except StopIteration as stop:
@@ -182,6 +182,23 @@ class TestDesignOnce:
         assert rounds > 1
         assert solved == comb_mod.solve_i2_const_many([p], [cef_at])[0] or comb_mod._is_flat(
             cef_at(1.0))
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+    @hypothesis.given(family=st.sampled_from(FAMILIES),
+                      drawn=st.lists(st.tuples(st.floats(0.05, 1.5), st.floats(0.1, 3.0)),
+                                     min_size=2, max_size=5),
+                      shared=st.booleans())
+    def test_a_column_of_waive_branches_integrates_each_alone(self, family, drawn, shared):
+        # Each design's own waive test at information x (t_xi and x / I_delta
+        # drawn), every design at the first x when ``shared``: a column
+        # integral must equal each design's lower_branch_success.
+        params = [params_at(COMBO_BASE, t) for t, _ in drawn]
+        xs = [(drawn[0] if shared else d)[1] * i_delta_of(COMBO_BASE) for d in drawn]
+        cefs = [cef_at(x) for cef_at, x in zip(comb_mod.waive_tests(params, family), xs)]
+        column = integrate_each(comb_mod._success_integrand, [
+            comb_mod._waive_at(p, x, cef) for p, x, cef in zip(params, xs, cefs)])
+        assert [v.hex() for v in column] == [
+            lower_branch_success(p, x, cef).hex() for p, x, cef in zip(params, xs, cefs)]
 
 
 class TestBranchMetrics:

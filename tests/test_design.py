@@ -137,12 +137,15 @@ class TestBoundaryAndPower:
         # The stage-two rule divides by z1^2 on Z1 >= z_f.  Only at
         # alpha_c = 0.5 - 2**-54, where 1 - alpha_c rounds to 0.5, could z_f
         # be 0; that level is rejected, and the next one down keeps z_f > 0
-        # even when sqrt(I1) * delta_rel underflows to 0.
+        # even when sqrt(I1) * delta_rel is subnormal.  A delta_rel of 1e-300
+        # has no finite I_rel = eta_f^2 / delta_rel^2, so it is rejected.
         with pytest.raises(ValueError, match="got alpha=0.025, alpha_c="):
             base_params(alpha_c=0.5 - 2.0**-54)
-        p = base_params(alpha_c=0.5 - 2.0**-53, i1=1e-300, delta_rel=1e-300)
-        assert math.sqrt(p.i1) * p.delta_rel == 0.0
+        p = base_params(alpha_c=0.5 - 2.0**-53, i1=1e-310, delta_rel=1e-153)
+        assert 0.0 < math.sqrt(p.i1) * p.delta_rel < 2.0**-1022
         assert p.z_f > 0
+        with pytest.raises(ValueError, match="got delta_rel=1e-300"):
+            base_params(alpha_c=0.5 - 2.0**-53, i1=1e-300, delta_rel=1e-300)
 
     def test_boundary_at_reference_point(self):
         p = params_at(EVAL_BASE, 0.6)
@@ -237,3 +240,23 @@ class TestValidation:
         # 1 - level == 1 in float64: no quantile of the level exists.
         with pytest.raises(ValueError, match=f"got {field}="):
             base_params(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(delta_rel=1e160), "delta_rel"),  # delta_rel**2 overflows
+            (dict(delta_rel=1e-200), "delta_rel"),  # delta_rel**2 is 0
+            (dict(delta_rel=1e-160), "delta_rel"),  # eta_f^2 / delta_rel^2 is inf
+            (dict(xi=1e200), "xi"),  # delta**2 overflows
+            (dict(xi=1e200, delta_rel=1e200), "delta_rel"),
+            (dict(xi=1e200, delta_rel=1e120), "xi"),  # delta is inf, I_delta 0
+        ],
+    )
+    def test_rejects_effects_without_a_finite_positive_information(self, overrides, field):
+        with pytest.raises(ValueError, match=f"need {field} with a finite positive information"):
+            base_params(**overrides)
+
+    @pytest.mark.parametrize("delta_rel", [1e-150, 1e150])
+    def test_extreme_effects_with_finite_informations_are_valid(self, delta_rel):
+        derived = derive(base_params(delta_rel=delta_rel, xi=1.0))
+        assert 0 < derived.i_delta == derived.i_rel < math.inf

@@ -28,6 +28,7 @@ from fasttrack.power import (
     AdaptiveConditionalPower,
     InfeasiblePowerError,
     build_fasttrack,
+    build_fasttrack_many,
     evaluate_design,
     max_stage2_info,
     mean_stage2_info,
@@ -37,9 +38,23 @@ from fasttrack.power import (
     solve_i2_min,
     stage2_info,
 )
-from fasttrack.power import _floor_kink, _floor_search, _power_integrand, _solved_branch
+from fasttrack.power import _floor_kink, _floor_search, _power_integrand, _upper_at
 
 ALPHA, BETA = 0.025, 0.2
+# The fast-track families, a two-piece z-combination table whose pieces
+# differ between designs, and a Fisher c with 2c >= 0.5, whose A is capped
+# wherever it is positive (no cap kink).
+SHAPES = (*FASTTRACK_FAMILIES, "z_combination", "fisher_capped")
+
+
+def shaped_cef(shape, p, binding):
+    """The CEF of ``shape`` for design ``p``, zero below z_f when ``binding``."""
+    z0 = p.z_f if binding else -math.inf
+    if shape == "z_combination":
+        return z_combination_cef(p.i1, 1.5, p.z_f, ALPHA, 0.1)
+    if shape == "fisher_capped":
+        return CalibratedCef(None, z0=z0, c=0.3)
+    return family_cef(shape, ALPHA, z0)
 
 
 class TestStage2Info:
@@ -220,57 +235,47 @@ class TestManyDesigns:
     # formula everywhere, and a binding z0 at each design's own z_f.
     _design = st.tuples(st.floats(0.3, 2.0), st.sampled_from((0.0, 0.05, 0.3, 1.0, 3.0)),
                         st.booleans())
-    _settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=30)
-    _given = hypothesis.given(family=st.sampled_from(FASTTRACK_FAMILIES),
+    _settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=50)
+    _given = hypothesis.given(shape=st.sampled_from(SHAPES),
                               drawn=st.lists(_design, min_size=1, max_size=5))
 
     @staticmethod
-    def designs(family, drawn):
+    def designs(shape, drawn):
         params = [params_at(EVAL_BASE, t) for t, _, _ in drawn]
-        rules = [AdaptiveConditionalPower(
-                     floor * i_delta_of(EVAL_BASE),
-                     family_cef(family, ALPHA, p.z_f if binding else -math.inf))
+        rules = [AdaptiveConditionalPower(floor * i_delta_of(EVAL_BASE),
+                                          shaped_cef(shape, p, binding))
                  for p, (_, floor, binding) in zip(params, drawn)]
         return params, rules
 
     @_settings
     @_given
-    def test_overall_powers_equal_overall_power(self, family, drawn):
-        params, rules = self.designs(family, drawn)
+    def test_overall_powers_equal_overall_power(self, shape, drawn):
+        params, rules = self.designs(shape, drawn)
         assert [x.hex() for x in overall_powers(params, rules)] == [
             overall_power(p, rule).hex() for p, rule in zip(params, rules)]
 
     @_settings
     @_given
-    def test_mean_stage2_infos_equal_mean_stage2_info(self, family, drawn):
-        params, rules = self.designs(family, drawn)
+    def test_mean_stage2_infos_equal_mean_stage2_info(self, shape, drawn):
+        params, rules = self.designs(shape, drawn)
         assert [x.hex() for x in mean_stage2_infos(params, rules)] == [
             mean_stage2_info(p, rule).hex() for p, rule in zip(params, rules)]
 
 
 class TestDesignOnce:
     """A floor search sets its design up once; each round must still yield
-    the branch :func:`_solved_branch` makes afresh for that floor."""
+    the branch :func:`_upper_at` makes afresh, without a setup, for that floor."""
 
-    # (family, t_xi, binding, power target as a share of the continuation
-    # probability): every family, zero and positive floors, and a Fisher c
-    # with 2c >= 0.5, whose A is capped wherever it is positive (no cap kink).
-    _design = st.tuples(
-        st.sampled_from((*FASTTRACK_FAMILIES, "z_combination", "fisher_capped")),
-        st.floats(0.3, 2.0), st.booleans(), st.sampled_from((0.5, 0.97, 0.995, 0.9999)))
+    # (shape, t_xi, binding, power target as a share of the continuation
+    # probability): every shape, zero and positive floors.
+    _design = st.tuples(st.sampled_from(SHAPES), st.floats(0.3, 2.0), st.booleans(),
+                        st.sampled_from((0.5, 0.97, 0.995, 0.9999)))
     _settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
 
     @staticmethod
-    def design(family, t, binding, share):
+    def design(shape, t, binding, share):
         p = params_at(EVAL_BASE, t)
-        z0 = p.z_f if binding else -math.inf
-        if family == "z_combination":
-            cef = z_combination_cef(p.i1, 1.5, p.z_f, ALPHA, 0.1)
-        elif family == "fisher_capped":
-            cef = CalibratedCef(None, z0=z0, c=0.3)
-        else:
-            cef = family_cef(family, ALPHA, z0)
-        return p, cef, share * cond_registration_power(p)
+        return p, shaped_cef(shape, p, binding), share * cond_registration_power(p)
 
     @_settings
     @hypothesis.given(drawn=_design)
@@ -281,7 +286,7 @@ class TestDesignOnce:
         try:
             while True:
                 floors.append(floor := branch[1][1])
-                assert repr(branch) == repr(_solved_branch(p, AdaptiveConditionalPower(floor, cef)))
+                assert repr(branch) == repr(_upper_at(p, AdaptiveConditionalPower(floor, cef)))
                 branch = search.send(integrate_each(_power_integrand, [branch])[0])
         except StopIteration as stop:
             solved = stop.value
@@ -326,11 +331,18 @@ class TestEvaluateDesign:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 design.i2_const = 1.0
 
-    def test_z_combination_needs_the_waive_branch(self):
+    @staticmethod
+    def assert_both_builders_refuse(family):
         p = params_at(EVAL_BASE, 0.6)
+        message = f"family {family!r} is not available for the fast-track mode"
+        with pytest.raises(ValueError, match=message):
+            build_fasttrack(p, family)
+        with pytest.raises(ValueError, match=message):
+            build_fasttrack_many([p], family)
+
+    def test_z_combination_needs_the_waive_branch(self):
         assert "z_combination" not in FASTTRACK_FAMILIES
-        with pytest.raises(ValueError):
-            build_fasttrack(p, "z_combination")
+        self.assert_both_builders_refuse("z_combination")
 
     def test_pilot_far_above_i1_max_saturates(self):
         # With z_f = sqrt(I1) * delta_rel >= 8.5 the level integral above z_f
@@ -344,9 +356,7 @@ class TestEvaluateDesign:
                 assert design.cef.c == 1.0
 
     def test_unknown_family(self):
-        p = params_at(EVAL_BASE, 0.6)
-        with pytest.raises(ValueError):
-            build_fasttrack(p, "z_combination")
+        self.assert_both_builders_refuse("no_such_family")
 
 
 class TestClosedFormFloorKink:
