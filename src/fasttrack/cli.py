@@ -35,11 +35,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc}") from exc
 
 
 def _group_size(sigma: float, rounding: str):
@@ -84,6 +87,8 @@ _MAX_GRID = 10**6
 def _grid(lo: float, hi: float, step: float) -> list[float]:
     steps = (hi - lo) / step + 1e-9
     # Counted before anything is built; floor(steps) + 1 abscissas.
+    if steps < 0:
+        raise ScenarioError(f"--grid-step {step!r} gives no grid point from {lo!r} to {hi!r}")
     if not steps < _MAX_GRID:
         raise ScenarioError(f"--grid-step {step!r} would give more than "
                             f"{_MAX_GRID:,} grid points")

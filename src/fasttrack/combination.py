@@ -114,23 +114,17 @@ def solve_i2_const(
 
 def solve_i2_const_many(params: Sequence[DesignParams], cef_ats: Sequence) -> list[float]:
     """:func:`solve_i2_const` of many designs in lockstep, each round
-    integrating every unfinished design's waive-branch success in one call."""
-    flat = [_is_flat(cef_at(1.0)) for cef_at in cef_ats]
-    searches = [None if f else _waive_search(p, c) for p, c, f in zip(params, cef_ats, flat)]
-    xs = lockstep(searches, lambda _, bs: cef_mod.integrate_each(_success_integrand, bs))
-    return [solve_i2_const(p, c) if f else x for p, c, f, x in zip(params, cef_ats, flat, xs)]
+    integrating every unfinished design's waive-branch success in one call.
+    Each design is set up once; a zero information has no branch and success 0."""
+    setups = [None if _is_flat(c(1.0)) else _waive_setup(p) for p, c in zip(params, cef_ats)]
 
+    def evaluate(js: list[int], xs: list[float]) -> list[float]:
+        return cef_mod.integrate_each(_success_integrand, [
+            _waive_at(params[j], x, cef_ats[j](x), setups[j]) for j, x in zip(js, xs)])
 
-def _waive_search(params: DesignParams, cef_at: Callable):
-    """One design's I2_const search, yielding the waive branch of each positive
-    information it reads and sent its success; a zero information has none."""
-    search, setup = monotone_search(1.0 - params.beta), _waive_setup(params)
-    x = next(search)
-    try:
-        while True:
-            x = search.send((yield _waive_at(params, x, cef_at(x), setup)) if x > 0 else 0.0)
-    except StopIteration as stop:
-        return stop.value
+    xs = lockstep([monotone_search(1.0 - p.beta, g_0=0.0) if s else None
+                   for p, s in zip(params, setups)], evaluate)
+    return [x if s else solve_i2_const(p, c) for p, c, s, x in zip(params, cef_ats, setups, xs)]
 
 
 def waive_tests(params: Sequence[DesignParams], family: str) -> list[Callable]:

@@ -49,8 +49,8 @@ class DesignParams:
             raise ValueError(f"need delta_rel > 0, got {self.delta_rel}")
         if not self.xi >= 1.0:
             raise ValueError(f"need xi >= 1, got {self.xi}")
-        if not self.i1 > 0:
-            raise ValueError(f"need i1 > 0, got {self.i1}")
+        if not 0 < self.i1 < math.inf:
+            raise ValueError(f"need 0 < i1 < inf, got i1={self.i1}")
         # derive's I_rel and I_delta: a square that overflows raises, one that underflows is 0.
         eta_f = noncentrality_target(self.alpha, self.beta)
         for field, effect in (("delta_rel", self.delta_rel), ("xi", self.delta)):

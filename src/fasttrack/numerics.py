@@ -326,33 +326,22 @@ def lockstep(searches: Sequence[Generator], evaluate: Callable, catch=()) -> lis
     xs)`` on what the unfinished searches, by index, wait on, and sends each its
     value, so each returns what it would alone.  A search that raises one of
     ``catch`` has that exception as its result; any other raise, and any raise
-    of ``evaluate``, stops all.  A lone search has no rounds to gather."""
+    of ``evaluate``, stops all."""
     out = [None] * len(searches)
     live = [i for i, search in enumerate(searches) if search is not None]
-    if len(live) == 1:
-        (i,), value = live, None
-        while True:
+    values = [None] * len(live)
+    while live:
+        js, xs = [], []
+        for i, value in zip(live, values):
             try:
-                x = searches[i].send(value)
-            except StopIteration as stop:
-                out[i] = stop.value
-                return out
-            except catch as err:
-                out[i] = err
-                return out
-            value, = evaluate(live, [x])
-    pending = dict.fromkeys(live)
-    while pending:
-        waiting = {}
-        for i, value in pending.items():
-            try:
-                waiting[i] = searches[i].send(value)
+                xs.append(searches[i].send(value))
             except StopIteration as stop:
                 out[i] = stop.value
             except catch as err:
                 out[i] = err
-        values = evaluate(list(waiting), list(waiting.values())) if waiting else []
-        pending = dict(zip(waiting, values))
+            else:
+                js.append(i)
+        live, values = js, js and evaluate(js, xs)
     return out
 
 
@@ -455,9 +444,9 @@ def solve_monotone(g: Callable[[float], float], target: float) -> float:
     return run_search(monotone_search(target), g)
 
 
-def monotone_search(target: float) -> Generator:
-    """:func:`solve_monotone` as a generator, like :func:`root_search`."""
-    lo, g_lo = 0.0, (yield 0.0)
+def monotone_search(target: float, g_0: float | None = None) -> Generator:
+    """:func:`solve_monotone` as a generator, like :func:`root_search`; g_0 is a known g(0)."""
+    lo, g_lo = 0.0, (yield 0.0) if g_0 is None else g_0
     if g_lo >= target - F_TOL:
         return lo
 

@@ -278,23 +278,19 @@ def solve_i2_min_many(params: Sequence[DesignParams], cefs: Sequence[cef_mod.Cal
                       targets: Sequence[float]) -> list[float | None]:
     """The floor :func:`solve_i2_min` defines, of many designs in lockstep, None
     where the target is infeasible: each round integrates the power branch
-    every unfinished design waits on in one call."""
-    searches = [_floor_search(p, cef, t) if t < cond_registration_power(p) else None
-                for p, cef, t in zip(params, cefs, targets)]
-    return lockstep(searches, lambda _, bs: cef_mod.integrate_each(_power_integrand, bs))
+    every unfinished design waits on in one call, each clamped as
+    :func:`overall_powers` does.  Each design is set up once."""
+    ceilings = [cond_registration_power(p) for p in params]
+    setups = [_upper_setup(p, cef) if t < c else None
+              for p, cef, t, c in zip(params, cefs, targets, ceilings)]
 
+    def evaluate(js: list[int], floors: list[float]) -> list[float]:
+        branches = [_upper_at(params[j], AdaptiveConditionalPower(x, cefs[j]), setups[j])
+                    for j, x in zip(js, floors)]
+        return [min(v, ceilings[j]) for j, v in
+                zip(js, cef_mod.integrate_each(_power_integrand, branches))]
 
-def _floor_search(params: DesignParams, cef: cef_mod.CalibratedCef, target: float):
-    """One design's floor search, yielding the power branch of each floor it
-    reads and sent that integral, clamped as :func:`overall_powers` does."""
-    ceiling, search = cond_registration_power(params), monotone_search(target)
-    setup, x = _upper_setup(params, cef), next(search)
-    try:
-        while True:
-            power = yield _upper_at(params, AdaptiveConditionalPower(x, cef), setup)
-            x = search.send(min(power, ceiling))
-    except StopIteration as stop:
-        return stop.value
+    return lockstep([monotone_search(t) if s else None for t, s in zip(targets, setups)], evaluate)
 
 
 def build_fasttrack_many(params: list[DesignParams], family: str,

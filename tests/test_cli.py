@@ -472,10 +472,37 @@ class TestExitCodes:
         assert "--grid-step 1e-12 would give more than 1,000,000 grid points" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, step, overrides, span", [
+        ("i2_min", "5", {}, "from 5.0 to 1.95771062913996"),
+        ("alpha_rel", "1.5", {}, "from 1.5 to 1.0"),
+        # The default step: I1_max / I_delta is about 0.0015 here.
+        ("i2_min", None, dict(alpha=0.45, alpha_c=0.49, beta=0.001, xi=1.0),
+         "from 0.002 to 0.0015"),
+    ])
+    def test_grid_without_a_point(self, write_scenario, tmp_path, capsys, kind, step,
+                                  overrides, span):
+        out = tmp_path / "c.csv"
+        argv = ["curve", "--scenario", write_scenario(**overrides), "--kind", kind,
+                "--out", str(out)]
+        rc = cli.main(argv + (["--grid-step", step] if step else []))
+        assert rc == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"gives no grid point {span}" in err and "--grid-step" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["curve", "--kind", "alpha_rel"], ["table1"], ["simulate", "--reps", "10"]])
+    def test_unwritable_out(self, write_scenario, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "x.csv"
+        scenario = [] if command == ["table1"] else ["--scenario", write_scenario()]
+        assert cli.main(command + scenario + ["--out", str(out)]) == cli.EXIT_INVALID
+        assert f"cannot write {out}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("overrides, field", [
         (dict(delta_rel=1e160), "delta_rel=1e+160"),
         (dict(xi=1e200, delta_rel=1e200), "delta_rel=1e+200"),
         (dict(delta_rel=1e-200, t_xi_i1=0.5), "delta_rel=1e-200"),
+        (dict(t_xi_i1=1e308), "i1=inf"),  # t_xi_i1 * I_delta overflows
     ])
     def test_effect_without_a_finite_information_is_invalid_input(
             self, write_scenario, capsys, overrides, field):

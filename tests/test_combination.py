@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from pathlib import Path
+from unittest.mock import patch
 
 import hypothesis
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import reference_mp as ref
 from conftest import COMBO_BASE, SIGMA, i_delta_of, params_at, params_near_i1_max
+from fasttrack import cef as cef_mod
 from fasttrack import combination as comb_mod
 from fasttrack import power as power_mod
 from fasttrack.cef import FAMILIES, eval_cef, family_cef, integrate_each, z_combination_cef
@@ -160,28 +162,34 @@ class TestWaiveBranchSizing:
 
 class TestDesignOnce:
     @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
-    @hypothesis.given(family=st.sampled_from(FAMILIES), t=st.floats(0.05, 1.5),
-                      far=st.booleans())
-    def test_every_waive_round_yields_the_fresh_window(self, family, t, far):
-        # A waive search sets its design up once; each round must still yield
-        # the window and constants _waive_at makes afresh, without a setup,
-        # for that information, the z-combination test's CEF changing with
-        # it.  A far pilot puts the mean far above z_f, where the window is cut.
-        p = _near_i1_max(6.0) if far else params_at(COMBO_BASE, t)
-        cef_at = comb_mod.waive_tests([p], family)[0]
-        search, rounds = comb_mod._waive_search(p, cef_at), 0
-        branch = next(search)
-        try:
-            while True:
-                x = branch[1][1]
-                assert repr(branch) == repr(comb_mod._waive_at(p, x, cef_at(x)))
-                rounds += 1
-                branch = search.send(integrate_each(comb_mod._success_integrand, [branch])[0])
-        except StopIteration as stop:
-            solved = stop.value
-        assert rounds > 1
-        assert solved == comb_mod.solve_i2_const_many([p], [cef_at])[0] or comb_mod._is_flat(
-            cef_at(1.0))
+    @hypothesis.given(family=st.sampled_from(FAMILIES),
+                      drawn=st.lists(st.tuples(st.floats(0.05, 1.5), st.booleans()),
+                                     min_size=1, max_size=3))
+    def test_every_waive_round_yields_the_fresh_window(self, family, drawn):
+        # A column solve sets each design up once; each round must still
+        # integrate, for every design, the window and constants _waive_at
+        # makes afresh, without a setup, for that design's information, the
+        # z-combination test's CEF changing with it.  A far pilot puts the
+        # mean far above z_f, where the window is cut.  A flat test needs no
+        # search.
+        params = [_near_i1_max(6.0) if far else params_at(COMBO_BASE, t) for t, far in drawn]
+        cef_ats = comb_mod.waive_tests(params, family)
+        rounds = []
+
+        def recorder(f, branches):
+            assert f is comb_mod._success_integrand
+            rounds.append(branches)
+            return integrate_each(f, branches)
+
+        with patch.object(cef_mod, "integrate_each", recorder):
+            solved = comb_mod.solve_i2_const_many(params, cef_ats)
+        for branch in (b for branches in rounds for b in branches):
+            x = branch[1][1]
+            assert x > 0
+            fresh = [comb_mod._waive_at(p, x, cef_at(x)) for p, cef_at in zip(params, cef_ats)]
+            assert repr(branch) in map(repr, fresh)
+        assert rounds == [] if comb_mod._is_flat(cef_ats[0](1.0)) else len(rounds) > 1
+        assert solved == [solve_i2_const(p, cef_at) for p, cef_at in zip(params, cef_ats)]
 
     @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
     @hypothesis.given(family=st.sampled_from(FAMILIES),

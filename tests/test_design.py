@@ -1,6 +1,7 @@
 """Unit tests for the scenario parameters and closed-form design bounds."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -260,3 +261,20 @@ class TestValidation:
     def test_extreme_effects_with_finite_informations_are_valid(self, delta_rel):
         derived = derive(base_params(delta_rel=delta_rel, xi=1.0))
         assert 0 < derived.i_delta == derived.i_rel < math.inf
+
+    @pytest.mark.parametrize("i1", [0.0, math.inf, math.nan])
+    def test_rejects_an_information_outside_zero_to_inf(self, i1):
+        with pytest.raises(ValueError, match=f"need 0 < i1 < inf, got i1={i1}"):
+            base_params(i1=i1)
+
+    def test_largest_finite_information_with_the_largest_effect_is_valid(self):
+        # sqrt(max float) is the largest delta_rel with a finite square; at
+        # the largest finite i1 the mean of Z1, delta sqrt(i1), and z_f stay finite.
+        big = sys.float_info.max
+        p = base_params(i1=big, delta_rel=math.sqrt(big), xi=1.0)
+        with pytest.raises(ValueError, match="need delta_rel with a finite"):
+            replace(p, delta_rel=math.nextafter(p.delta_rel, math.inf))
+        derived = derive(p)
+        assert 0 < derived.z_f <= p.delta * math.sqrt(p.i1) < math.inf
+        assert 0 < derived.i_delta < math.inf
+        assert cond_registration_power(p) == 0.5  # the mean sits on z_f

@@ -34,6 +34,7 @@ from fasttrack.numerics import (
     monotone_search,
     normal_window,
     root_search,
+    run_search,
     solve_monotone,
     std_normal_cdf,
     std_normal_pdf,
@@ -265,6 +266,18 @@ class TestSolveMonotone:
     def test_bounded_function_gives_up(self):
         with pytest.raises(BracketError):
             solve_monotone(math.tanh, 2.0)
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5 * F_TOL, 3.0])
+    def test_a_known_g_0_is_never_yielded(self, gap):
+        # g(0) at the target, within F_TOL below it and below it: a search
+        # given g(0) reads the points after 0 of one sent it, and ends alike.
+        target = 5.0
+        g = lambda x: target - gap + x**1.5
+        ref, given = CountingFunction(g), CountingFunction(g)
+        want = run_search(monotone_search(target), ref)
+        got = run_search(monotone_search(target, g_0=g(0.0)), given)
+        assert type(got) is float and got.hex() == want.hex()
+        assert ref.xs[0] == 0.0 and given.xs == ref.xs[1:]
 
 
 def test_normal_window_cuts_each_infinite_end_and_keeps_finite_ones():
@@ -713,8 +726,8 @@ class TestLockstepProperty:
 
     @pytest.mark.parametrize("catch", [(BracketError,), ()])
     def test_a_lone_search_that_raises_as_in_the_general_loop(self, catch):
-        # One live search runs alone; its raise is its result inside
-        # ``catch`` and stops lockstep outside it, as among other searches.
+        # One live search's raise is its result inside ``catch`` and stops
+        # lockstep outside it, as among other searches.
         fns = [None, lambda x: x * x + 1.0, None, lambda x: x - 1.0]
 
         def run(searches):

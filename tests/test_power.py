@@ -3,6 +3,7 @@ and the minimum-information solver."""
 
 import dataclasses
 import math
+from unittest.mock import patch
 
 import hypothesis
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import ndtr, ndtri
 
 from conftest import EVAL_BASE, i_delta_of, params_at
+from fasttrack import cef as cef_mod
 from fasttrack.cef import (
     FASTTRACK_FAMILIES,
     CalibratedCef,
@@ -36,9 +38,10 @@ from fasttrack.power import (
     overall_power,
     overall_powers,
     solve_i2_min,
+    solve_i2_min_many,
     stage2_info,
 )
-from fasttrack.power import _floor_kink, _floor_search, _power_integrand, _upper_at
+from fasttrack.power import _floor_kink, _power_integrand, _upper_at
 
 ALPHA, BETA = 0.025, 0.2
 # The fast-track families, a two-piece z-combination table whose pieces
@@ -263,12 +266,13 @@ class TestManyDesigns:
 
 
 class TestDesignOnce:
-    """A floor search sets its design up once; each round must still yield
-    the branch :func:`_upper_at` makes afresh, without a setup, for that floor."""
+    """A column solve sets each design up once; each round must still
+    integrate, for every design, the branch :func:`_upper_at` makes afresh,
+    without a setup, for that design's floor."""
 
-    # (shape, t_xi, binding, power target as a share of the continuation
-    # probability): every shape, zero and positive floors.
-    _design = st.tuples(st.sampled_from(SHAPES), st.floats(0.3, 2.0), st.booleans(),
+    # (t_xi, binding, power target as a share of the continuation
+    # probability): zero and positive floors, a column of one shape.
+    _design = st.tuples(st.floats(0.3, 2.0), st.booleans(),
                         st.sampled_from((0.5, 0.97, 0.995, 0.9999)))
     _settings = hypothesis.settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -278,21 +282,27 @@ class TestDesignOnce:
         return p, shaped_cef(shape, p, binding), share * cond_registration_power(p)
 
     @_settings
-    @hypothesis.given(drawn=_design)
-    def test_every_round_yields_the_fresh_branch(self, drawn):
-        p, cef, target = self.design(*drawn)
-        search, floors = _floor_search(p, cef, target), []
-        branch = next(search)
-        try:
-            while True:
-                floors.append(floor := branch[1][1])
-                assert repr(branch) == repr(_upper_at(p, AdaptiveConditionalPower(floor, cef)))
-                branch = search.send(integrate_each(_power_integrand, [branch])[0])
-        except StopIteration as stop:
-            solved = stop.value
-        # The search starts at a zero floor, and reads more only for a positive one.
-        assert floors[0] == 0.0 and (len(floors) > 1) == (solved > 0)
-        assert solved == solve_i2_min(p, cef, target)
+    @hypothesis.given(shape=st.sampled_from(SHAPES), drawn=st.lists(_design, min_size=1,
+                                                                    max_size=3))
+    def test_every_round_yields_the_fresh_branch(self, shape, drawn):
+        params, cefs, targets = zip(*(self.design(shape, *d) for d in drawn))
+        rounds = []
+
+        def recorder(f, branches):
+            assert f is _power_integrand
+            rounds.append(branches)
+            return integrate_each(f, branches)
+
+        with patch.object(cef_mod, "integrate_each", recorder):
+            solved = solve_i2_min_many(params, cefs, targets)
+        for branch in (b for branches in rounds for b in branches):
+            fresh = [_upper_at(p, AdaptiveConditionalPower(branch[1][1], cef))
+                     for p, cef in zip(params, cefs)]
+            assert repr(branch) in map(repr, fresh)
+        # Every search starts at a zero floor, and reads more only for a positive one.
+        assert [b[1][1] for b in rounds[0]] == [0.0] * len(drawn)
+        assert (len(rounds) > 1) == any(x > 0 for x in solved)
+        assert solved == [solve_i2_min(*design) for design in zip(params, cefs, targets)]
 
 
 class TestEvaluateDesign:
