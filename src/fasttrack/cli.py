@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import astuple, fields, replace
 
@@ -43,6 +44,21 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
                 writer.writerow([_fmt(v) for v in row])
     except OSError as exc:
         raise ScenarioError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_out(path: str) -> None:
+    """Raise the error :func:`_write_csv` would, before anything is computed,
+    where ``path`` is a directory or its directory is missing or read-only."""
+    folder = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(folder):
+        reason = f"no directory {folder}"
+    elif not os.access(folder, os.W_OK):
+        reason = f"directory {folder} is not writable"
+    else:
+        return
+    raise ScenarioError(f"cannot write {path}: {reason}")
 
 
 def _group_size(sigma: float, rounding: str):
@@ -314,6 +330,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        if hasattr(args, "out"):  # curve, table1 and simulate write a CSV
+            _check_out(args.out)
         if args.command == "derive":
             scenario = load_scenario(args.scenario)
             return cmd_derive(scenario, args.round)

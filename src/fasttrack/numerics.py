@@ -179,9 +179,10 @@ def _initial_panels(windows: Sequence[tuple], budget: int) -> tuple:
     ids = np.concatenate((ws, owner[inside], ws))
     order = np.lexsort((x, ids))
     x, ids = x[order], ids[order]
-    # n: the panels of the segment from each kink to the next; none joins two
-    # windows, and a repeated kink's segment is empty.
-    n = (ids[1:] == ids[:-1]) * np.array(_panel_counts(np.diff(x).tolist(), budget), np.intp)
+    # n: the panels of the segment from each kink to the next, by _panel_counts'
+    # rule; none joins two windows, and a repeated kink's segment is empty.
+    counts = np.minimum(np.ceil(np.diff(x) / PANEL_WIDTH), budget).astype(np.intp)
+    n = (ids[1:] == ids[:-1]) * counts
     s = np.repeat(np.arange(len(n)), n)  # each panel's segment, i its place in it
     i = np.arange(len(s)) - (np.cumsum(n) - n)[s]
     a = x[s] + (x[s + 1] - x[s]) * (i / n[s])

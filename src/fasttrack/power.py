@@ -118,17 +118,28 @@ def _floor_kink(params: DesignParams, rule: AdaptiveConditionalPower,
     slope = sqrt(I2min / I1).  The left side increases and q does not (A is
     non-decreasing), so there is at most one crossing on [z_lower, z_upper].
     Where the family's critical value is piecewise linear it is solved in
-    closed form; otherwise (Fisher) by a root search on the same equation.
+    closed form.  Fisher's A is capped from z_cap = max(z0, -Phi^{-1}(2c))
+    on, where q = 0 and the crossing is z_beta / slope: a crossing at or
+    above z_cap is that closed form, and only one below it is searched for,
+    by a root search on [z_lower, z_cap].  With c <= 0, or z_cap at or past
+    z_upper, the whole window is searched.
     """
     if rule.i2_min <= 0:
         return None
     slope = math.sqrt(rule.i2_min / params.i1)
     z_beta = params.z_beta
-    if rule.cef.pieces is not None:
-        return _linear_floor_kink(rule.cef.pieces, slope, z_beta, z_lower, z_upper)
-    h = lambda z: slope * z - z_beta - cef_mod.critical_value(rule.cef, z)
+    cef = rule.cef
+    if cef.pieces is not None:
+        return _linear_floor_kink(cef.pieces, slope, z_beta, z_lower, z_upper)
+    h_cap = None
+    if cef.c > 0 and (z_cap := cef_mod.kinks(cef)[-1]) < z_upper:
+        if z_cap <= z_lower or slope * z_cap - z_beta < 0:
+            z = z_beta / slope
+            return z if z_lower <= z <= z_upper else None
+        z_upper, h_cap = z_cap, slope * z_cap - z_beta
+    h = lambda z: slope * z - z_beta - cef_mod.critical_value(cef, z)
     try:
-        return find_root(h, z_lower, z_upper)
+        return find_root(h, z_lower, z_upper, f_hi=h_cap)
     except BracketError:
         return None
 

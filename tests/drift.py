@@ -13,9 +13,10 @@ writes a manifest, a JSON object of quantity name -> text, of:
 - the ``repr`` of built and evaluated designs of a fixed ``draw_cases`` set;
 - for the seven paper designs (the binding fast-track families at the
   first scenario's t_xi = 0.6 and the combination families at the second's
-  t_xi = 0.5, as the benchmark's ``check_paper_designs`` builds them), the
-  level integral, the upper branch's power and E[I2] and the waive-branch
-  success, each beside its 30-digit value from ``tests/reference_mp.py``.
+  t_xi = 0.5, as the benchmark's ``check_paper_designs`` builds them) and
+  the drawn Fisher designs of ``ORACLE_DRAWS``, the level integral, the
+  upper branch's power and E[I2] and the waive-branch success, each beside
+  its 30-digit value from ``tests/reference_mp.py``.
 
 The inputs (scenario files, draws) come from the tree this script lives in,
 so two trees are snapshot on the same inputs.  ``compare`` prints
@@ -30,7 +31,8 @@ and exits 1 when anything moved::
     python tests/drift.py compare /tmp/parent.json /tmp/change.json
 
 A snapshot takes 15-20 s on a 2-vCPU host; the 0.002 curves take most of
-it, and the oracle's 30-digit integrals about 7 s.
+it, and the oracle's 30-digit integrals about 8 s (2 s of them for the
+drawn designs).
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ STEPS = (0.05, 0.02, 0.002)
 SIM_REPS, SIM_SEED = 20_000, 7
 THRESHOLD_SOURCES = (1, 2, 3, 6, 10)
 DRAWS = ((2, 0, 40), (2, 1, 40))  # draw_cases(seed, batch, n)
+# (seed, batch, index) of the drawn designs that also get oracle lines: the
+# binding, the non-binding and the combination Fisher design whose floor
+# kinks lie where A is capped.
+ORACLE_DRAWS = ((2, 0, 0), (2, 0, 16), (2, 0, 14))
 ORACLE = "oracle"  # the name prefix of the paper-design quantities
 
 _NUMBER = re.compile(r"[-+]?0x[0-9a-f.]+p[-+]?\d+|[-+]?inf|nan|"
@@ -83,25 +89,25 @@ def _cli(cli, argv: list[str], out: Path | None = None) -> str:
     return text
 
 
+def _build(power_mod, comb_mod, mode: str, family: str, params):
+    if mode == "combination":
+        return comb_mod.build_combination(params, family)
+    return power_mod.build_fasttrack(params, family, binding=mode == "fasttrack_binding")
+
+
 def _design(power_mod, comb_mod, case, params) -> str:
     try:
+        design = _build(power_mod, comb_mod, case.mode, case.family, params)
         if case.mode == "combination":
-            design = comb_mod.build_combination(params, case.family)
             return repr((design, comb_mod.branch_metrics(design)))
-        design = power_mod.build_fasttrack(params, case.family,
-                                           binding=case.mode == "fasttrack_binding")
         return repr((design, power_mod.evaluate_design(params, design.rule)))
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         return repr(exc)
 
 
-def _oracle(cef_mod, power_mod, comb_mod, params, mode: str, family: str) -> dict[str, str]:
-    """Each quantity of one paper design that the oracle covers, as the text
-    "value oracle reference"."""
-    if mode == "combination":
-        design = comb_mod.build_combination(params, family)
-    else:
-        design = power_mod.build_fasttrack(params, family, binding=True)
+def oracle_lines(cef_mod, power_mod, comb_mod, design, name: str) -> dict[str, str]:
+    """Each quantity of a built design that the oracle covers, named
+    "oracle NAME QUANTITY", as the text "value oracle reference"."""
     q, cef, z_f = design.params, design.cef, design.branch_boundary
     reference = ref.design_cef(design)
     power, mean_i2 = ref.upper_branch(reference, design.i2_min, q.beta, q.i1, q.delta, z_f)
@@ -110,12 +116,12 @@ def _oracle(cef_mod, power_mod, comb_mod, params, mode: str, family: str) -> dic
         "power": (power_mod.overall_power(q, design.rule), power),
         "mean_i2": (power_mod.mean_stage2_info(q, design.rule), mean_i2),
     }
-    if mode == "combination":
+    if design.i2_const is not None:
         pairs["waive_success"] = (
             comb_mod.lower_branch_success(q, design.i2_const, cef),
             ref.waive_branch_success(reference, design.i2_const, q.i1, q.delta, z_f))
-    return {f"{ORACLE} {mode} {family} {name}": f"{x!r} oracle {y!r}"
-            for name, (x, y) in pairs.items()}
+    return {f"{ORACLE} {name} {quantity}": f"{x!r} oracle {y!r}"
+            for quantity, (x, y) in pairs.items()}
 
 
 def snapshot(root: Path) -> dict[str, str]:
@@ -162,13 +168,18 @@ def snapshot(root: Path) -> dict[str, str]:
             params = DesignParams(alpha=case.alpha, alpha_c=case.alpha_c, beta=case.beta,
                                   delta_rel=case.delta_rel, xi=case.xi, i1=case.i1)
             out[f"design {seed} {batch} {i}"] = _design(power_mod, comb_mod, case, params)
+            if (seed, batch, i) in ORACLE_DRAWS:
+                design = _build(power_mod, comb_mod, case.mode, case.family, params)
+                out.update(oracle_lines(cef_mod, power_mod, comb_mod, design,
+                                        f"design {seed} {batch} {i}"))
 
     for scenario, mode, families in (
             (SCENARIOS[0], "fasttrack_binding", cef_mod.FASTTRACK_FAMILIES),
             (SCENARIOS[1], "combination", cef_mod.FAMILIES)):
         params = load_scenario(str(scenario)).design_params()
         for family in families:
-            out.update(_oracle(cef_mod, power_mod, comb_mod, params, mode, family))
+            design = _build(power_mod, comb_mod, mode, family, params)
+            out.update(oracle_lines(cef_mod, power_mod, comb_mod, design, f"{mode} {family}"))
     return out
 
 

@@ -47,13 +47,14 @@ def inverse_normal(c, z0=-mp.inf):
 
 
 def fisher(c, z0=-mp.inf):
-    """Fisher's product test, zero below ``z0``: A = c / (1 - Phi(z))."""
+    """Fisher's product test, zero below ``z0``: A = c / (1 - Phi(z)).  With
+    c >= 1/2 (a saturated design) A is capped wherever it is positive."""
     with mp.workdps(DPS):
 
         def a(z):
             return _capped(mp.mpf(c) / mp.ncdf(-z)) if z >= z0 else mp.zero
 
-        return a, [z0, _upper_quantile(2 * mp.mpf(c))]
+        return a, [z0, _upper_quantile(2 * mp.mpf(c))] if 2 * c < 1 else [z0]
 
 
 def z_combination(i1, i2_const, z_split, alpha, alpha_prime):

@@ -491,12 +491,26 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
-        ["curve", "--kind", "alpha_rel"], ["table1"], ["simulate", "--reps", "10"]])
-    def test_unwritable_out(self, write_scenario, tmp_path, capsys, command):
-        out = tmp_path / "missing" / "x.csv"
+        ["curve", "--kind", "alpha_rel"], ["table1"], ["simulate", "--reps", "10"],
+        ["curve", "--kind", "i2_min"]])
+    def test_unwritable_out(self, write_scenario, tmp_path, capsys, monkeypatch, command):
+        # Checked before anything is built: each build, and the derive every
+        # curve starts from, fails the test if it runs.
+        def built(*args, **kwargs):
+            pytest.fail("computed before --out was checked")
+
+        for module, name in ((cli.power_mod, "build_fasttrack"),
+                             (cli.power_mod, "build_fasttrack_many"),
+                             (cli.comb_mod, "build_combination"),
+                             (cli.comb_mod, "build_combination_many"),
+                             (cli.comb_mod, "solve_i2_const_many"), (cli, "derive")):
+            monkeypatch.setattr(module, name, built)
         scenario = [] if command == ["table1"] else ["--scenario", write_scenario()]
-        assert cli.main(command + scenario + ["--out", str(out)]) == cli.EXIT_INVALID
-        assert f"cannot write {out}" in capsys.readouterr().err
+        files = list(tmp_path.rglob("*"))
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert cli.main(command + scenario + ["--out", str(out)]) == cli.EXIT_INVALID
+            assert f"cannot write {out}" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == files
 
     @pytest.mark.parametrize("overrides, field", [
         (dict(delta_rel=1e160), "delta_rel=1e+160"),

@@ -73,3 +73,25 @@ def test_compare_command_prints_and_exits(tmp_path, capsys):
     assert drift.main(["compare", str(a), str(b)]) == 1
     assert capsys.readouterr().out == ("threshold fisher 1: largest relative move 0.25\n"
                                        "1 of 4 quantities differ\n")
+
+
+def test_oracle_lines_of_a_drawn_fisher_design(monkeypatch):
+    # The first of ORACLE_DRAWS, the binding Fisher design 2 0 0, as snapshot
+    # writes its lines: each value within 1e-10 of its 30-digit reference.
+    monkeypatch.syspath_prepend(str(drift.HERE.parent / "bench"))
+    from generator import draw_cases
+
+    from fasttrack import cef, combination, power
+    from fasttrack.design import DesignParams
+
+    seed, batch, i = drift.ORACLE_DRAWS[0]
+    case = draw_cases(seed, batch, i + 1)[i]
+    assert (case.mode, case.family) == ("fasttrack_binding", "fisher")
+    params = DesignParams(alpha=case.alpha, alpha_c=case.alpha_c, beta=case.beta,
+                          delta_rel=case.delta_rel, xi=case.xi, i1=case.i1)
+    design = power.build_fasttrack(params, "fisher")
+    lines = drift.oracle_lines(cef, power, combination, design, "design 2 0 0")
+    assert list(lines) == [f"oracle design 2 0 0 {q}" for q in ("level", "power", "mean_i2")]
+    for name, text in lines.items():
+        value, oracle = drift._numbers(text)
+        assert value == pytest.approx(oracle, abs=1e-10), name

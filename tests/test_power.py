@@ -371,7 +371,7 @@ class TestEvaluateDesign:
 
 class TestClosedFormFloorKink:
     """The closed-form crossing of the formula with the floor agrees with the
-    numeric root search it replaces (Fisher keeps the root search)."""
+    numeric root search it replaces."""
 
     @staticmethod
     def formula(z, p, cef):
@@ -439,9 +439,68 @@ class TestClosedFormFloorKink:
             constant_cef(ALPHA),
             family_cef("inverse_normal", ALPHA, z_f),
             z_combination_cef(p.i1, 1.5, z_f, ALPHA, 0.1),
+            # Fisher with its cap inside both windows.
+            family_cef("fisher", ALPHA),
+            family_cef("fisher", ALPHA, z_f),
         ]
         for cef in cefs:
             for i2_min, hi in ((500.0, 12.0), (1e-3, 3.0)):  # above / below
                 rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef)
                 assert _floor_kink(p, rule, z_f, hi) is None
                 assert self.numeric_kink(p, rule, z_f, hi) is None
+
+    def check_fisher(self, p, cef, z_star, lo, searched):
+        """:meth:`check`, and whether the kink needed a root search."""
+        with patch("fasttrack.power.find_root", wraps=find_root) as search:
+            self.check(p, cef, z_star, lo)
+        assert search.called == searched, (cef, z_star, lo)
+
+    def test_fisher_below_at_and_above_cap(self):
+        # Calibrated non-binding and binding c: A is capped from
+        # -Phi^{-1}(2c) on, where the crossing is z_beta / slope.
+        p = params_at(EVAL_BASE, 0.6)
+        z_f = p.z_f
+        for z0 in (-math.inf, z_f):
+            cef = family_cef("fisher", ALPHA, z0)
+            cap = kinks(cef)[-1]
+            assert 0.0 < cef.c < 0.5 and z_f < cap - 0.2
+            for z_star in (z_f + 0.05, cap - 0.1):
+                self.check_fisher(p, cef, z_star, z_f, searched=True)
+            self.check(p, cef, cap, z_f)  # either route, within rounding of h
+            for z_star in (cap + 0.1, cap + 3.0):
+                self.check_fisher(p, cef, z_star, z_f, searched=False)
+
+    def test_fisher_large_c_capped_inside_window(self):
+        # c = 0.3: capped from -Phi^{-1}(0.6) = -0.253 on, inside [-1, 12].
+        p = params_at(EVAL_BASE, 0.6)
+        cef = CalibratedCef(None, c=0.3)
+        assert kinks(cef)[-1] == pytest.approx(-0.2533, abs=1e-4)
+        for z_star in (1.0, 3.0):
+            self.check_fisher(p, cef, z_star, -1.0, searched=False)
+
+    def test_fisher_saturated_cap_is_z0(self):
+        # c = 1: A is 0 below z0 and capped from it.  A crossing below z0 is
+        # the jump at z0; both routes settle on it.
+        p = params_at(EVAL_BASE, 0.6)
+        z_f = p.z_f
+        cef = family_cef("fisher", ALPHA, 3.0)
+        assert cef.c == 1.0 and kinks(cef) == [3.0]
+        for z_star in (3.1, 5.0):
+            self.check_fisher(p, cef, z_star, z_f, searched=False)
+        rule = AdaptiveConditionalPower(i2_min=2.0 * self.formula(3.0, p, cef), cef=cef)
+        assert _floor_kink(p, rule, z_f, 12.0) == 3.0
+        assert self.numeric_kink(p, rule, z_f, 12.0) == pytest.approx(3.0, abs=2 * X_TOL)
+
+    def test_fisher_window_at_or_above_cap(self):
+        # A window from past the cap, or (saturated) from the cap z0 itself:
+        # the crossing is z_beta / slope inside it, and there is none outside.
+        p = params_at(EVAL_BASE, 0.6)
+        binding = family_cef("fisher", ALPHA, p.z_f)
+        for cef, lo in ((binding, kinks(binding)[-1] + 0.5),
+                        (family_cef("fisher", ALPHA, 3.0), 3.0)):
+            for z_star in (lo + 0.1, 6.0):
+                self.check_fisher(p, cef, z_star, lo, searched=False)
+            for i2_min, hi in ((500.0, 12.0), (1e-3, lo + 0.5)):  # above / below
+                rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef)
+                assert _floor_kink(p, rule, lo, hi) is None
+                assert self.numeric_kink(p, rule, lo, hi) is None

@@ -16,6 +16,7 @@ from fasttrack.cef import (
     family_cef,
     level_integral,
 )
+from fasttrack.cef import kinks as cef_kinks
 from fasttrack.combination import build_combination, lower_branch_success, waive_branches
 from fasttrack.design import DesignParams
 from fasttrack.numerics import normal_window
@@ -117,14 +118,22 @@ def test_upper_branch_power_and_mean_information_match_the_reference(upper_branc
 def test_floor_kink_matches_the_reference(upper_branches):
     # On the window the power integrals split: a root search on the formula
     # at thirty digits against the package's kink (closed-form for the
-    # tables, a root search on z_beta + q(z) = slope * z for Fisher).
-    for name, design, reference in upper_branches:
+    # tables and for Fisher where A is capped, a root search on
+    # z_beta + q(z) = slope * z for Fisher below the cap).
+    drawn = _drawn_design("non-binding Fisher")
+    checks = [*upper_branches, ("drawn Fisher", drawn, ref.design_cef(drawn))]
+    for name, design, reference in checks:
         q, z_f = design.params, design.branch_boundary
         want = ref.floor_kink(reference, design.i2_min, q.beta, q.i1, z_f)
         window = normal_window(q.delta * math.sqrt(q.i1), z_f)
         got = _floor_kink(q, design.rule, *window)
         assert want is not None and got is not None, name
         assert got == pytest.approx(float(want), abs=1e-9), name
+    # The drawn non-binding Fisher design's kink, the last one checked, lies
+    # above its cap (3.80 against 2.41): it is z_beta / slope itself.
+    q = drawn.params
+    assert got > cef_kinks(drawn.cef)[-1]
+    assert got == q.z_beta / math.sqrt(drawn.i2_min / q.i1)
 
 
 # Designs away from the paper scenarios, one per mode: cases 6, 1 and 29 of
