@@ -332,18 +332,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if hasattr(args, "out"):  # curve, table1 and simulate write a CSV
             _check_out(args.out)
+        scenario = load_scenario(args.scenario) if hasattr(args, "scenario") else None
         if args.command == "derive":
-            scenario = load_scenario(args.scenario)
             return cmd_derive(scenario, args.round)
         if args.command == "curve":
-            scenario = load_scenario(args.scenario)
             if not (0 < args.grid_step < math.inf):
                 raise ScenarioError("--grid-step must be a positive finite number")
             return cmd_curve(args.kind, scenario, args.grid_step, args.out)
         if args.command == "table1":
             return cmd_table1(args.out, args.round)
         if args.command == "simulate":
-            scenario = load_scenario(args.scenario)
             if args.reps < 1:
                 raise ScenarioError("--reps must be positive")
             return cmd_simulate(scenario, args.reps, args.seed, args.out)

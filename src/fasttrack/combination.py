@@ -54,6 +54,9 @@ def _waive_setup(params: DesignParams) -> tuple:
     lo, hi = normal_window(mean, hi=params.z_f)
     if mean > params.z_f:
         lo = max(lo, params.z_f - 64.0 / (mean - params.z_f))
+    if lo == hi:  # never in exact arithmetic, where the cut below z_f is positive
+        raise FloatingPointError(f"i1 = {params.i1!r}: at Z1's mean {mean!r} the window "
+                                 "below z_f is empty in floats")
     return lo, hi, mean, log_ndtr(params.z_f - mean)
 
 

@@ -159,14 +159,9 @@ def _check_window(lo: float, hi: float) -> None:
         raise ValueError(f"integrate requires finite lo <= hi, got [{lo}, {hi}]")
 
 
-def _panel_counts(widths: Sequence[float], budget: int) -> list[int]:
-    """Initial panels of each segment, as :func:`integrate` states the rule."""
-    return [min(math.ceil(w / PANEL_WIDTH), budget) for w in widths]
-
-
 def _initial_panels(windows: Sequence[tuple], budget: int) -> tuple:
-    """The ends and the window of each initial panel :func:`integrate` cuts
-    from every (lo, hi, split_points) window, in window order."""
+    """The ends and the window of each initial panel of every (lo, hi,
+    split_points) window, in window order: :func:`integrate`'s rule on arrays."""
     lo, hi = (np.array([w[i] for w in windows], dtype=float) for i in (0, 1))
     if not (ok := np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all():
         _check_window(*windows[int(np.argmin(ok))][:2])
@@ -179,8 +174,8 @@ def _initial_panels(windows: Sequence[tuple], budget: int) -> tuple:
     ids = np.concatenate((ws, owner[inside], ws))
     order = np.lexsort((x, ids))
     x, ids = x[order], ids[order]
-    # n: the panels of the segment from each kink to the next, by _panel_counts'
-    # rule; none joins two windows, and a repeated kink's segment is empty.
+    # n: the panels of the segment from each kink to the next; none joins
+    # two windows, and a repeated kink's segment is empty.
     counts = np.minimum(np.ceil(np.diff(x) / PANEL_WIDTH), budget).astype(np.intp)
     n = (ids[1:] == ids[:-1]) * counts
     s = np.repeat(np.arange(len(n)), n)  # each panel's segment, i its place in it
@@ -221,9 +216,9 @@ def integrate(
     """
     _check_window(lo, hi)
     kinks = sorted({lo, hi, *(p for p in split_points if lo < p < hi)})
-    segments = list(zip(kinks, kinks[1:]))
-    counts = _panel_counts([b - a for a, b in segments], settings.max_subdivisions)
-    cuts = np.array([a + (b - a) * (k / n) for (a, b), n in zip(segments, counts)
+    cuts = np.array([a + (b - a) * (k / n) for a, b in zip(kinks, kinks[1:])
+                     for n in [min(math.ceil((b - a) / PANEL_WIDTH),
+                                   settings.max_subdivisions)]
                      for k in range(n)] + kinks[-1:])
     return run_search(_refine(cuts, *_panels(f, cuts[:-1], cuts[1:]), settings),
                       lambda e: _panels(f, *e)) if lo < hi else 0.0
@@ -232,14 +227,14 @@ def integrate(
 def integrate_many(f: Callable, windows: Sequence[tuple],
                    settings: QuadratureSettings = DEFAULT_QUAD) -> list[float]:
     """:func:`integrate` on each (lo, hi, split_points) of ``windows``, each
-    round one call ``f(x, k)`` on the panels all windows need, ``k`` the window
-    of each node or one int for all; the first window that fails raises.
+    round one call ``f(x, k)`` on the panels all windows need, ``k`` the integer
+    array of each node's window; the first window that fails raises.
     The first round runs on arrays, all windows' sums at once; only the
     windows that miss the tolerances go on to :func:`integrate`'s rounds."""
     a, b, of = _initial_panels(windows, settings.max_subdivisions)
     counts = np.bincount(of, minlength=len(windows))
     first = np.cumsum(counts) - counts
-    k = np.repeat(of, _NODES.size) if len(windows) > 1 else 0
+    k = np.repeat(of, _NODES.size)
     ests, errs = _panels(lambda x: f(x, k), a, b) if len(a) else (a, a)
     # _refine's sums: running sums, left to right, along zero-padded rows after a 0.0.
     rows = np.zeros((2, len(windows), counts.max(initial=0) + 1))
@@ -255,7 +250,7 @@ def integrate_many(f: Callable, windows: Sequence[tuple],
     def more(js: list[int], spans: list[tuple]) -> list[tuple]:
         a, b = (np.concatenate(ends) for ends in zip(*spans))
         ends = [0, *accumulate(len(span[0]) for span in spans)]
-        k = np.repeat(js, np.diff(ends) * _NODES.size) if js[1:] else js[0]
+        k = np.repeat(js, np.diff(ends) * _NODES.size)
         ests, errs = _panels(lambda x: f(x, k), a, b)
         return [(ests[i:j], errs[i:j]) for i, j in zip(ends, ends[1:])]
 

@@ -178,6 +178,9 @@ def _upper_setup(params: DesignParams, cef: cef_mod.CalibratedCef) -> tuple:
     Z1 >= z_f, the CEF's kinks and the mean of Z1."""
     mean = params.delta * math.sqrt(params.i1)
     lo, hi = normal_window(mean, params.z_f)
+    if lo == hi:  # never in exact arithmetic: z_f - mean <= z_{1 - alpha_c} < 8.5
+        raise FloatingPointError(f"i1 = {params.i1!r}: at Z1's mean {mean!r} the window "
+                                 "above z_f is empty in floats")
     return lo, hi, cef_mod.kinks(cef), mean
 
 

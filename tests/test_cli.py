@@ -525,6 +525,19 @@ class TestExitCodes:
         assert rc == cli.EXIT_INVALID
         assert field in capsys.readouterr().err
 
+    def test_a_mean_beyond_float_resolution_is_a_numerical_failure(
+            self, write_scenario, tmp_path, capsys):
+        # At I1 = 1e40 the mean of Z1 rounds mean +- 8.5 to itself: derive's
+        # closed forms still print, a build exits 3 and names i1.
+        path = write_scenario(i1=1e40, t_xi_i1=None)
+        assert cli.main(["derive", "--scenario", path]) == cli.EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "s.csv"
+        rc = cli.main(["simulate", "--scenario", path, "--reps", "10", "--out", str(out)])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "numerical failure: i1 = 1e+40" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_kind_is_usage_error(self, write_scenario, tmp_path):
         path = write_scenario()
         with pytest.raises(SystemExit):

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import re
+import sys
 from pathlib import Path
 from unittest.mock import patch
 
@@ -115,6 +117,20 @@ class TestWaiveBranchSizing:
         (cef,), (i2_const,) = waive_branches([p], "inverse_normal")
         want = ref.waive_branch_success(ref.inverse_normal(cef.c), i2_const, p.i1, p.delta, p.z_f)
         assert successes["inverse_normal"] == pytest.approx(want, abs=1e-8)
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_a_mean_beyond_float_resolution_raises_naming_i1(self, big):
+        # At I1 = 1e40 (delta_rel 1, xi 2) the mean of Z1, 2e20, rounds
+        # mean +- 8.5 to itself; the largest valid design puts the mean on z_f
+        # at the largest float.  A waive or upper window is then empty in
+        # floats, and every family says so instead of failing a bracket.
+        top = sys.float_info.max
+        p = DesignParams(alpha=ALPHA, alpha_c=0.15, beta=0.2, **(
+            dict(i1=top, delta_rel=math.sqrt(top), xi=1.0) if big else
+            dict(i1=1e40, delta_rel=1.0, xi=2.0)))
+        for family in FAMILIES:
+            with pytest.raises(FloatingPointError, match=re.escape(f"i1 = {p.i1!r}: at Z1's mean")):
+                build_combination(p, family)
 
     def test_z_combination_success_is_the_solved_one(self, combo_designs):
         # The design's raised upper branch does not enter the waive branch:

@@ -764,7 +764,6 @@ def _by_window(fs, calls=None):
     def f(x, k):
         if calls is not None:
             calls.append(np.size(x))
-        k = np.broadcast_to(k, x.shape)
         y = np.empty_like(x)
         for j in set(k.tolist()):
             y[k == j] = fs[j](x[k == j])
@@ -833,6 +832,26 @@ class TestIntegrateManyProperty:
         assert (got.best_estimate, got.error_estimate) == (want.best_estimate,
                                                            want.error_estimate)
         assert integrate_many(_by_window([]), []) == []
+
+    def test_k_is_each_nodes_window(self):
+        # One window; several windows; and a column whose cos200 window
+        # still refines, alone, after the smooth ones have settled.  Every
+        # call gets k as an integer array, one window index per node.
+        cos200 = lambda x: np.cos(200.0 * x)
+        for fs, spans in (([np.exp], [(0.0, 1.0, ())]),
+                          ([np.exp, np.cos], [(0.0, 1.0, ()), (-1.0, 3.0, (0.5,))]),
+                          ([np.exp, cos200, std_normal_pdf],
+                           [(0.0, 1.0, ()), (0.0, 2.0, ()), (*normal_window(0.0), ())])):
+            ks, by_window = [], _by_window(fs)
+            got = integrate_many(lambda x, k: ks.append((x, k)) or by_window(x, k), spans)
+            assert got == [integrate(g, lo, hi, split_points=s)
+                           for g, (lo, hi, s) in zip(fs, spans)]
+            lo, hi = (np.array([span[i] for span in spans]) for i in (0, 1))
+            for x, k in ks:
+                assert type(k) is np.ndarray and k.dtype.kind == "i" and k.shape == x.shape
+                assert ((lo[k] <= x) & (x <= hi[k])).all()
+        # The cos200 window's rounds alone.
+        assert len(ks) > 2 and all((k == 1).all() for _, k in ks[1:])
 
     def test_windows_refine_together(self):
         # Two windows that each refine over several rounds: every round is

@@ -143,6 +143,17 @@ class TestOverallPower:
         design = build_fasttrack(big, "constant")
         assert overall_power(big, design.rule) == pytest.approx(0.8, abs=1e-6)
 
+    @pytest.mark.parametrize("binding", [True, False])
+    @pytest.mark.parametrize("family", FASTTRACK_FAMILIES)
+    def test_a_mean_beyond_float_resolution_raises_naming_i1(self, family, binding):
+        # At I1 = 1e40 the mean of Z1, 2e20, rounds mean +- 8.5 to itself,
+        # so the window above z_f is empty in floats, and every power would
+        # read 0: the build says so instead of failing its floor's bracket.
+        p = DesignParams(i1=1e40, **EVAL_BASE)
+        with pytest.raises(FloatingPointError,
+                           match=r"i1 = 1e\+40: at Z1's mean 2e\+20 the window above z_f"):
+            build_fasttrack(p, family, binding)
+
 
 class TestSolveFloor:
     def test_reference_floors(self):
