@@ -35,6 +35,7 @@ import numpy as np
 from scipy.special import lambertw, ndtr, ndtri
 
 from .numerics import (
+    F_TOL,
     X_TOL,
     integrate,
     integrate_many,
@@ -240,14 +241,15 @@ def calibration_search(cef_at: Callable[[float], CalibratedCef], alpha: float,
     alpha_prime for the z-combination family); the level integral increases
     strictly in x on [lo, hi].  When even the CEF at ``hi`` cannot reach
     ``alpha`` the calibration saturates and records the achieved
-    ``level_used`` instead of failing.  Each x is integrated once.
+    ``level_used`` instead of failing.  The first x whose level lies within
+    F_TOL of ``alpha`` is the root.  Each x is integrated once.
     """
     levels = {hi: (yield cef_at(hi))}
     # At the upper end the function is everywhere as large as the family
     # allows; if that still stays below the target, the calibration saturates.
     if levels[hi] - alpha <= 0:
         return replace(cef_at(hi), level_used=levels[hi])
-    search = root_search(lo, hi, X_TOL, g_hi=levels[hi], target=alpha)
+    search = root_search(lo, hi, X_TOL, g_hi=levels[hi], target=alpha, f_tol=F_TOL)
     try:
         x = next(search)
         while True:

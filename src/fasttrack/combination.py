@@ -26,6 +26,7 @@ from .numerics import (
     lockstep,
     monotone_search,
     normal_window,
+    resolves,
     solve_monotone,
     std_normal_cdf,
 )
@@ -54,9 +55,9 @@ def _waive_setup(params: DesignParams) -> tuple:
     lo, hi = normal_window(mean, hi=params.z_f)
     if mean > params.z_f:
         lo = max(lo, params.z_f - 64.0 / (mean - params.z_f))
-    if lo == hi:  # never in exact arithmetic, where the cut below z_f is positive
+    if not resolves(lo, hi, mean):  # exactly, the cut below z_f is positive
         raise FloatingPointError(f"i1 = {params.i1!r}: at Z1's mean {mean!r} the window "
-                                 "below z_f is empty in floats")
+                                 "below z_f is too narrow to resolve in floats")
     return lo, hi, mean, log_ndtr(params.z_f - mean)
 
 
@@ -195,10 +196,9 @@ def branch_metrics(design: power_mod.Design) -> BranchMetrics:
     )
 
 
-# gambling_threshold's t-grid step, points solved at once and refinement x_tol.
+# gambling_threshold's t-grid step and points solved at once.
 _SCAN_STEP = 0.01
 _SCAN_BLOCK = 8
-_REFINE_X_TOL = 5e-4
 
 
 def gambling_threshold(params: DesignParams, family: str) -> float:
@@ -206,37 +206,28 @@ def gambling_threshold(params: DesignParams, family: str) -> float:
     stage-two information is constant (the conditional-power formula never
     exceeds the solved floor).
 
-    The excess of the formula maximum m (the rule read at a zero floor) over
-    the floor is scanned on a t-grid and the bracketed sign change refined by
-    bisection.  Returns 0 when the branch is never constant.  Power does not
-    decrease as the floor rises, and at a floor of m the stage-two
-    information is m on the whole branch, so the excess is positive exactly
-    when the power at a floor of m exceeds the target: each scan point reads
-    that one integral, ``_SCAN_BLOCK`` points in one call.  The waive branch's
-    I2_const enters only the z-combination family's CEF; every other family's
-    CEF does not depend on I1, so it is made once per scan.  A block that
-    raises is scanned again point by point, up to the first flagged point.
-    Only the two ends of that bracket, and the refinement, solve their
-    floors; the ends reuse the upper CEFs their scan block made.
+    Power does not decrease as the floor rises, and at a floor of the
+    formula maximum m (the rule read at a zero floor) the stage-two
+    information is m on the whole branch, so m exceeds the floor exactly
+    when the power at a floor of m exceeds the target (1 - beta) P(Z1 >= z_f).
+    That margin, one integral, is scanned on a t-grid, ``_SCAN_BLOCK``
+    points in one call, and the first sign change refined by
+    :func:`find_root` from the two margins the scan read.  Returns 0 when
+    the first scan point's margin is already positive.  The waive branch's
+    I2_const enters only the z-combination family's CEF; every other
+    family's CEF does not depend on I1, so it is made once.  A block that
+    raises is scanned again point by point, up to the first positive margin.
     """
     base = derive(params)
     i_delta = base.i_delta
     cef = None if family == "z_combination" else cef_mod.family_cef(family, params.alpha)
-    uppers = {}  # the z-combination upper CEF of each scanned t
 
-    def flags(ts: list[float]) -> list[bool]:
+    def margins(ts: list[float]) -> list[float]:
         ps = [replace(params, i1=t * i_delta) for t in ts]
-        if cef is None:
-            uppers.update(zip(ts, waive_branches(ps, family)[0]))
-        at_max = [Rule(power_mod.max_stage2_info(p, Rule(0.0, u)), u)
-                  for p, u in zip(ps, [uppers.get(t, cef) for t in ts])]
-        return [v > (1.0 - p.beta) * cond_registration_power(p)
+        uppers = waive_branches(ps, family)[0] if cef is None else [cef] * len(ps)
+        at_max = [Rule(power_mod.max_stage2_info(p, Rule(0.0, u)), u) for p, u in zip(ps, uppers)]
+        return [v - (1.0 - p.beta) * cond_registration_power(p)
                 for p, v in zip(ps, power_mod.overall_powers(ps, at_max))]
-
-    def excess(t_xi: float) -> float:
-        p = replace(params, i1=t_xi * i_delta)
-        upper = uppers.get(t_xi, cef) or waive_branches([p], family)[0][0]
-        return power_mod.max_stage2_info(p, Rule(0.0, upper)) - upper_floors([p], [upper])[0]
 
     t_max = base.i1_max / i_delta
     ts = [_SCAN_STEP]
@@ -245,27 +236,12 @@ def gambling_threshold(params: DesignParams, family: str) -> float:
     for start in range(0, len(ts), _SCAN_BLOCK):
         block = ts[start:start + _SCAN_BLOCK]
         try:
-            flagged = flags(block)
+            scanned = margins(block)
         except (ArithmeticError, ValueError, RuntimeError):
-            flagged = (flags([t])[0] for t in block)  # lazily: stops at the first flag
-        for i, flag in enumerate(flagged, start):
-            if flag:
-                return _refined(excess, ts, i)
+            scanned = (margins([t])[0] for t in block)  # lazily: stops at the first flag
+        for i, margin in enumerate(scanned, start):
+            if margin > 0:
+                return 0.0 if i == 0 else find_root(lambda t: margins([t])[0], ts[i - 1],
+                                                    ts[i], f_lo=below, f_hi=margin)
+            below = margin
     return 0.0
-
-
-def _refined(excess: Callable[[float], float], ts: list[float], i: int) -> float:
-    """The threshold from the first flagged scan point ``ts[i]``, refined on
-    exact excesses.  The flag and the exact excess disagree in sign only
-    where a floor lies within its solver's tolerance of m; there the end
-    rules return a bracket end, the float a scan of exact excesses returns
-    when the disagreement is within F_TOL, where find_root would raise."""
-    hi = excess(ts[i])
-    if hi <= 0:
-        return ts[i]
-    if i == 0:
-        return 0.0
-    lo = excess(ts[i - 1])
-    if lo > 0:
-        return ts[i - 1] if i > 1 else 0.0
-    return find_root(excess, ts[i - 1], ts[i], _REFINE_X_TOL, lo, hi)

@@ -30,6 +30,7 @@ from .numerics import (
     lockstep,
     monotone_search,
     normal_window,
+    resolves,
     std_normal_cdf,
     std_normal_pdf,
 )
@@ -178,9 +179,9 @@ def _upper_setup(params: DesignParams, cef: cef_mod.CalibratedCef) -> tuple:
     Z1 >= z_f, the CEF's kinks and the mean of Z1."""
     mean = params.delta * math.sqrt(params.i1)
     lo, hi = normal_window(mean, params.z_f)
-    if lo == hi:  # never in exact arithmetic: z_f - mean <= z_{1 - alpha_c} < 8.5
+    if not resolves(lo, hi, mean):  # exactly, 8.5 - z_{1 - alpha_c} wide at least
         raise FloatingPointError(f"i1 = {params.i1!r}: at Z1's mean {mean!r} the window "
-                                 "above z_f is empty in floats")
+                                 "above z_f is too narrow to resolve in floats")
     return lo, hi, cef_mod.kinks(cef), mean
 
 

@@ -11,6 +11,9 @@ writes a manifest, a JSON object of quantity name -> text, of:
 - the four gambling thresholds by ``float.hex``, on the worked combination
   example and on the drawn designs of ``THRESHOLD_SOURCES``;
 - the ``repr`` of built and evaluated designs of a fixed ``draw_cases`` set;
+- the ``repr`` of the constants of each design of
+  ``tests/test_design_constants.py``'s ``KEYS``, as its ``design_constants``
+  reads them;
 - for the seven paper designs (the binding fast-track families at the
   first scenario's t_xi = 0.6 and the combination families at the second's
   t_xi = 0.5, as the benchmark's ``check_paper_designs`` builds them) and
@@ -30,7 +33,7 @@ and exits 1 when anything moved::
     python tests/drift.py snapshot . /tmp/change.json
     python tests/drift.py compare /tmp/parent.json /tmp/change.json
 
-A snapshot takes 15-20 s on a 2-vCPU host; the 0.002 curves take most of
+A snapshot takes 20-25 s on a 2-vCPU host; the 0.002 curves take most of
 it, and the oracle's 30-digit integrals about 8 s (2 s of them for the
 drawn designs).
 """
@@ -124,6 +127,12 @@ def oracle_lines(cef_mod, power_mod, comb_mod, design, name: str) -> dict[str, s
             for quantity, (x, y) in pairs.items()}
 
 
+def constant_lines(design_constants, keys) -> dict[str, str]:
+    """The constants of each design named in ``keys``, named "constants KEY",
+    as the ``repr`` of what ``design_constants(key)`` reads."""
+    return {f"constants {key}": repr(design_constants(key)) for key in keys}
+
+
 def snapshot(root: Path) -> dict[str, str]:
     """The manifest of the tree at ``root``."""
     sys.path[:0] = [str(root / "src"), str(HERE.parent / "bench")]
@@ -134,6 +143,8 @@ def snapshot(root: Path) -> dict[str, str]:
     from fasttrack.design import DesignParams
     from fasttrack.scenario import load_scenario
     from generator import draw_cases
+
+    import test_design_constants
 
     out: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -180,6 +191,8 @@ def snapshot(root: Path) -> dict[str, str]:
         for family in families:
             design = _build(power_mod, comb_mod, mode, family, params)
             out.update(oracle_lines(cef_mod, power_mod, comb_mod, design, f"{mode} {family}"))
+    out.update(constant_lines(test_design_constants.design_constants,
+                              test_design_constants.KEYS))
     return out
 
 

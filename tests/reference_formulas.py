@@ -16,7 +16,7 @@ from fasttrack import cef as cef_mod
 from fasttrack import combination as comb_mod
 from fasttrack import montecarlo as mc_mod
 from fasttrack import power as power_mod
-from fasttrack.design import derive
+from fasttrack.design import cond_registration_power, derive
 from fasttrack.montecarlo import SimReport
 from fasttrack.numerics import find_root, std_normal_cdf, std_normal_quantile
 
@@ -101,23 +101,26 @@ def simulate_one_stream(design, cfg, substream: int = 0):
 def gambling_threshold_full_builds(params, family: str) -> float:
     """``combination.gambling_threshold`` with a whole apply-or-waive design
     built at each point of the scan, waive branch included, and every CEF
-    calibrated anew."""
+    calibrated anew: the margin of the power at a floor of the formula
+    maximum m over the target, scanned point by point and refined by
+    ``find_root`` at its default tolerance."""
     i_delta = derive(params).i_delta
 
-    def excess(t_xi: float) -> float:
+    def margin(t_xi: float) -> float:
         p = replace(params, i1=t_xi * i_delta)
-        d = comb_mod.build_combination(p, family)
-        formula = replace(d.rule, i2_min=0.0)
-        return power_mod.max_stage2_info(p, formula) - d.i2_min
+        rule = comb_mod.build_combination(p, family).rule
+        m = power_mod.max_stage2_info(p, replace(rule, i2_min=0.0))
+        target = (1.0 - p.beta) * cond_registration_power(p)
+        return power_mod.overall_power(p, replace(rule, i2_min=m)) - target
 
     t_max = derive(params).i1_max / i_delta
     step = comb_mod._SCAN_STEP
     t = step
-    if excess(t) > 0:
+    if margin(t) > 0:
         return 0.0
     while t < t_max:
         t_next = min(t + step, t_max)
-        if excess(t_next) > 0:
-            return find_root(excess, t, t_next, comb_mod._REFINE_X_TOL)
+        if margin(t_next) > 0:
+            return find_root(margin, t, t_next)
         t = t_next
     return 0.0

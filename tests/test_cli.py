@@ -555,6 +555,19 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_derive", boom)
         assert cli.main(["derive", "--scenario", path]) == cli.EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("overrides", [
+        dict(i1=1e32, family="constant"),
+        dict(i1=1e16, family="inverse_normal", mode="combination")])
+    def test_a_pilot_beyond_float_resolution_exit_code(self, write_scenario, tmp_path, capsys,
+                                                       overrides):
+        # delta_rel 1, xi 2: the window above z_f, and below it, is too few
+        # ulps of Z1's mean wide; the message names i1.
+        path = write_scenario(t_xi_i1=None, **overrides)
+        rc = cli.main(["simulate", "--scenario", path, "--reps", "10",
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == cli.EXIT_NUMERICAL
+        assert f"i1 = {overrides['i1']!r}: at Z1's mean" in capsys.readouterr().err
+
     def test_nan_root_objective_exit_code(self, write_scenario, tmp_path, monkeypatch):
         # A NaN level integral reaches calibrate's root search, which raises
         # FloatingPointError: a numerical failure, not invalid input.  Fisher

@@ -95,3 +95,17 @@ def test_oracle_lines_of_a_drawn_fisher_design(monkeypatch):
     for name, text in lines.items():
         value, oracle = drift._numbers(text)
         assert value == pytest.approx(oracle, abs=1e-10), name
+
+
+def test_constant_lines_read_the_design_constants():
+    # What snapshot writes for a design of tests/test_design_constants.py:
+    # the repr of its constants, whose numbers are the frozen ones.
+    import test_design_constants as constants
+
+    key = "combo/0.6/combination/z_combination"
+    (name, text), = drift.constant_lines(constants.design_constants, [key]).items()
+    assert name == f"constants {key}"
+    values, frozen = eval(text), json.loads(constants.FROZEN.read_text())[key]
+    assert values.keys() == frozen.keys()
+    assert [v for v in values.values() if v is not None] == pytest.approx(
+        [v for v in frozen.values() if v is not None], rel=1e-10)

@@ -758,6 +758,90 @@ class TestLockstepProperty:
             lockstep(searches, evaluate, (BracketError,))
 
 
+def _brentq_monotone(g, target: float) -> float:
+    """solve_monotone without the F_TOL stop past g(0): doubling steps from 1
+    until g meets the target itself, then brentq's steps to the end."""
+    lo, g_lo = 0.0, g(0.0)
+    if g_lo >= target - F_TOL:
+        return lo
+    hi, step = 1.0, 1.0
+    while (g_hi := g(hi)) < target:
+        lo, g_lo, step = hi, g_hi, 2.0 * step
+        hi = lo + step
+    return find_root(lambda x: g(x) - target, lo, hi, f_lo=g_lo - target, f_hi=g_hi - target)
+
+
+class TestEarlyStop:
+    """The floor, waive and level searches stop at the first iterate within
+    F_TOL of their target: brentq's closing step, which only brackets an
+    iterate that already meets it, is not taken."""
+
+    G = staticmethod(lambda x: 1.0 - math.exp(-x))  # its doubling bracket for 0.9 is [1, 3]
+
+    def brentq_points(self) -> tuple[list[float], int]:
+        """brentq's points for G = 0.9 on [1, 3], and the index of the first within F_TOL."""
+        full = CountingFunction(self.G)
+        find_root(lambda x: full(x) - 0.9, 1.0, 3.0)
+        first = next(i for i, x in enumerate(full.xs) if abs(self.G(x) - 0.9) <= F_TOL)
+        assert 2 < first < len(full.xs) - 1
+        return full.xs, first
+
+    def test_monotone_search_returns_the_first_point_within_f_tol(self):
+        xs, first = self.brentq_points()
+        g = CountingFunction(self.G)
+        assert solve_monotone(g, 0.9) == xs[first]
+        assert g.xs == [0.0, *xs[:first + 1]]
+
+    def test_a_doubling_step_within_f_tol_below_the_target_is_returned_at_once(self):
+        g = CountingFunction(lambda x: x)
+        assert solve_monotone(g, 3.0 + 0.5 * F_TOL) == 3.0
+        assert g.xs == [0.0, 1.0, 3.0]
+
+    def test_calibration_search_returns_the_first_level_within_f_tol(self):
+        xs, first = self.brentq_points()
+        levels = CountingFunction(lambda cef: self.G(cef.c))
+        search = cef_mod.calibration_search(lambda c: cef_mod.CalibratedCef(None, c=c),
+                                            0.9, 1.0, 3.0)
+        got = run_search(search, levels)
+        # The level at hi comes first, then root_search's lo.
+        assert [cef.c for cef in levels.xs] == [3.0, 1.0, *xs[2:first + 1]]
+        assert got.c == xs[first] and got.level_used == self.G(xs[first])
+
+    def test_a_lone_search_and_a_lockstep_column_stop_at_the_same_iterate(self):
+        # Stops in Brent's steps, at a doubling step and at g(0), beside a
+        # calibration that stops in Brent's steps.
+        cases = [
+            (self.G, lambda: monotone_search(0.9)),
+            (lambda x: x, lambda: monotone_search(3.0 + 0.5 * F_TOL)),
+            (lambda x: 0.5 + self.G(x), lambda: monotone_search(0.5 + 0.5 * F_TOL)),
+            (self.G, lambda: monotone_search(0.25)),
+            (lambda cef: self.G(cef.c), lambda: cef_mod.calibration_search(
+                lambda c: cef_mod.CalibratedCef(None, c=c), 0.9, 1.0, 3.0)),
+        ]
+        got, points = _recorded([f for f, _ in cases], [search() for _, search in cases])
+        for (f, search), x, xs in zip(cases, got, points):
+            alone = CountingFunction(f)
+            assert repr(x) == repr(run_search(search(), alone))
+            assert xs == alone.xs
+
+    @_BATCH_SETTINGS
+    @hypothesis.given(root=st.floats(0.0, 60.0), scale=st.floats(2.0, 50.0),
+                      z=st.floats(-1.5, 1.5))
+    @hypothesis.example(root=3.0, scale=2.0, z=0.0)  # a doubling step on the root
+    def test_within_x_tol_of_brentq_and_never_more_evaluations(self, root, scale, z):
+        # A probability g, a normal distribution function with its target at
+        # the root, where its slope is at least 2 phi(1.5) = 0.26: a point
+        # within F_TOL of the target lies within 4e-10 of the root.  The early
+        # search's points are the first of brentq's.
+        g = lambda x: float(ndtr(scale * (x - root) + z))
+        target = float(ndtr(z))
+        full, early = CountingFunction(g), CountingFunction(g)
+        want = _brentq_monotone(full, target)
+        got = solve_monotone(early, target)
+        assert abs(got - want) <= X_TOL
+        assert early.xs == full.xs[:len(early.xs)]
+
+
 def _by_window(fs, calls=None):
     """An integrate_many integrand that evaluates ``fs[k]`` at the nodes of
     window k, recording each call's size in ``calls``."""

@@ -3,6 +3,7 @@ and the minimum-information solver."""
 
 import dataclasses
 import math
+import re
 from unittest.mock import patch
 
 import hypothesis
@@ -143,15 +144,18 @@ class TestOverallPower:
         design = build_fasttrack(big, "constant")
         assert overall_power(big, design.rule) == pytest.approx(0.8, abs=1e-6)
 
+    @pytest.mark.parametrize("i1, mean", [(1e32, "2e+16"), (1e40, "2e+20")])
     @pytest.mark.parametrize("binding", [True, False])
     @pytest.mark.parametrize("family", FASTTRACK_FAMILIES)
-    def test_a_mean_beyond_float_resolution_raises_naming_i1(self, family, binding):
+    def test_a_mean_beyond_float_resolution_raises_naming_i1(self, family, binding, i1, mean):
         # At I1 = 1e40 the mean of Z1, 2e20, rounds mean +- 8.5 to itself,
         # so the window above z_f is empty in floats, and every power would
         # read 0: the build says so instead of failing its floor's bracket.
-        p = DesignParams(i1=1e40, **EVAL_BASE)
-        with pytest.raises(FloatingPointError,
-                           match=r"i1 = 1e\+40: at Z1's mean 2e\+20 the window above z_f"):
+        # At I1 = 1e32 the window is 4 ulps of the mean wide, too few for
+        # its panels' nodes, and the constant family read power 1.0.
+        p = DesignParams(i1=i1, **EVAL_BASE)
+        with pytest.raises(FloatingPointError, match=re.escape(
+                f"i1 = {i1!r}: at Z1's mean {mean} the window above z_f is too narrow")):
             build_fasttrack(p, family, binding)
 
 
