@@ -15,14 +15,16 @@ A CEF is the table of its stage-two critical value, a ``CalibratedCef``.
 constant with ``calibrate``, or in closed form for Fisher's product test;
 ``constant_cef`` and ``z_combination_cef`` build the two tables that are also
 used at a given level.  ``critical_value`` reads a CEF at an array of
-abscissas; Fisher's it also reads at one Python float in float arithmetic,
-which is what the Fisher floor-kink root search steps on.
+abscissas; Fisher's ``fisher_critical_value`` reads at one Python float in
+float arithmetic, which is what the Fisher floor-kink root search steps on.
 
-``family_cefs`` makes the CEFs of a whole grid column at once: it calibrates
-each distinct design once, and runs the calibrations' root searches
-(``calibration_search``) in lockstep, every round integrating the level of
-each waiting CEF in one integrand call.  A single fast-track build
-calibrates afresh through ``calibrate``, the same search run alone.
+A column solve holds its designs' constants as ``column`` s, which
+``integrate_each`` reads at each panel's window.  ``family_cefs`` makes the
+CEFs of a whole grid column at once: it calibrates each distinct design once,
+and runs the calibrations' root searches (``calibration_search``) in
+lockstep, every round integrating the level of each waiting CEF in one
+integrand call.  A single fast-track build calibrates afresh through
+``calibrate``, the same search run alone.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from scipy.special import lambertw, ndtr, ndtri
 from .numerics import (
     F_TOL,
     X_TOL,
+    QuadratureSettings,
     integrate,
     integrate_many,
     lockstep,
@@ -52,6 +55,7 @@ FAMILIES = ("constant", "inverse_normal", "fisher", "z_combination")
 FASTTRACK_FAMILIES = FAMILIES[:3]  # z_combination needs the waive branch
 
 _CAP = 0.5
+_TAIL = QuadratureSettings.tail_halfwidth
 _SQRT_HALF = math.sqrt(0.5)
 
 
@@ -92,8 +96,13 @@ def z_combination_cef(
     if not (i1 > 0 and i2_const > 0 and math.isfinite(z_split)):
         raise ValueError("z_combination_cef requires positive informations "
                          f"and a finite z_split, got {i1}, {i2_const}, {z_split}")
-    w1 = math.sqrt(i1 / (i1 + i2_const))
-    w2 = math.sqrt(i2_const / (i1 + i2_const))
+    return z_combination_cefs(i1, i2_const, z_split, alpha, alpha_prime, math.sqrt)
+
+
+def z_combination_cefs(i1, i2_const, z_split, alpha, alpha_prime, sqrt=np.sqrt) -> CalibratedCef:
+    """:func:`z_combination_cef` of a column's designs, unchecked (of floats with math.sqrt)."""
+    w1 = sqrt(i1 / (i1 + i2_const))
+    w2 = sqrt(i2_const / (i1 + i2_const))
     pieces = tuple(
         (start, std_normal_quantile(1.0 - level) / w2, w1 / w2)
         for start, level in ((-math.inf, alpha), (z_split, alpha_prime))
@@ -111,13 +120,12 @@ def _fisher_cef(cef: CalibratedCef, z: np.ndarray):
     return a if _is(cef.z0, -math.inf) else np.where(z >= cef.z0, a, 0.0)
 
 
-def _critical_value_at(cef: CalibratedCef, z: float) -> float:
-    # Fisher's critical_value at one float, step for step in the array
-    # path's arithmetic; ndtr and ndtri take infinite z and p in [0, 1] as
-    # the array path does.
+def fisher_critical_value(c: float, z0: float, z: float) -> float:
+    """Fisher's critical value at one float, in float arithmetic, step for step
+    in the array path's; ndtr and ndtri take infinite z and p in [0, 1] alike."""
     denom = max(float(ndtr(-z)), 1e-300)
-    a = min(cef.c / denom, _CAP)
-    if cef.z0 != -math.inf and not z >= cef.z0:
+    a = min(c / denom, _CAP)
+    if z0 != -math.inf and not z >= z0:
         a = 0.0
     return -float(ndtri(a))
 
@@ -127,11 +135,7 @@ def critical_value(cef: CalibratedCef, z1):
 
     Infinite where A is 0 and 0 where A is capped.  The table families read
     it off ``cef.pieces``; Fisher's goes through A, as -Phi^{-1}(A).
-    Fisher's at a Python float is read in float arithmetic, without numpy's
-    per-call cost, and gives the same float as a one-element array.
     """
-    if cef.pieces is None and isinstance(z1, float):
-        return _critical_value_at(cef, z1)
     z = np.asarray(z1, dtype=float)
     if cef.pieces is None:
         q = -std_normal_quantile(np.asarray(_fisher_cef(cef, z)))
@@ -144,33 +148,43 @@ def critical_value(cef: CalibratedCef, z1):
     return float(q) if q.ndim == 0 else q
 
 
-def _is(constant, value: float) -> bool:  # never true of a per-node array
+def _is(constant, value: float) -> bool:  # never true of a column array
     return not isinstance(constant, np.ndarray) and constant == value
 
 
-def _gather(values: Sequence, k):
-    """``values[k]``, each node's window's constant, a float or a CEF (with
-    as many pieces as the others).  A float all windows share stays that
-    float, so tests against it still apply."""
+def column(values: Sequence):
+    """Per-design constants as one column: the value all designs share (a
+    float keeps :func:`critical_value`'s shortcuts), else their array; lists
+    of kinks as one array, padded with NaN; and CEFs, all Fisher's or all
+    tables of as many pieces, as one CEF of such columns."""
     first = values[0]
+    if isinstance(first, list):
+        width = max(map(len, values))
+        return np.array([[*row, *[math.nan] * (width - len(row))] for row in values])
     if isinstance(first, CalibratedCef):
-        pieces = first.pieces and tuple(tuple(_gather(col, k) for col in zip(*piece))
-                                        for piece in zip(*(c.pieces for c in values)))
-        return CalibratedCef(pieces, z0=_gather([c.z0 for c in values], k),
-                             c=_gather([c.c for c in values], k))
-    return first if values.count(first) == len(values) else np.array(values)[k]
+        if len({cef.pieces and len(cef.pieces) for cef in values}) > 1:
+            raise ValueError("a column's CEFs must be all Fisher's or tables of as many pieces")
+        pieces = first.pieces and tuple(tuple(map(column, zip(*piece)))
+                                        for piece in zip(*(cef.pieces for cef in values)))
+        return CalibratedCef(pieces, z0=column([cef.z0 for cef in values]),
+                             c=column([cef.c for cef in values]))
+    return first if values.count(first) == len(values) else np.array(values, dtype=float)
 
 
-def integrate_each(f: Callable, branches: Sequence[tuple]) -> list[float]:
-    """``integrate_many`` of ``f(z, *constants)`` over each (window, constants)
-    of ``branches``, every integral the float ``integrate`` gives for it.  A
-    lone branch is that ``integrate`` call, its constants as they are."""
-    if len(branches) == 1:
-        ((lo, hi, splits), constants), = branches
-        return [integrate(lambda z: f(z, *constants), lo, hi, split_points=splits)]
-    columns = list(zip(*(constants for _, constants in branches)))
-    return integrate_many(lambda z, k: f(z, *(_gather(c, k) for c in columns)),
-                          [window for window, _ in branches])
+def take(value, k):
+    """A :func:`column`'s entries at the integer array ``k`` of rows."""
+    if type(value) is np.ndarray:
+        return value[k]
+    if isinstance(value, CalibratedCef):
+        pieces = value.pieces and tuple([tuple([take(x, k) for x in p]) for p in value.pieces])
+        return CalibratedCef(pieces, z0=take(value.z0, k), c=take(value.c, k))
+    return value
+
+
+def integrate_each(f: Callable, lo, hi, kinks, constants: tuple) -> list[float]:
+    """``integrate_many`` of ``f(z, *constants)``, each constant a :func:`column`
+    with a row per window, read at each panel's window."""
+    return integrate_many(lambda z, k: f(z, *(take(c, k) for c in constants)), lo, hi, kinks)
 
 
 def eval_cef(cef: CalibratedCef, z1):
@@ -206,13 +220,25 @@ def kinks(cef: CalibratedCef) -> list[float]:
     return out
 
 
+def table_kinks(pieces, n: int) -> np.ndarray:
+    """:func:`kinks` of ``n`` tables, pieces of b > 0 as columns, NaN-padded rows."""
+    out = np.empty((n, 2 * len(pieces)))
+    ends = [start for start, _, _ in pieces[1:]] + [math.inf]
+    for i, ((start, a, b), end) in enumerate(zip(pieces, ends)):
+        cap = a / b
+        out[:, 2 * i] = start
+        out[:, 2 * i + 1] = np.where((start < cap) & (cap < end), cap, np.nan)
+    return out
+
+
 def _level_integrand(z, cef: CalibratedCef):
     return eval_cef(cef, z) * std_normal_pdf(z)
 
 
-def _level_branch(cef: CalibratedCef, lower: float) -> tuple:
-    """The level integral's window above ``lower``, split at the kinks, and its constants."""
-    return (*normal_window(0.0, lower), kinks(cef)), (cef,)
+def _level(cef: CalibratedCef, lower: float) -> float:
+    """:func:`level_integral`'s integral, as a column's lone round reads it."""
+    return integrate(lambda z: _level_integrand(z, cef), *normal_window(0.0, lower),
+                     split_points=kinks(cef))
 
 
 def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
@@ -221,21 +247,21 @@ def level_integral(cef: CalibratedCef, lower: float = -math.inf) -> float:
     There is no early rejection, so the integral is the whole type I error
     rate of the design.
     """
-    return integrate_each(_level_integrand, [_level_branch(cef, lower)])[0]
+    return _level(cef, lower)
 
 
 def calibrate(cef_at: Callable[[float], CalibratedCef], alpha: float,
               lo: float, hi: float) -> CalibratedCef:
     """:func:`calibration_search` run alone, each level by :func:`level_integral`."""
     return run_search(calibration_search(cef_at, alpha, lo, hi),
-                      lambda cef: level_integral(cef, cef.z0))
+                      lambda x: level_integral(cef := cef_at(x), cef.z0))
 
 
 def calibration_search(cef_at: Callable[[float], CalibratedCef], alpha: float,
                        lo: float, hi: float) -> Generator:
     """The CEF ``cef_at(x)`` whose level integral from its own ``z0`` is
-    ``alpha``, as a search that yields each CEF whose level it needs and is
-    sent that level.
+    ``alpha``, as a search that yields each x whose CEF's level it needs and
+    is sent that level.
 
     ``cef_at`` builds a family's CEF from its one free constant x (c, or
     alpha_prime for the z-combination family); the level integral increases
@@ -244,7 +270,7 @@ def calibration_search(cef_at: Callable[[float], CalibratedCef], alpha: float,
     ``level_used`` instead of failing.  The first x whose level lies within
     F_TOL of ``alpha`` is the root.  Each x is integrated once.
     """
-    levels = {hi: (yield cef_at(hi))}
+    levels = {hi: (yield hi)}
     # At the upper end the function is everywhere as large as the family
     # allows; if that still stays below the target, the calibration saturates.
     if levels[hi] - alpha <= 0:
@@ -254,7 +280,7 @@ def calibration_search(cef_at: Callable[[float], CalibratedCef], alpha: float,
         x = next(search)
         while True:
             if x not in levels:
-                levels[x] = yield cef_at(x)
+                levels[x] = yield x
             x = search.send(levels[x])
     except StopIteration as stop:
         return replace(cef_at(stop.value), level_used=levels[stop.value])
@@ -308,6 +334,14 @@ def _calibration(family: str, alpha: float, z0: float, fixed: dict):
     return cef_at, alpha, 0.0, 1.0
 
 
+def _column_at(family: str, xs: np.ndarray, alpha, z0, fixed: dict) -> CalibratedCef:
+    """:func:`_calibration`'s ``cef_at`` of many designs at ``xs``, on columns."""
+    if family == "z_combination":
+        return z_combination_cefs(**fixed, alpha=alpha, alpha_prime=xs)
+    q = std_normal_quantile(1.0 - np.clip(xs, 1e-16, 1.0 - 1e-16))
+    return CalibratedCef(((z0, q / _SQRT_HALF, 1.0),), z0=z0, c=xs)
+
+
 def family_cef(family: str, alpha: float, z0: float = -math.inf, **fixed) -> CalibratedCef:
     """The named family's CEF, zero below ``z0`` and calibrated so that the
     level integral from ``z0`` equals ``alpha``: the one place each family's
@@ -332,8 +366,19 @@ def family_cefs(family: str, alphas: Sequence[float], z0s: Sequence[float] | Non
     solved = {key: _calibration(family, *key[:2], dict(zip(fixed, key[2:])))
               for key in keys}
     searched = [key for key, cef in solved.items() if not isinstance(cef, CalibratedCef)]
-    levels = lambda _, cefs: integrate_each(
-        _level_integrand, [_level_branch(cef, cef.z0) for cef in cefs])
+    columns = [column(constants) for constants in zip(*searched)]
+
+    def levels(js: list[int], xs: list[float]) -> list[float]:
+        if len(js) == 1:
+            cef = solved[searched[js[0]]][0](xs[0])
+            return [_level(cef, cef.z0)]
+        rows = np.array(js)
+        alpha, z0, *rest = (take(c, rows) for c in columns)
+        cef = _column_at(family, np.array(xs), alpha, z0, dict(zip(fixed, rest)))
+        lo = np.maximum(cef.z0, -_TAIL)  # normal_window(0.0, cef.z0) of each design
+        return integrate_each(_level_integrand, lo, np.maximum(lo, _TAIL),
+                              table_kinks(cef.pieces, len(js)), (cef,))
+
     solved.update(zip(searched, lockstep([calibration_search(*solved[key])
                                           for key in searched], levels)))
     return [solved[key] for key in keys]

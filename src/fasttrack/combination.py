@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -75,6 +75,11 @@ def _success_integrand(z, delta, i2c, cef, mean, log_p_lower):
     return cond * np.exp(-0.5 * (z - mean) ** 2 - log_p_lower) / _SQRT_2PI
 
 
+def _waive_cef(p: DesignParams, test: cef_mod.CalibratedCef | None, i2c: float):
+    """A waive test at information ``i2c``: ``test``, or for None the combined z-test at alpha."""
+    return test or cef_mod.z_combination_cef(p.i1, i2c, p.z_f, p.alpha, p.alpha)
+
+
 def lower_branch_success(
     params: DesignParams, i2c: float, cef: cef_mod.CalibratedCef
 ) -> float:
@@ -90,56 +95,70 @@ def lower_branch_success(
     return integrate(lambda z: _success_integrand(z, *constants), lo, hi, split_points=splits)
 
 
-def _is_flat(cef: cef_mod.CalibratedCef) -> bool:
-    return cef.pieces is not None and len(cef.pieces) == 1 and cef.pieces[0][2] == 0.0
+def _is_flat(cef: cef_mod.CalibratedCef | None) -> bool:
+    return bool(cef and cef.pieces and len(cef.pieces) == 1 and cef.pieces[0][2] == 0.0)
 
 
-def solve_i2_const(
-    params: DesignParams, cef_at: Callable[[float], cef_mod.CalibratedCef]
-) -> float:
+def solve_i2_const(params: DesignParams, test: cef_mod.CalibratedCef | None) -> float:
     """Fixed stage-two information giving conditional success 1-beta on the
-    waive branch, where ``cef_at(i2c)`` is the CEF tested at information
-    ``i2c``.  The conditional success probability is increasing in the
-    information, so a monotone solve applies.
+    waive branch, where ``test`` is the waive test (see :func:`waive_tests`).
+    The conditional success probability is increasing in the information, so
+    a monotone solve applies.
 
     A flat CEF (one piece with b = 0, the constant family's) tests at one
     critical value q whatever Z1, so its success 1 - Phi(q - delta
     sqrt(i2c)) is 1 - beta at i2c = ((q + z_beta) / delta)^2, I_delta for
-    the level-alpha test, with no root search.  Whether a waive test is
-    flat does not depend on the information, so one CEF tells.
+    the level-alpha test, with no root search.
     """
-    cef = cef_at(1.0)
-    if _is_flat(cef):
-        q = max(cef.pieces[0][1], 0.0)
+    if _is_flat(test):
+        q = max(test.pieces[0][1], 0.0)
         return (q + params.z_beta) ** 2 / params.delta**2
-    success = lambda i2c: 0.0 if i2c <= 0 else lower_branch_success(params, i2c, cef_at(i2c))
+    success = lambda i2c: 0.0 if i2c <= 0 else lower_branch_success(
+        params, i2c, _waive_cef(params, test, i2c))
     return solve_monotone(success, 1.0 - params.beta)
 
 
-def solve_i2_const_many(params: Sequence[DesignParams], cef_ats: Sequence) -> list[float]:
+def solve_i2_const_many(params: Sequence[DesignParams], tests: Sequence) -> list[float]:
     """:func:`solve_i2_const` of many designs in lockstep, each round
-    integrating every unfinished design's waive-branch success in one call.
-    Each design is set up once; a zero information has no branch and success 0."""
-    setups = [None if _is_flat(c(1.0)) else _waive_setup(p) for p, c in zip(params, cef_ats)]
+    integrating every unfinished design's waive-branch success in one call: a
+    lone design's :func:`_waive_at` branch, or many designs' columns, made at
+    their first such round.  Each design is set up once; a zero information
+    has no branch and success 0."""
+    setups = [None if _is_flat(t) else _waive_setup(p) for p, t in zip(params, tests)]
+    ids = np.array([j for j, setup in enumerate(setups) if setup])
+    columns = []
 
     def evaluate(js: list[int], xs: list[float]) -> list[float]:
-        return cef_mod.integrate_each(_success_integrand, [
-            _waive_at(params[j], x, cef_ats[j](x), setups[j]) for j, x in zip(js, xs)])
+        if len(js) == 1:
+            p, x = params[js[0]], xs[0]
+            (lo, hi, splits), c = _waive_at(p, x, _waive_cef(p, tests[js[0]], x), setups[js[0]])
+            return [integrate(lambda z: _success_integrand(z, *c), lo, hi, split_points=splits)]
+        if not columns:  # each design's setup, scalars, test and the test's kinks
+            designs = [(*setups[j], params[j].delta, params[j].i1, params[j].z_f, params[j].alpha,
+                        tests[j], tests[j] and cef_mod.kinks(tests[j])) for j in ids]
+            columns.extend(map(cef_mod.column, zip(*designs)))
+        rows = np.searchsorted(ids, js)
+        lo, hi, mean, log_p_lower, delta, i1, z_f, alpha, cef, kinks = (cef_mod.take(c, rows)
+                                                                        for c in columns)
+        x = np.array(xs, dtype=float)
+        if cef is None:
+            cef = cef_mod.z_combination_cefs(i1, x, z_f, alpha, alpha)
+            kinks = cef_mod.table_kinks(cef.pieces, len(js))
+        return cef_mod.integrate_each(_success_integrand, lo, hi, kinks,
+                                      (delta, x, cef, mean, log_p_lower))
 
     xs = lockstep([monotone_search(1.0 - p.beta, g_0=0.0) if s else None
                    for p, s in zip(params, setups)], evaluate)
-    return [x if s else solve_i2_const(p, c) for p, c, s, x in zip(params, cef_ats, setups, xs)]
+    return [x if s else solve_i2_const(p, t) for p, t, s, x in zip(params, tests, setups, xs)]
 
 
-def waive_tests(params: Sequence[DesignParams], family: str) -> list[Callable]:
-    """``cef_at(i2c)`` of each design of a column, for :func:`solve_i2_const`:
-    the combined z-test at level alpha for the z-combination family, else the
-    family's non-binding CEF whatever the information, by one column solve."""
+def waive_tests(params: Sequence[DesignParams], family: str) -> list:
+    """The waive test of each design of a column, for :func:`solve_i2_const`:
+    the family's non-binding CEF, by one column solve, or None for the
+    z-combination family, whose test depends on the information."""
     if family == "z_combination":
-        return [lambda i2c, p=p: cef_mod.z_combination_cef(p.i1, i2c, p.z_f, p.alpha, p.alpha)
-                for p in params]
-    return [lambda i2c, cef=cef: cef
-            for cef in cef_mod.family_cefs(family, [p.alpha for p in params])]
+        return [None] * len(params)
+    return cef_mod.family_cefs(family, [p.alpha for p in params])
 
 
 def waive_branches(params: Sequence[DesignParams], family: str) -> tuple[list, list]:
@@ -154,7 +173,7 @@ def waive_branches(params: Sequence[DesignParams], family: str) -> tuple[list, l
     tests = waive_tests(params, family)
     i2cs = solve_i2_const_many(params, tests)
     if family != "z_combination":
-        return [test(x) for test, x in zip(tests, i2cs)], i2cs
+        return tests, i2cs
     return cef_mod.family_cefs(family, [p.alpha for p in params], i1=[p.i1 for p in params],
                                i2_const=i2cs, z_split=[p.z_f for p in params]), i2cs
 

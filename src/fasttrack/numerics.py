@@ -1,13 +1,14 @@
 """Low-level numerics: normal distribution, adaptive quadrature, root finding.
 
-Every routine here is a pure function.  Integrands passed to
-:func:`integrate` must be elementwise: they take a 1-D array of abscissas and
-return the integrand at each of them, with no dependence of one value on the
-others.  The quadrature evaluates the nodes of several panels in one call:
+Every routine here is a pure function.  Integrands must be elementwise:
+they take an array of abscissas (1-D from :func:`integrate`) and return the
+integrand at each, with no dependence of one value on the others.  The
+quadrature evaluates the nodes of several panels in one call:
 it starts from panels at most ``PANEL_WIDTH`` (2 sds) wide, so one call
 usually settles an integral over a normal window, and it sums each panel's
 nodes as a row of one array; :func:`integrate_many` does so for many
-integrals at once, each the float :func:`integrate` returns for it.  Each
+integrals at once, each the float :func:`integrate` returns for it, and
+hands its integrand the nodes a panel a row with each panel's window.  Each
 panel takes the 15 nodes of the G7-K15 Gauss-Kronrod pair: the K15 rule
 gives its estimate, and the G7 rule on seven of the same nodes its error
 estimate |K15 - G7|.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, ClassVar, Generator, Sequence
 
 import numpy as np
@@ -141,13 +142,13 @@ _K15_W = np.array([*_K15_AT_G7[:0:-1], *_K15_AT_G7,
 
 def _panels(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K15 estimates, and |K15 - G7| as their error estimates, over the
-    panels [a[i], b[i]], from one call of ``f`` on the nodes of all of them.
-    Each panel's weighted sum is a row sum, which does not depend on how many
-    panels share the call."""
+    panels [a[i], b[i]], from one call of ``f`` on the (panels, 15) array of
+    their nodes, a panel a row.  Each panel's weighted sum is a row sum,
+    which does not depend on how many panels share the call."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     x = mid[:, None] + half[:, None] * _NODES
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    y = np.asarray(f(x), dtype=float).reshape(x.shape)
     i15 = half * (y * _K15_W).sum(axis=1)
     i7 = half * (y[:, :7] * _G7_W).sum(axis=1)
     return i15, np.abs(i15 - i7)
@@ -159,30 +160,23 @@ def _check_window(lo: float, hi: float) -> None:
         raise ValueError(f"integrate requires finite lo <= hi, got [{lo}, {hi}]")
 
 
-def _initial_panels(windows: Sequence[tuple], budget: int) -> tuple:
-    """The ends and the window of each initial panel of every (lo, hi,
-    split_points) window, in window order: :func:`integrate`'s rule on arrays."""
-    lo, hi = (np.array([w[i] for w in windows], dtype=float) for i in (0, 1))
+def _initial_panels(lo: np.ndarray, hi: np.ndarray, kinks: np.ndarray, budget: int) -> tuple:
+    """The ends and the window of each initial panel of every window, in
+    window order: :func:`integrate`'s rule on arrays."""
     if not (ok := np.isfinite(lo) & np.isfinite(hi) & (lo <= hi)).all():
-        _check_window(*windows[int(np.argmin(ok))][:2])
-    ws, sizes = np.arange(len(windows)), [len(w[2]) for w in windows]
-    splits = np.fromiter(chain.from_iterable(w[2] for w in windows), float, sum(sizes))
-    owner = np.repeat(ws, sizes)
-    inside = (lo[owner] < splits) & (splits < hi[owner])
-    # x: each window's kinks in order, window after window.
-    x = np.concatenate((lo, splits[inside], hi))
-    ids = np.concatenate((ws, owner[inside], ws))
-    order = np.lexsort((x, ids))
-    x, ids = x[order], ids[order]
-    # n: the panels of the segment from each kink to the next; none joins
-    # two windows, and a repeated kink's segment is empty.
-    counts = np.minimum(np.ceil(np.diff(x) / PANEL_WIDTH), budget).astype(np.intp)
-    n = (ids[1:] == ids[:-1]) * counts
+        _check_window(float(lo[np.argmin(ok)]), float(hi[np.argmin(ok)]))
+    # x: each window's ends and kinks in order, one outside it, or NaN, on an end.
+    inside = np.fmin(np.fmax(kinks, lo[:, None]), hi[:, None])
+    x = np.sort(np.concatenate((lo[:, None], inside, hi[:, None]), axis=1))
+    left, right = x[:, :-1].ravel(), x[:, 1:].ravel()
+    # n: the panels of the segment from each kink to the next, 0 after a repeat.
+    n = np.minimum(np.ceil((right - left) / PANEL_WIDTH), budget).astype(np.intp)
     s = np.repeat(np.arange(len(n)), n)  # each panel's segment, i its place in it
     i = np.arange(len(s)) - (np.cumsum(n) - n)[s]
-    a = x[s] + (x[s + 1] - x[s]) * (i / n[s])
+    left, width, n = left[s], right[s] - left[s], n[s]
+    a = left + width * (i / n)
     # A segment's last panel ends at its kink itself, the others where the next starts.
-    return a, np.where(i + 1 == n[s], x[s + 1], np.append(a[1:], 0.0)), ids[s]
+    return a, np.where(i + 1 == n, right[s], left + width * ((i + 1) / n)), s // (x.shape[1] - 1)
 
 
 def integrate(
@@ -220,29 +214,35 @@ def integrate(
                      for n in [min(math.ceil((b - a) / PANEL_WIDTH),
                                    settings.max_subdivisions)]
                      for k in range(n)] + kinks[-1:])
-    return run_search(_refine(cuts, *_panels(f, cuts[:-1], cuts[1:]), settings),
-                      lambda e: _panels(f, *e)) if lo < hi else 0.0
+    flat = lambda x: f(x.ravel())
+    return run_search(_refine(cuts, *_panels(flat, cuts[:-1], cuts[1:]), settings),
+                      lambda e: _panels(flat, *e)) if lo < hi else 0.0
 
 
-def integrate_many(f: Callable, windows: Sequence[tuple],
+def integrate_many(f: Callable, lo, hi, kinks,
                    settings: QuadratureSettings = DEFAULT_QUAD) -> list[float]:
-    """:func:`integrate` on each (lo, hi, split_points) of ``windows``, each
-    round one call ``f(x, k)`` on the panels all windows need, ``k`` the integer
-    array of each node's window; the first window that fails raises.
-    The first round runs on arrays, all windows' sums at once; only the
-    windows that miss the tolerances go on to :func:`integrate`'s rounds."""
-    a, b, of = _initial_panels(windows, settings.max_subdivisions)
-    counts = np.bincount(of, minlength=len(windows))
+    """:func:`integrate` on each window [lo[i], hi[i]] (a float end is every
+    window's) split at the row kinks[i] of a NaN-padded 2-D array; the first
+    window that fails raises.  Each round is one call ``f(x, k)`` on every
+    panel the windows need, ``x`` their nodes a panel a row and ``k`` the
+    (panels, 1) integer array of each panel's window, by which ``f`` reads a
+    window's constants once per panel.  The first round runs on arrays, all
+    windows' sums at once; only the windows that miss the tolerances go on
+    to :func:`integrate`'s rounds."""
+    kinks = np.asarray(kinks, dtype=float)
+    lo, hi = (np.full(len(kinks), v) if isinstance(v, float) else np.asarray(v, dtype=float)
+              for v in (lo, hi))
+    a, b, of = _initial_panels(lo, hi, kinks, settings.max_subdivisions)
+    counts = np.bincount(of, minlength=len(lo))
     first = np.cumsum(counts) - counts
-    k = np.repeat(of, _NODES.size)
-    ests, errs = _panels(lambda x: f(x, k), a, b) if len(a) else (a, a)
+    ests, errs = _panels(lambda x: f(x, of[:, None]), a, b) if len(a) else (a, a)
     # _refine's sums: running sums, left to right, along zero-padded rows after a 0.0.
-    rows = np.zeros((2, len(windows), counts.max(initial=0) + 1))
+    rows = np.zeros((2, len(lo), counts.max(initial=0) + 1))
     rows[:, of, np.arange(len(of)) - first[of] + 1] = ests, errs
-    total, total_err = np.cumsum(rows, axis=2)[:, np.arange(len(windows)), counts]
+    total, total_err = np.cumsum(rows, axis=2)[:, np.arange(len(lo)), counts]
     settled = np.isfinite(total) & np.isfinite(total_err) & (
         total_err <= np.maximum(settings.abs_tol, settings.rel_tol * np.abs(total)))
-    searches = [None] * len(windows)
+    searches = [None] * len(lo)
     for j in np.flatnonzero(~settled).tolist():  # each has panels, the last ending at hi
         p = slice(first[j], first[j] + counts[j])
         searches[j] = _refine(np.append(a[p], b[p][-1]), ests[p], errs[p], settings)
@@ -250,7 +250,7 @@ def integrate_many(f: Callable, windows: Sequence[tuple],
     def more(js: list[int], spans: list[tuple]) -> list[tuple]:
         a, b = (np.concatenate(ends) for ends in zip(*spans))
         ends = [0, *accumulate(len(span[0]) for span in spans)]
-        k = np.repeat(js, np.diff(ends) * _NODES.size)
+        k = np.repeat(js, np.diff(ends))[:, None]
         ests, errs = _panels(lambda x: f(x, k), a, b)
         return [(ests[i:j], errs[i:j]) for i, j in zip(ends, ends[1:])]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,7 +103,7 @@ def stage2_info(z1, params: DesignParams, rule: AdaptiveConditionalPower, q=None
     return _stage2_info(z1, rule.cef, rule.i2_min, params.i1, params.z_beta, q)
 
 
-def _stage2_info(z1, cef, i2_min, i1, z_beta, q=None):  # constants may be per-node arrays
+def _stage2_info(z1, cef, i2_min, i1, z_beta, q=None):  # constants may be column arrays
     z = np.asarray(z1, dtype=float)
     if q is None:
         q = cef_mod.critical_value(cef, z)
@@ -138,11 +138,48 @@ def _floor_kink(params: DesignParams, rule: AdaptiveConditionalPower,
             z = z_beta / slope
             return z if z_lower <= z <= z_upper else None
         z_upper, h_cap = z_cap, slope * z_cap - z_beta
-    h = lambda z: slope * z - z_beta - cef_mod.critical_value(cef, z)
+    return _fisher_floor_root(cef.c, cef.z0, slope, z_beta, z_lower, z_upper, h_cap)
+
+
+def _fisher_floor_root(c, z0, slope, z_beta, z_lower, z_upper, h_upper) -> float | None:
+    """The root of h(z) = slope * z - z_beta - q(z), q Fisher's critical value, on
+    [z_lower, z_upper] (``h_upper``: h there, if known); None without a sign change."""
+    h = lambda z: slope * z - z_beta - cef_mod.fisher_critical_value(c, z0, z)
     try:
-        return find_root(h, z_lower, z_upper, f_hi=h_cap)
+        return find_root(h, z_lower, z_upper, f_hi=h_upper)
     except BracketError:
         return None
+
+
+def _floor_kinks(cef, z_cap, i2_min, i1, z_beta, z_lower, z_upper) -> np.ndarray:
+    """:func:`_floor_kink` of a round's designs from their columns, NaN for None,
+    on arrays but for Fisher's crossings below the cap (``z_cap``), each searched."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero floors have no kink
+        slope = np.sqrt(i2_min / i1)
+        out, done = np.full(len(slope), np.nan), i2_min <= 0
+        if cef.pieces is not None:
+            ends = [start for start, _, _ in cef.pieces[1:]] + [math.inf]
+            for (start, a, b), end in zip(cef.pieces, ends):
+                lo, hi = np.maximum(start, z_lower), np.minimum(end, z_upper)
+                z = (z_beta + a) / (slope + b)
+                z = np.where(a - b * z < 0, z_beta / slope, z)
+                here = ~done & (end > z_lower) & ((lo > hi) | (z <= hi))
+                z = np.where(z < lo, np.where(lo > z_lower, lo, np.nan), z)
+                out, done = np.where(here & (lo <= hi), z, out), done | here
+            return out
+        capped = (cef.c > 0) & (z_cap < z_upper)
+        h_cap = np.where(capped, slope * z_cap - z_beta, np.nan)
+        closed = ~done & capped & ((z_cap <= z_lower) | (h_cap < 0))
+        z = z_beta / slope
+        out = np.where(closed & (z_lower <= z) & (z <= z_upper), z, np.nan)
+    searched = np.flatnonzero(~done & ~closed).tolist()
+    rows = searched and [v.tolist() if getattr(v, "ndim", 0) else [float(v)] * len(out) for v in (
+        cef.c, cef.z0, slope, z_beta, z_lower, np.where(capped, z_cap, z_upper), h_cap)]
+    for i in searched:
+        c, z0, s, zb, lo, hi, h = (row[i] for row in rows)
+        x = _fisher_floor_root(c, z0, s, zb, lo, hi, None if math.isnan(h) else h)
+        out[i] = math.nan if x is None else x
+    return out
 
 
 def _linear_floor_kink(pieces, slope: float, z_beta: float, z_lower: float,
@@ -185,13 +222,40 @@ def _upper_setup(params: DesignParams, cef: cef_mod.CalibratedCef) -> tuple:
     return lo, hi, cef_mod.kinks(cef), mean
 
 
-def _upper_at(params: DesignParams, rule: AdaptiveConditionalPower, setup: tuple = ()):
+def _upper_at(params: DesignParams, rule: AdaptiveConditionalPower, setup: tuple):
     """A design's window over Z1 >= z_f, split at the CEF's kinks and the floor kink, and
-    its integrands' constants.  A search passes the :func:`_upper_setup` it made once."""
-    lo, hi, kinks, mean = setup or _upper_setup(params, rule.cef)
+    its integrands' constants, from its :func:`_upper_setup`."""
+    lo, hi, kinks, mean = setup
     kink = _floor_kink(params, rule, lo, hi)
     return (lo, hi, kinks if kink is None else [*kinks, kink]), (
         rule.cef, rule.i2_min, params.i1, params.z_beta, params.delta, mean)
+
+
+def _upper_rounds(params: Sequence[DesignParams], cefs: Sequence[cef_mod.CalibratedCef],
+                  setups: Sequence[tuple | None]) -> Callable:
+    """``(f, js, floors) ->`` ``f`` integrated over the upper branch of design js[i]
+    at floors[i]: a lone design's :func:`_upper_at` branch, or many designs'
+    columns, made from their ``setups`` (None: never integrated) once."""
+    ids = np.array([j for j, setup in enumerate(setups) if setup])
+    columns = []
+
+    def integrals(f: Callable, js: Sequence[int], floors: Sequence[float]) -> list[float]:
+        if len(js) == 1:
+            (lo, hi, splits), constants = _upper_at(
+                params[js[0]], AdaptiveConditionalPower(floors[0], cefs[js[0]]), setups[js[0]])
+            return [integrate(lambda z: f(z, *constants), lo, hi, split_points=splits)]
+        if not columns:  # each design's setup, its last CEF kink, CEF and scalars
+            designs = [(*setups[j], setups[j][2][-1], cefs[j], params[j].i1, params[j].z_beta,
+                        params[j].delta) for j in ids]
+            columns.extend(map(cef_mod.column, zip(*designs)))
+        rows = np.searchsorted(ids, js)
+        lo, hi, kinks, mean, z_cap, cef, i1, z_beta, delta = (cef_mod.take(c, rows)
+                                                               for c in columns)
+        x = np.array(floors, dtype=float)
+        kink = _floor_kinks(cef, z_cap, x, i1, z_beta, lo, hi)
+        return cef_mod.integrate_each(f, lo, hi, np.column_stack((kinks, kink)),
+                                      (cef, x, i1, z_beta, delta, mean))
+    return integrals
 
 
 def _power_integrand(z, cef, i2_min, i1, z_beta, delta, mean):
@@ -212,9 +276,8 @@ def overall_powers(params: Sequence[DesignParams],
     """:func:`overall_power` of many designs, all integrated in one call.
     Where the conditional power is 1 throughout, the quadrature's rounding
     can put an integral an ulp above its ceiling, so each is clamped there."""
-    branches = [_upper_at(p, rule) for p, rule in zip(params, rules)]
     return [min(v, cond_registration_power(p)) for p, v in
-            zip(params, cef_mod.integrate_each(_power_integrand, branches))]
+            zip(params, _upper_integrals(_power_integrand, params, rules))]
 
 
 def solve_i2_min(
@@ -248,15 +311,21 @@ def mean_stage2_info(params: DesignParams, rule: AdaptiveConditionalPower) -> fl
     This is what makes the non-adaptive mean sit just above its minimum (149
     vs 148 per group in the worked example).
     """
-    (lo, hi, splits), constants = _upper_at(params, rule)
-    return integrate(lambda z: _mean_integrand(z, *constants), lo, hi, split_points=splits)
+    return mean_stage2_infos([params], [rule])[0]
 
 
 def mean_stage2_infos(params: Sequence[DesignParams],
                       rules: Sequence[AdaptiveConditionalPower]) -> list[float]:
     """:func:`mean_stage2_info` of many designs, integrated in one call."""
-    branches = [_upper_at(p, rule) for p, rule in zip(params, rules)]
-    return cef_mod.integrate_each(_mean_integrand, branches)
+    return _upper_integrals(_mean_integrand, params, rules)
+
+
+def _upper_integrals(f: Callable, params: Sequence[DesignParams],
+                     rules: Sequence[AdaptiveConditionalPower]) -> list[float]:
+    """``f`` integrated over the upper branch of each design, in one round."""
+    cefs = [rule.cef for rule in rules]
+    integrals = _upper_rounds(params, cefs, [_upper_setup(p, c) for p, c in zip(params, cefs)])
+    return integrals(f, range(len(params)), [rule.i2_min for rule in rules]) if params else []
 
 
 def _mean_integrand(z, cef, i2_min, i1, z_beta, delta, mean):
@@ -298,12 +367,11 @@ def solve_i2_min_many(params: Sequence[DesignParams], cefs: Sequence[cef_mod.Cal
     ceilings = [cond_registration_power(p) for p in params]
     setups = [_upper_setup(p, cef) if t < c else None
               for p, cef, t, c in zip(params, cefs, targets, ceilings)]
+    integrals = _upper_rounds(params, cefs, setups)
 
     def evaluate(js: list[int], floors: list[float]) -> list[float]:
-        branches = [_upper_at(params[j], AdaptiveConditionalPower(x, cefs[j]), setups[j])
-                    for j, x in zip(js, floors)]
         return [min(v, ceilings[j]) for j, v in
-                zip(js, cef_mod.integrate_each(_power_integrand, branches))]
+                zip(js, integrals(_power_integrand, js, floors))]
 
     return lockstep([monotone_search(t) if s else None for t, s in zip(targets, setups)], evaluate)
 

@@ -17,6 +17,10 @@ from __future__ import annotations
 from mpmath import mp
 
 DPS = 30
+# mp.quad over one wide segment can keep fewer than DPS digits (about 22 on
+# Fisher's segment up to a tiny cap), so the integrals run with this many
+# more.
+GUARD = 10
 
 
 def _upper_quantile(p):
@@ -119,7 +123,7 @@ def waive_branch_success(cef, i2c, i1, delta, z_split) -> float:
     """P_delta(Z2 >= Phi^{-1}(1 - A(Z1)) | Z1 < z_split) at stage-two
     information i2c, where Z1 ~ N(delta * sqrt(i1), 1)."""
     a, kinks = cef
-    with mp.workdps(DPS):
+    with mp.workdps(DPS + GUARD):
         z_split, mean = mp.mpf(z_split), mp.mpf(delta) * mp.sqrt(i1)
         drift = mp.mpf(delta) * mp.sqrt(i2c)
         # The conditional density is normalised before it is integrated:
@@ -180,7 +184,7 @@ def upper_branch(cef, i2_min, beta, i1, delta, z_f) -> tuple[float, float]:
     The breakpoints are the CEF's kinks and the floor kink (see floor_kink).
     """
     a, kinks = cef
-    with mp.workdps(DPS):
+    with mp.workdps(DPS + GUARD):
         i1, i2_min, z_f = mp.mpf(i1), mp.mpf(i2_min), mp.mpf(z_f)
         delta = mp.mpf(delta)
         mean = delta * mp.sqrt(i1)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 import reference_mp as ref
+from column_rounds import branch_form, column_round, round_forms
 from conftest import COMBO_BASE, SIGMA, i_delta_of, params_at, params_near_i1_max
 from fasttrack import cef as cef_mod
 from fasttrack import combination as comb_mod
@@ -84,7 +85,7 @@ class TestWaiveBranchSizing:
         ) ** 2 / p.delta**2
         assert design.i2_const == pytest.approx(i_fixed, abs=1e-7)
         # And the generic solver agrees.
-        solved = solve_i2_const(p, lambda _: design.cef)
+        solved = solve_i2_const(p, design.cef)
         assert solved == pytest.approx(i_fixed, abs=1e-7)
 
     def test_flat_level_information_to_ten_digits_at_small_i_delta(self):
@@ -187,27 +188,43 @@ class TestDesignOnce:
         # A column solve sets each design up once; each round must still
         # integrate, for every design, the window and constants _waive_at
         # makes afresh, without a setup, for that design's information, the
-        # z-combination test's CEF changing with it.  A far pilot puts the
-        # mean far above z_f, where the window is cut.  A flat test needs no
-        # search.
+        # z-combination test's CEF changing with it: a lone design that
+        # branch itself, many designs a column round whose every window,
+        # split points and integrand are those of such a branch.  A far
+        # pilot puts the mean far above z_f, where the window is cut.  A
+        # flat test needs no search.
         params = [_near_i1_max(6.0) if far else params_at(COMBO_BASE, t) for t, far in drawn]
-        cef_ats = comb_mod.waive_tests(params, family)
-        rounds = []
+        tests = comb_mod.waive_tests(params, family)
+        rounds, columns = [], []
 
-        def recorder(f, branches):
+        def recorder(f, *column):
             assert f is comb_mod._success_integrand
-            rounds.append(branches)
-            return integrate_each(f, branches)
+            rounds.append(column[3][1].tolist())
+            columns.append(column)
+            return integrate_each(f, *column)
 
-        with patch.object(cef_mod, "integrate_each", recorder):
-            solved = comb_mod.solve_i2_const_many(params, cef_ats)
-        for branch in (b for branches in rounds for b in branches):
-            x = branch[1][1]
-            assert x > 0
-            fresh = [comb_mod._waive_at(p, x, cef_at(x)) for p, cef_at in zip(params, cef_ats)]
-            assert repr(branch) in map(repr, fresh)
-        assert rounds == [] if comb_mod._is_flat(cef_ats[0](1.0)) else len(rounds) > 1
-        assert solved == [solve_i2_const(p, cef_at) for p, cef_at in zip(params, cef_ats)]
+        waive_at = comb_mod._waive_at
+
+        def lone(p, x, cef, setup):
+            rounds.append([x])
+            assert repr(cef) == repr(comb_mod._waive_cef(p, tests[params.index(p)], x))
+            assert repr(waive_at(p, x, cef, setup)) == repr(waive_at(p, x, cef))
+            return waive_at(p, x, cef, setup)
+
+        with patch.object(cef_mod, "integrate_each", recorder), \
+                patch.object(comb_mod, "_waive_at", lone):
+            solved = comb_mod.solve_i2_const_many(params, tests)
+        for column in columns:
+            for form, x in zip(round_forms(comb_mod._success_integrand, *column), column[3][1]):
+                fresh = [waive_at(p, x, comb_mod._waive_cef(p, test, x))
+                         for p, test in zip(params, tests)]
+                assert form in [
+                    branch_form(lambda z, c=c: comb_mod._success_integrand(z, *c), *window)
+                    for window, c in fresh]
+        assert all(x > 0 for xs in rounds for x in xs)
+        assert rounds == [] if comb_mod._is_flat(tests[0]) else len(rounds) > 1
+        assert bool(columns) == (len(drawn) > 1 and not comb_mod._is_flat(tests[0]))
+        assert solved == [solve_i2_const(p, test) for p, test in zip(params, tests)]
 
     @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
     @hypothesis.given(family=st.sampled_from(FAMILIES),
@@ -220,9 +237,10 @@ class TestDesignOnce:
         # integral must equal each design's lower_branch_success.
         params = [params_at(COMBO_BASE, t) for t, _ in drawn]
         xs = [(drawn[0] if shared else d)[1] * i_delta_of(COMBO_BASE) for d in drawn]
-        cefs = [cef_at(x) for cef_at, x in zip(comb_mod.waive_tests(params, family), xs)]
-        column = integrate_each(comb_mod._success_integrand, [
-            comb_mod._waive_at(p, x, cef) for p, x, cef in zip(params, xs, cefs)])
+        cefs = [comb_mod._waive_cef(p, test, x)
+                for p, test, x in zip(params, comb_mod.waive_tests(params, family), xs)]
+        column = integrate_each(comb_mod._success_integrand, *column_round(
+            [comb_mod._waive_at(p, x, cef) for p, x, cef in zip(params, xs, cefs)]))
         assert [v.hex() for v in column] == [
             lower_branch_success(p, x, cef).hex() for p, x, cef in zip(params, xs, cefs)]
 

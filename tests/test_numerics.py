@@ -799,12 +799,12 @@ class TestEarlyStop:
 
     def test_calibration_search_returns_the_first_level_within_f_tol(self):
         xs, first = self.brentq_points()
-        levels = CountingFunction(lambda cef: self.G(cef.c))
+        levels = CountingFunction(self.G)
         search = cef_mod.calibration_search(lambda c: cef_mod.CalibratedCef(None, c=c),
                                             0.9, 1.0, 3.0)
         got = run_search(search, levels)
         # The level at hi comes first, then root_search's lo.
-        assert [cef.c for cef in levels.xs] == [3.0, 1.0, *xs[2:first + 1]]
+        assert levels.xs == [3.0, 1.0, *xs[2:first + 1]]
         assert got.c == xs[first] and got.level_used == self.G(xs[first])
 
     def test_a_lone_search_and_a_lockstep_column_stop_at_the_same_iterate(self):
@@ -815,7 +815,7 @@ class TestEarlyStop:
             (lambda x: x, lambda: monotone_search(3.0 + 0.5 * F_TOL)),
             (lambda x: 0.5 + self.G(x), lambda: monotone_search(0.5 + 0.5 * F_TOL)),
             (self.G, lambda: monotone_search(0.25)),
-            (lambda cef: self.G(cef.c), lambda: cef_mod.calibration_search(
+            (self.G, lambda: cef_mod.calibration_search(
                 lambda c: cef_mod.CalibratedCef(None, c=c), 0.9, 1.0, 3.0)),
         ]
         got, points = _recorded([f for f, _ in cases], [search() for _, search in cases])
@@ -843,17 +843,26 @@ class TestEarlyStop:
 
 
 def _by_window(fs, calls=None):
-    """An integrate_many integrand that evaluates ``fs[k]`` at the nodes of
-    window k, recording each call's size in ``calls``."""
+    """An integrate_many integrand that evaluates ``fs[j]`` at the nodes of
+    the panels of window j, recording each call's size in ``calls``."""
     def f(x, k):
         if calls is not None:
             calls.append(np.size(x))
         y = np.empty_like(x)
-        for j in set(k.tolist()):
-            y[k == j] = fs[j](x[k == j])
+        for j in set(k.ravel().tolist()):
+            rows = k[:, 0] == j
+            y[rows] = fs[j](x[rows])
         return y
 
     return f
+
+
+def _columns(spans):
+    """integrate_many's ends and NaN-padded kinks of (lo, hi, split_points) windows."""
+    width = max((len(span[2]) for span in spans), default=0)
+    kinks = [[*span[2], *[math.nan] * (width - len(span[2]))] for span in spans]
+    return ([span[0] for span in spans], [span[1] for span in spans],
+            np.array(kinks).reshape(len(spans), width))
 
 
 class TestIntegrateManyProperty:
@@ -885,11 +894,11 @@ class TestIntegrateManyProperty:
                 failed = err
                 break
         if failed is None:
-            got = integrate_many(_by_window(fs), spans, quad)
+            got = integrate_many(_by_window(fs), *_columns(spans), quad)
             assert [x.hex() for x in got] == [x.hex() for x in want]
         else:
             with pytest.raises(ConvergenceError) as exc_info:
-                integrate_many(_by_window(fs), spans, quad)
+                integrate_many(_by_window(fs), *_columns(spans), quad)
             err = exc_info.value
             assert (err.best_estimate, err.error_estimate) == (
                 failed.best_estimate, failed.error_estimate)
@@ -899,7 +908,7 @@ class TestIntegrateManyProperty:
         cos200 = lambda x: np.cos(200.0 * x)
         calls = []
         got = integrate_many(_by_window([np.exp, wave], calls),
-                             [(1.0, 1.0, ()), (-2.0, 2.0, (0.3,))])
+                             *_columns([(1.0, 1.0, ()), (-2.0, 2.0, (0.3,))]))
         assert got == [0.0, integrate(wave, -2.0, 2.0, split_points=(0.3,))]
         # One call for both windows' initial panels, then the wave window's
         # rounds alone, each on both halves of the panels it bisects.
@@ -909,30 +918,34 @@ class TestIntegrateManyProperty:
         quad = QuadratureSettings(max_subdivisions=12)
         with pytest.raises(ConvergenceError) as exc_info:
             integrate_many(_by_window([np.exp, cos200, wave]),
-                           [(1.0, 1.0, ()), (0.0, 10.0, ()), (-2.0, 2.0, (0.3,))], quad)
+                           *_columns([(1.0, 1.0, ()), (0.0, 10.0, ()), (-2.0, 2.0, (0.3,))]),
+                           quad)
         with pytest.raises(ConvergenceError) as alone:
             integrate(cos200, 0.0, 10.0, quad)
         got, want = exc_info.value, alone.value
         assert (got.best_estimate, got.error_estimate) == (want.best_estimate,
                                                            want.error_estimate)
-        assert integrate_many(_by_window([]), []) == []
+        assert integrate_many(_by_window([]), *_columns([])) == []
 
-    def test_k_is_each_nodes_window(self):
+    def test_k_is_each_panels_window(self):
         # One window; several windows; and a column whose cos200 window
         # still refines, alone, after the smooth ones have settled.  Every
-        # call gets k as an integer array, one window index per node.
+        # call gets x as a (panels, 15) array, a panel's nodes a row, and k
+        # as a (panels, 1) integer array, one window index per panel.
         cos200 = lambda x: np.cos(200.0 * x)
         for fs, spans in (([np.exp], [(0.0, 1.0, ())]),
                           ([np.exp, np.cos], [(0.0, 1.0, ()), (-1.0, 3.0, (0.5,))]),
                           ([np.exp, cos200, std_normal_pdf],
                            [(0.0, 1.0, ()), (0.0, 2.0, ()), (*normal_window(0.0), ())])):
             ks, by_window = [], _by_window(fs)
-            got = integrate_many(lambda x, k: ks.append((x, k)) or by_window(x, k), spans)
+            got = integrate_many(lambda x, k: ks.append((x, k)) or by_window(x, k),
+                                 *_columns(spans))
             assert got == [integrate(g, lo, hi, split_points=s)
                            for g, (lo, hi, s) in zip(fs, spans)]
             lo, hi = (np.array([span[i] for span in spans]) for i in (0, 1))
             for x, k in ks:
-                assert type(k) is np.ndarray and k.dtype.kind == "i" and k.shape == x.shape
+                assert type(k) is np.ndarray and k.dtype.kind == "i"
+                assert x.shape == (len(k), _NODES.size) and k.shape == (len(x), 1)
                 assert ((lo[k] <= x) & (x <= hi[k])).all()
         # The cos200 window's rounds alone.
         assert len(ks) > 2 and all((k == 1).all() for _, k in ks[1:])
@@ -944,7 +957,7 @@ class TestIntegrateManyProperty:
         fs = [_piecewise([0.3], [1.0], [2.0], (1.0, 25.0)), lambda x: np.cos(40.0 * x)]
         spans = [(-2.0, 2.0, (0.3,)), (0.0, 6.0, ())]
         calls, alone = [], [[], []]
-        got = integrate_many(_by_window(fs, calls), spans)
+        got = integrate_many(_by_window(fs, calls), *_columns(spans))
         want = [integrate(lambda x, f=f, sizes=sizes: sizes.append(x.size) or f(x), lo, hi,
                           split_points=splits)
                 for f, sizes, (lo, hi, splits) in zip(fs, alone, spans)]
@@ -1005,11 +1018,12 @@ class TestIntegrateManyProperty:
         failed = [x for x in alone if isinstance(x, tuple)]
         fs, spans = zip(*cases)
         if failed:
-            assert self.outcome(lambda: integrate_many(_by_window(fs), spans, quad)) == failed[0]
+            assert self.outcome(
+                lambda: integrate_many(_by_window(fs), *_columns(spans), quad)) == failed[0]
         # ... and the others give integrate's floats.
         ok = [(case, x) for case, x in zip(cases, alone) if not isinstance(x, tuple)]
         fs, spans = [f for (f, _), _ in ok], [span for (_, span), _ in ok]
-        assert self.outcome(lambda: integrate_many(_by_window(fs), spans, quad)) == [
+        assert self.outcome(lambda: integrate_many(_by_window(fs), *_columns(spans), quad)) == [
             x for _, x in ok]
 
     def test_windows_that_settle_at_once_cost_one_call(self):
@@ -1020,7 +1034,7 @@ class TestIntegrateManyProperty:
         spans = [(*normal_window(0.0), ()), (-2.0, 2.0, [0.3, 0.3, math.nan, 9.0]),
                  (1.0, 1.0, ()), (*normal_window(1.0, 0.5), [-math.inf, 1.5])]
         calls = []
-        got = integrate_many(_by_window(fs, calls), spans)
+        got = integrate_many(_by_window(fs, calls), *_columns(spans))
         assert len(calls) == 1
         assert [x.hex() for x in got] == [
             integrate(f, lo, hi, split_points=s).hex() for f, (lo, hi, s) in zip(fs, spans)]
@@ -1039,13 +1053,22 @@ class TestIntegrateManyProperty:
             with pytest.raises(error) as alone:
                 integrate(fs[first], *spans[first][:2], quad, spans[first][2])
             with pytest.raises(error) as batch:
-                integrate_many(_by_window(fs[:1] + fs[first:]), spans[:1] + spans[first:], quad)
+                integrate_many(_by_window(fs[:1] + fs[first:]),
+                               *_columns(spans[:1] + spans[first:]), quad)
             assert str(batch.value) == str(alone.value)
         assert "used 10 panels" in str(alone.value)
+
+    def test_a_float_end_is_every_windows(self):
+        # A column whose designs share an end passes it as one float.
+        fs = [np.cos, np.exp, std_normal_pdf]
+        spans = [(0.5, 1.0, ()), (0.5, 3.0, (1.5,)), (0.5, 8.0, (2.0, 6.0))]
+        _, hi, kinks = _columns(spans)
+        assert [x.hex() for x in integrate_many(_by_window(fs), 0.5, hi, kinks)] == [
+            integrate(f, lo, hi, split_points=s).hex() for f, (lo, hi, s) in zip(fs, spans)]
 
     def test_an_invalid_window_raises_before_any_call(self):
         calls = []
         with pytest.raises(ValueError, match=r"got \[2.0, 1.0\]"):
             integrate_many(_by_window([np.cos] * 3, calls),
-                           [(0.0, 1.0, ()), (2.0, 1.0, ()), (0.0, math.inf, ())])
+                           *_columns([(0.0, 1.0, ()), (2.0, 1.0, ()), (0.0, math.inf, ())]))
         assert calls == []

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import ndtr, ndtri
 
+from column_rounds import branch_form, round_forms
 from conftest import EVAL_BASE, i_delta_of, params_at
 from fasttrack import cef as cef_mod
+from fasttrack import power as power_mod
 from fasttrack.cef import (
     FASTTRACK_FAMILIES,
     CalibratedCef,
@@ -42,7 +44,8 @@ from fasttrack.power import (
     solve_i2_min_many,
     stage2_info,
 )
-from fasttrack.power import _floor_kink, _power_integrand, _upper_at
+from fasttrack.power import (_floor_kink, _floor_kinks, _power_integrand, _upper_at,
+                             _upper_setup)
 
 ALPHA, BETA = 0.025, 0.2
 # The fast-track families, a two-piece z-combination table whose pieces
@@ -282,8 +285,10 @@ class TestManyDesigns:
 
 class TestDesignOnce:
     """A column solve sets each design up once; each round must still
-    integrate, for every design, the branch :func:`_upper_at` makes afresh,
-    without a setup, for that design's floor."""
+    integrate, for every design, the branch :func:`_upper_at` makes from a
+    fresh setup for that design's floor: a lone design that branch itself,
+    and many designs a column round whose every window, split points and
+    integrand are those of such a branch."""
 
     # (t_xi, binding, power target as a share of the continuation
     # probability): zero and positive floors, a column of one shape.
@@ -301,21 +306,33 @@ class TestDesignOnce:
                                                                     max_size=3))
     def test_every_round_yields_the_fresh_branch(self, shape, drawn):
         params, cefs, targets = zip(*(self.design(shape, *d) for d in drawn))
-        rounds = []
+        rounds, columns = [], []
 
-        def recorder(f, branches):
+        def recorder(f, *column):
             assert f is _power_integrand
-            rounds.append(branches)
-            return integrate_each(f, branches)
+            rounds.append(column[3][1].tolist())
+            columns.append(column)
+            return integrate_each(f, *column)
 
-        with patch.object(cef_mod, "integrate_each", recorder):
+        def lone(p, rule, setup):
+            rounds.append([rule.i2_min])
+            assert repr(_upper_at(p, rule, setup)) == repr(
+                _upper_at(p, rule, _upper_setup(p, rule.cef)))
+            return _upper_at(p, rule, setup)
+
+        with patch.object(cef_mod, "integrate_each", recorder), \
+                patch.object(power_mod, "_upper_at", lone):
             solved = solve_i2_min_many(params, cefs, targets)
-        for branch in (b for branches in rounds for b in branches):
-            fresh = [_upper_at(p, AdaptiveConditionalPower(branch[1][1], cef))
-                     for p, cef in zip(params, cefs)]
-            assert repr(branch) in map(repr, fresh)
-        # Every search starts at a zero floor, and reads more only for a positive one.
-        assert [b[1][1] for b in rounds[0]] == [0.0] * len(drawn)
+        for column in columns:
+            for form, x in zip(round_forms(_power_integrand, *column), column[3][1]):
+                fresh = [_upper_at(p, AdaptiveConditionalPower(x, cef), _upper_setup(p, cef))
+                         for p, cef in zip(params, cefs)]
+                assert form in [branch_form(lambda z, c=c: _power_integrand(z, *c), *window)
+                                for window, c in fresh]
+        # Every search starts at a zero floor, and reads more only for a positive one;
+        # many designs start in a column round.
+        assert rounds[0] == [0.0] * len(drawn)
+        assert bool(columns) == (len(drawn) > 1)
         assert (len(rounds) > 1) == any(x > 0 for x in solved)
         assert solved == [solve_i2_min(*design) for design in zip(params, cefs, targets)]
 
@@ -519,3 +536,69 @@ class TestClosedFormFloorKink:
                 rule = AdaptiveConditionalPower(i2_min=i2_min, cef=cef)
                 assert _floor_kink(p, rule, lo, hi) is None
                 assert self.numeric_kink(p, rule, lo, hi) is None
+
+
+class TestFloorKinksOnArrays:
+    """A round's floor kinks on arrays (:func:`_floor_kinks`) are
+    :func:`_floor_kink`'s, bit for bit, design by design."""
+
+    # A column's CEF kind: tables of one piece (the constant family's flat
+    # one, the inverse normal's from z0) or two (a z-combination split at
+    # z_f, which jumps there), and Fisher's, uncapped (calibrated) or capped
+    # wherever positive (c = 0.3, and c = 1 from z0).
+    KINDS = ("constant", "inverse_normal", "z_combination", "fisher", "fisher_capped")
+    # Where each design's floor puts the crossing: inside the window, at the
+    # jump at a piece start, at the cap, above the formula everywhere in the
+    # window, below it everywhere, or a zero floor.
+    CASES = ("inside", "start", "cap", "above", "below", "zero")
+    _design = st.tuples(st.floats(0.3, 2.0), st.booleans(), st.sampled_from(CASES),
+                        st.floats(0.0, 1.0), st.floats(0.05, 0.3),  # where, alpha_prime
+                        st.sampled_from((None, 0.5, 3.0)))  # window width, None: to 12
+
+    @staticmethod
+    def cef(kind, p, binding, alpha_prime):
+        z0 = p.z_f if binding else -math.inf
+        if kind == "z_combination":
+            return z_combination_cef(p.i1, 1.5, p.z_f, ALPHA, alpha_prime)
+        if kind == "fisher_capped":
+            return CalibratedCef(None, z0=z0, c=1.0 if binding else 0.3)
+        return family_cef(kind, ALPHA, z0)
+
+    @staticmethod
+    def floor(p, cef, case, u, lo, hi):
+        formula = lambda z: float(stage2_info(z, p, AdaptiveConditionalPower(0.0, cef)))
+        if case == "zero":
+            return 0.0
+        if case in ("above", "below"):
+            return formula(lo) * 2.0 if case == "above" else formula(hi) / 2.0
+        if case == "start":  # between the formula's two sides of the split's jump
+            z = cef.pieces[-1][0] if cef.pieces else math.inf
+            z = z if lo < z < hi else lo + u * (hi - lo)
+            return 0.5 * (formula(math.nextafter(z, -math.inf)) + formula(z))
+        return formula(kinks(cef)[-1] if case == "cap" and kinks(cef)[-1] > lo
+                       else lo + u * (hi - lo))
+
+    @hypothesis.settings(derandomize=True, deadline=None, max_examples=150)
+    @hypothesis.given(kind=st.sampled_from(KINDS), drawn=st.lists(_design, min_size=1,
+                                                                  max_size=4))
+    def test_equal_to_floor_kink_design_by_design(self, kind, drawn):
+        params, cefs, floors, windows = [], [], [], []
+        for t, binding, case, u, alpha_prime, width in drawn:
+            p = params_at(EVAL_BASE, t)
+            cef = self.cef(kind, p, binding, alpha_prime)
+            # A window from below z_f where A is positive there, to reach
+            # the z-combination's jump at its split z_f.
+            lo = 0.2 if cef.z0 == -math.inf and (case == "start" or u < 0.5) else p.z_f
+            hi = 12.0 if width is None else lo + width
+            params.append(p)
+            cefs.append(cef)
+            floors.append(self.floor(p, cef, case, u, lo, hi))
+            windows.append((lo, hi))
+        lo, hi = (np.array(ends) for ends in zip(*windows))
+        got = _floor_kinks(cef_mod.column(cefs), cef_mod.column([kinks(c)[-1] for c in cefs]),
+                           np.array(floors), cef_mod.column([p.i1 for p in params]),
+                           cef_mod.column([p.z_beta for p in params]), lo, hi)
+        want = [_floor_kink(p, AdaptiveConditionalPower(x, cef), a, b)
+                for p, cef, x, (a, b) in zip(params, cefs, floors, windows)]
+        assert [x.hex() for x in got.tolist()] == [
+            math.nan.hex() if x is None else x.hex() for x in want]

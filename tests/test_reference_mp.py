@@ -156,18 +156,65 @@ DRAWN = {
 }
 
 
-def _drawn_design(name):
-    mode, family, values = DRAWN[name]
+# The rest of item 2's subset, one design per mode x family: the first case
+# of each in ``draw_cases(seed=1, batch=0, n=100)``, beyond those of DRAWN,
+# that builds with a positive upper-branch floor (its index in the comment).
+# They take about 16 s, so they run only with ``-m slow``.
+DRAWN_SUBSET = {
+    "binding constant": ("fasttrack_binding", "constant", dict(  # 0
+        alpha=0.028031973111511555, alpha_c=0.28751843530389687,
+        beta=0.08603990317990844, delta_rel=1.9229741707058658,
+        xi=2.2060948382944066, i1=0.6177796599274946)),
+    "binding inverse normal": ("fasttrack_binding", "inverse_normal", dict(  # 21
+        alpha=0.046296151572691076, alpha_c=0.22746537289219715,
+        beta=0.17508910768421776, delta_rel=0.6156257127508081,
+        xi=2.304064084240824, i1=2.6946795551587996)),
+    "binding Fisher": ("fasttrack_binding", "fisher", dict(  # 9
+        alpha=0.026235937371145563, alpha_c=0.1157795698226538,
+        beta=0.05177295715079157, delta_rel=1.4685813433624217,
+        xi=2.9296204645615953, i1=1.5278246311936534)),
+    "non-binding constant": ("fasttrack_nonbinding", "constant", dict(  # 10
+        alpha=0.017684502231404397, alpha_c=0.09413956287960462,
+        beta=0.20983284501664695, delta_rel=1.7075822497175146,
+        xi=2.8300476151082505, i1=0.39244743827763584)),
+    "non-binding inverse normal": ("fasttrack_nonbinding", "inverse_normal", dict(  # 4
+        alpha=0.029355208499634543, alpha_c=0.11875654660587165,
+        beta=0.09016300219378172, delta_rel=1.954888119824199,
+        xi=2.4993711562825096, i1=0.34371213367802744)),
+    "non-binding Fisher": ("fasttrack_nonbinding", "fisher", dict(  # 13
+        alpha=0.007822306515684573, alpha_c=0.2525016755645536,
+        beta=0.09112681661852533, delta_rel=1.0627204947449629,
+        xi=2.048151126315734, i1=4.018964897819984)),
+    "combination constant": ("combination", "constant", dict(  # 23
+        alpha=0.04842354847908811, alpha_c=0.1614330400094495,
+        beta=0.12380856391567395, delta_rel=1.7704975559505944,
+        xi=1.9127341098215234, i1=0.7815059422690249)),
+    "combination inverse normal": ("combination", "inverse_normal", dict(  # 14
+        alpha=0.013035734517846738, alpha_c=0.1388219698068815,
+        beta=0.05145614877699524, delta_rel=0.8937420691251523,
+        xi=2.3847830649279227, i1=2.2090928438284996)),
+    "combination Fisher": ("combination", "fisher", dict(  # 38
+        alpha=0.009397204591297552, alpha_c=0.22989884488011594,
+        beta=0.21266810739991254, delta_rel=1.4097621359618937,
+        xi=1.4162354450217876, i1=2.2459768342453876)),
+    "combination z-combination": ("combination", "z_combination", dict(  # 50
+        alpha=0.007629010233071073, alpha_c=0.20194931946334144,
+        beta=0.06163330051871478, delta_rel=0.6026144533125835,
+        xi=1.7852395973170851, i1=12.130516643296989)),
+}
+
+
+def _drawn_design(name, drawn=DRAWN):
+    mode, family, values = drawn[name]
     p = DesignParams(**values)
     if mode == "combination":
         return build_combination(p, family)
     return build_fasttrack(p, family, binding=mode == "fasttrack_binding")
 
 
-@pytest.mark.parametrize("name", DRAWN)
-def test_drawn_designs_match_the_reference(name):
-    design = _drawn_design(name)
-    mode = DRAWN[name][0]
+def _assert_matches_the_reference(design):
+    """The level integral, the upper branch's power and E[I2], and a
+    combination design's waive-branch success, against the oracle."""
     p, cef, z_f = design.params, design.cef, design.branch_boundary
     reference = ref.design_cef(design)
     want = ref.level_integral(reference, cef.z0)
@@ -177,10 +224,30 @@ def test_drawn_designs_match_the_reference(name):
     )
     assert overall_power(p, design.rule) == pytest.approx(want_power, abs=1e-10)
     assert mean_stage2_info(p, design.rule) == pytest.approx(want_info, abs=1e-10)
-    if mode == "combination":
+    if design.i2_const is not None:
         want = ref.waive_branch_success(reference, design.i2_const, p.i1, p.delta, z_f)
         got = lower_branch_success(p, design.i2_const, cef)
         assert got == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("name", DRAWN)
+def test_drawn_designs_match_the_reference(name):
+    _assert_matches_the_reference(_drawn_design(name))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", DRAWN_SUBSET)
+def test_drawn_subset_matches_the_reference(name):
+    # Every quantity the oracle computes, the floor kink and the largest
+    # stage-two information too.
+    design = _drawn_design(name, DRAWN_SUBSET)
+    _assert_matches_the_reference(design)
+    q, z_f, reference = design.params, design.branch_boundary, ref.design_cef(design)
+    want = ref.floor_kink(reference, design.i2_min, q.beta, q.i1, z_f)
+    got = _floor_kink(q, design.rule, *normal_window(q.delta * math.sqrt(q.i1), z_f))
+    assert want is not None and got == pytest.approx(float(want), abs=1e-10)
+    want = ref.max_stage2_info(reference, design.i2_min, q.beta, q.i1, z_f)
+    assert max_stage2_info(q, design.rule) == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_max_stage2_info_matches_the_reference():
